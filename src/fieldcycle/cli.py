@@ -14,8 +14,8 @@ from pathlib import Path
 from . import fieldmap as fm
 from . import motion as mo
 from . import orchestrator as orc
-from .errors import (FieldCycleError, SchemaViolation, UnknownKind,
-                     UnsupportedVersion)
+from .errors import (FieldCycleError, SchemaViolation, SpecInvalid,
+                     UnknownKind, UnsupportedVersion)
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -23,17 +23,48 @@ EXIT_SPEC_ERROR = 3
 EXIT_NUMERICAL = 4
 
 
-def _load_spec(path, seed_override=None, expect_kind=None):
-    p = Path(path)
-    spec = orc.parse_spec(p.read_text(), base_dir=p.parent)
-    if expect_kind and spec.kind != expect_kind:
-        raise SchemaViolation(f"expected kind {expect_kind!r}, got {spec.kind!r}",
+def _run_doc(doc, base_dir, args, kind=None):
+    """Parse ``doc`` once, check it is ``kind``, and run it (simulate it for
+    ``simulate-sequence``, the one verb with ``--runs``)."""
+    spec = orc.parse_spec(doc, base_dir=base_dir)
+    if kind and spec.kind != kind:
+        raise SchemaViolation(f"expected kind {kind!r}, got {spec.kind!r}",
                               "$.kind")
-    if seed_override is not None:
-        doc = dict(spec.doc)
-        doc["seed"] = seed_override
-        spec = orc.parse_spec(doc, base_dir=spec.base_dir)
-    return spec
+    if args.runs is not None:
+        record = orc.simulate_sequence(spec, runs=args.runs, out_dir=args.out,
+                                       quiet=args.quiet)
+    else:
+        record = orc.run(spec, out_dir=args.out, quiet=args.quiet)
+    return EXIT_OK if record.violations == 0 else EXIT_VIOLATIONS
+
+
+def _cmd_spec(args):
+    """The spec verbs: ``--seed``/``--nodes`` edit the document before the
+    one parse."""
+    path = Path(args.spec)
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+        raise SchemaViolation(f"cannot read spec {path}: {exc}", "$") from None
+    if isinstance(doc, dict):
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        dnp = doc.get("dnp", {})
+        if args.nodes is not None and isinstance(dnp, dict):
+            doc["dnp"] = {**dnp, "nodes": args.nodes}
+    return _run_doc(doc, path.parent, args, args.kind)
+
+
+def _cmd_plan_lac(args):
+    lac = {"targets_T": args.target}
+    if args.precision is not None:
+        lac["precision_m"] = args.precision
+    if args.vmax is not None:
+        lac["v_max"] = args.vmax
+    doc = {"schema_version": orc.SCHEMA_VERSION, "kind": "lac_plan", "lac": lac}
+    if args.map:
+        doc["fieldmap"] = {"file": args.map}
+    return _run_doc(doc, ".", args)
 
 
 def _cmd_plan_motion(args):
@@ -62,65 +93,6 @@ def _cmd_calibrate_field(args):
     return EXIT_OK
 
 
-def _cmd_plan_lac(args):
-    if args.map:
-        fmap = fm.FieldMap.from_json(Path(args.map).read_text())
-    else:
-        fmap = fm.reference_map()
-    rows = []
-    for t in args.target:
-        p = fmap.plan_lac_access(t, precision_m=args.precision, v_max=args.vmax)
-        rows.append(p)
-        if not args.quiet:
-            print(f"B={p.target_field_T:.4g} T  z={p.position_m:.4f} m  "
-                  f"gradient={p.gradient_T_per_m:+.4f} T/m  "
-                  f"resolution={p.resolution_T * 1e4:.4f} G  "
-                  f"max rate={p.max_sweep_rate_T_per_s:.4f} T/s")
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        path = Path(args.out) / "lac_plan.csv"
-        lines = ["target_T,position_m,gradient_T_per_m,resolution_T,max_sweep_rate_T_per_s"]
-        for p in rows:
-            lines.append(",".join(repr(x) for x in
-                                  (p.target_field_T, p.position_m, p.gradient_T_per_m,
-                                   p.resolution_T, p.max_sweep_rate_T_per_s)))
-        path.write_text("\n".join(lines) + "\n")
-        if not args.quiet:
-            print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _run_spec_kind(args, kind):
-    spec = _load_spec(args.config, seed_override=args.seed, expect_kind=kind)
-    if kind == "dnp_sweep" and args.nodes:
-        doc = dict(spec.doc)
-        doc.setdefault("dnp", {})
-        doc["dnp"] = {**doc["dnp"], "nodes": args.nodes}
-        spec = orc.parse_spec(doc, base_dir=spec.base_dir)
-    orc.run(spec, out_dir=args.out, quiet=args.quiet)
-    return EXIT_OK
-
-
-def _cmd_validate_sequence(args):
-    spec = _load_spec(args.spec, expect_kind="sequence_validation")
-    record = orc.run(spec, out_dir=args.out, quiet=args.quiet)
-    return EXIT_OK if record.violations == 0 else EXIT_VIOLATIONS
-
-
-def _cmd_simulate_sequence(args):
-    spec = _load_spec(args.spec, seed_override=args.seed,
-                      expect_kind="sequence_validation")
-    out = Path(args.out or spec.output_dir or "fieldcycle-out")
-    orc.simulate_sequence(spec, runs=args.runs, out_dir=out, quiet=args.quiet)
-    return EXIT_OK
-
-
-def _cmd_run(args):
-    spec = _load_spec(args.spec, seed_override=args.seed)
-    record = orc.run(spec, out_dir=args.out, quiet=args.quiet)
-    return EXIT_OK if record.violations == 0 else EXIT_VIOLATIONS
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="fieldcycle",
@@ -134,18 +106,16 @@ def build_parser():
 
     p = sub.add_parser("plan-motion", help="plan a shuttle move", parents=[common])
     p.add_argument("--distance", type=float, required=True, help="move length (m)")
-    p.add_argument("--vmax", type=float, default=2.0)
-    p.add_argument("--amax", type=float, default=30.0)
+    p.add_argument("--vmax", type=float, default=mo.MotionLimits.v_max)
+    p.add_argument("--amax", type=float, default=mo.MotionLimits.a_max)
     p.add_argument("--dt", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_plan_motion)
 
     p = sub.add_parser("calibrate-field", help="fit a field map to anchors",
                        parents=[common])
     p.add_argument("--anchors", required=True, help="anchor CSV file")
-    p.add_argument("--model", default="auto",
-                   choices=["auto", "finite_solenoid", "monotone_spline"])
+    p.add_argument("--model", default=fm.DEFAULT_MODEL_KIND, choices=fm.MODEL_KINDS)
     p.add_argument("--out", required=True, help="output map JSON")
     p.set_defaults(fn=_cmd_calibrate_field)
 
@@ -154,25 +124,30 @@ def build_parser():
     p.add_argument("--target", type=float, action="append", required=True,
                    help="target field (T); repeatable")
     p.add_argument("--map", default=None, help="field map JSON (default: reference)")
-    p.add_argument("--precision", type=float, default=50e-6)
-    p.add_argument("--vmax", type=float, default=2.0)
+    p.add_argument("--precision", type=float, default=None,
+                   help=f"positioning precision (m; default {mo.MotionLimits.precision_m})")
+    p.add_argument("--vmax", type=float, default=None,
+                   help=f"shuttle speed limit (m/s; default {mo.MotionLimits.v_max})")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_plan_lac)
+    p.set_defaults(fn=_cmd_plan_lac, runs=None)
 
+    # the spec verbs share _cmd_spec; flags a verb lacks default to None
     for verb, kind in (("dnp-sweep", "dnp_sweep"), ("t1-map", "t1_field_map")):
         p = sub.add_parser(verb, help=f"run a {kind} experiment spec",
                            parents=[common])
-        p.add_argument("--config", required=True)
+        p.add_argument("--config", dest="spec", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--nodes", type=int, default=None)
+        if kind == "dnp_sweep":
+            p.add_argument("--nodes", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.set_defaults(fn=lambda a, k=kind: _run_spec_kind(a, k))
+        p.set_defaults(fn=_cmd_spec, kind=kind, nodes=None, runs=None)
 
     p = sub.add_parser("validate-sequence", help="check a trigger timeline",
                        parents=[common])
     p.add_argument("--spec", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_validate_sequence)
+    p.set_defaults(fn=_cmd_spec, kind="sequence_validation", seed=None,
+                   nodes=None, runs=None)
 
     p = sub.add_parser("simulate-sequence", help="jittered timeline realizations",
                        parents=[common])
@@ -180,13 +155,13 @@ def build_parser():
     p.add_argument("--runs", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_simulate_sequence)
+    p.set_defaults(fn=_cmd_spec, kind="sequence_validation", nodes=None)
 
     p = sub.add_parser("run", help="run any experiment spec", parents=[common])
     p.add_argument("--spec", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_run)
+    p.set_defaults(fn=_cmd_spec, kind=None, nodes=None, runs=None)
 
     return ap
 
@@ -196,13 +171,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (SchemaViolation, UnknownKind, UnsupportedVersion) as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except FileNotFoundError as exc:
-        print(f"spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
-    except json.JSONDecodeError as exc:
+    except (SchemaViolation, SpecInvalid, UnknownKind, UnsupportedVersion,
+            FileNotFoundError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     except FieldCycleError as exc:

@@ -22,27 +22,23 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 
 from .errors import FieldNotReachable, NoConvergence, NonMonotonicModel, OutOfDomain
+from .motion import MotionLimits
 
 __all__ = [
     "FieldAnchor",
     "FieldMap",
     "LacPlan",
     "calibrate",
-    "field_at",
-    "gradient_at",
-    "position_of_field",
-    "plan_lac_access",
     "reference_anchors",
     "reference_map",
     "anchors_from_csv",
     "anchors_to_csv",
 ]
 
-DEFAULT_TRAVEL_RANGE_M = 1.600
 DEFAULT_CENTER_SEPARATION_M = 0.830
 DEFAULT_FLOOR_T = 1.0e-3
-DEFAULT_PRECISION_M = 50e-6
-DEFAULT_V_MAX = 2.0
+DEFAULT_MODEL_KIND = "auto"
+MODEL_KINDS = (DEFAULT_MODEL_KIND, "finite_solenoid", "monotone_spline")
 
 _PARAM_BOUNDS = ([1e-3, 1e-3], [2.0, 2.0])  # half-length, radius (m)
 _MAX_ITER = 500
@@ -198,7 +194,7 @@ class FieldMap:
     model: str  # "finite_solenoid" | "monotone_spline"
     params: dict
     domain_m: tuple[float, float]
-    travel_range_m: float = DEFAULT_TRAVEL_RANGE_M
+    travel_range_m: float = MotionLimits.travel_range_m
     center_separation_m: float = DEFAULT_CENTER_SEPARATION_M
     floor_T: float = DEFAULT_FLOOR_T
     _spline: Optional[_HermiteSpline] = field(default=None, repr=False, compare=False)
@@ -272,8 +268,8 @@ class FieldMap:
             return hi
         return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
-    def plan_lac_access(self, target_field_T, precision_m=DEFAULT_PRECISION_M,
-                        v_max=DEFAULT_V_MAX):
+    def plan_lac_access(self, target_field_T, precision_m=MotionLimits.precision_m,
+                        v_max=MotionLimits.v_max):
         """Resolution and sweep-rate budget for parking at / sweeping a LAC."""
         z = self.position_of_field(target_field_T)
         g = float(self.gradient_at(z))
@@ -301,8 +297,8 @@ class FieldMap:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        if doc.get("schema") != 1:
-            raise ValueError(f"unsupported field map schema {doc.get('schema')!r}")
+        if not isinstance(doc, dict) or doc.get("schema") != 1:
+            raise ValueError("not a schema 1 field map")
         return cls(
             model=doc["model"],
             params=doc["params"],
@@ -311,24 +307,6 @@ class FieldMap:
             center_separation_m=doc["center_separation_m"],
             floor_T=doc["floor_T"],
         )
-
-
-# module-level forms of the map queries, matching the operation signatures
-def field_at(fmap: FieldMap, z):
-    return fmap.field_at(z)
-
-
-def gradient_at(fmap: FieldMap, z):
-    return fmap.gradient_at(z)
-
-
-def position_of_field(fmap: FieldMap, b_target):
-    return fmap.position_of_field(b_target)
-
-
-def plan_lac_access(fmap: FieldMap, target_field_T, precision_m=DEFAULT_PRECISION_M,
-                    v_max=DEFAULT_V_MAX):
-    return fmap.plan_lac_access(target_field_T, precision_m, v_max)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +357,7 @@ def _anchor_residual(fmap: FieldMap, a: FieldAnchor):
     try:
         if a.kind == "field_value":
             if a.position_m is None:
-                z = fmap.position_of_field(a.field_T)
+                fmap.position_of_field(a.field_T)  # raises when unreachable
                 return 0.0
             return (float(fmap._model_field(a.position_m)) - a.field_T) / a.field_T
         z = fmap.position_of_field(a.field_T)
@@ -495,9 +473,9 @@ def _spline_from_anchors(anchors, backbone: FieldMap, domain, travel_range,
     )
 
 
-def calibrate(anchors: Sequence[FieldAnchor], model_kind: str = "auto",
-              domain_m: tuple[float, float] = (0.0, DEFAULT_TRAVEL_RANGE_M),
-              travel_range_m: float = DEFAULT_TRAVEL_RANGE_M,
+def calibrate(anchors: Sequence[FieldAnchor], model_kind: str = DEFAULT_MODEL_KIND,
+              domain_m: tuple[float, float] = (0.0, MotionLimits.travel_range_m),
+              travel_range_m: float = MotionLimits.travel_range_m,
               center_separation_m: float = DEFAULT_CENTER_SEPARATION_M,
               floor_T: float = DEFAULT_FLOOR_T) -> FieldMap:
     """Fit a field map to anchors; every anchor must land within its tolerance.
@@ -509,7 +487,7 @@ def calibrate(anchors: Sequence[FieldAnchor], model_kind: str = "auto",
     anchors = list(anchors)
     if not anchors:
         raise ValueError("need at least one anchor")
-    if model_kind not in ("auto", "finite_solenoid", "monotone_spline"):
+    if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model_kind {model_kind!r}")
     b0 = _center_anchor(anchors).field_T
 
@@ -564,7 +542,7 @@ def reference_anchors() -> list[FieldAnchor]:
 @lru_cache(maxsize=1)
 def reference_map() -> FieldMap:
     """Calibrated map of the reference instrument (memoized; immutable)."""
-    return calibrate(reference_anchors(), model_kind="auto")
+    return calibrate(reference_anchors())
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +552,7 @@ _CSV_HEADER = ["kind", "position_m", "field_T", "gradient_T_per_m", "tolerance_r
 
 
 def anchors_from_csv(text: str) -> list[FieldAnchor]:
-    rows = list(csv.DictReader(io.StringIO(text)))
+    rows = list(csv.DictReader(io.StringIO(text), restval=""))
     if not rows:
         raise ValueError("empty anchor file")
     anchors = []

@@ -8,8 +8,6 @@ field map, so a shuttle toward the magnet runs in the -z direction.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -17,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DistanceExceedsTravel, InvalidTarget
+from .util import csv_text
 
 __all__ = [
     "MotionLimits",
@@ -74,20 +73,6 @@ class MotionProfile:
         return s.z_start_m + s.v_start_m_s * s.duration_s \
             + 0.5 * s.accel_m_s2 * s.duration_s ** 2
 
-    def state_at(self, t: float) -> tuple[float, float, float]:
-        """(z, v, a) at time t; clamps to the rest states outside [0, T]."""
-        if not self.segments or t <= 0.0:
-            return self.z_start_m, 0.0, 0.0
-        elapsed = 0.0
-        for seg in self.segments:
-            if t < elapsed + seg.duration_s:
-                tau = t - elapsed
-                z = seg.z_start_m + seg.v_start_m_s * tau + 0.5 * seg.accel_m_s2 * tau ** 2
-                v = seg.v_start_m_s + seg.accel_m_s2 * tau
-                return z, v, seg.accel_m_s2
-            elapsed += seg.duration_s
-        return self.z_end_m, 0.0, 0.0
-
     def boundary_times(self) -> list[float]:
         out, acc = [0.0], 0.0
         for seg in self.segments:
@@ -101,18 +86,12 @@ class JitterModel:
     """Gaussian timing jitter; draws advance a seed-determined stream."""
 
     sigma_s: float = 2.6e-3
-    distribution: str = "gaussian"
     seed: int = 0
     _rng: Optional[np.random.Generator] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma_s < 0:
             raise ValueError("sigma_s must be non-negative")
-        if self.distribution != "gaussian":
-            raise ValueError(f"unsupported distribution {self.distribution!r}")
-
-    def reset(self):
-        self._rng = None
 
     def draw(self, n=None):
         if self._rng is None:
@@ -183,7 +162,7 @@ def plan(distance: float, limits: MotionLimits = MotionLimits(),
 
 def duration(profile: MotionProfile) -> float:
     """Total move time, the sum of segment durations."""
-    return sum(s.duration_s for s in profile.segments)
+    return sum((s.duration_s for s in profile.segments), 0.0)
 
 
 @dataclass(frozen=True)
@@ -198,18 +177,12 @@ class Trajectory:
     a: np.ndarray
 
     def to_csv(self, fmap=None) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        if fmap is None:
-            w.writerow(["t_s", "z_m", "v_mps", "a_mps2"])
-            for row in zip(self.t, self.z, self.v, self.a):
-                w.writerow([repr(float(x)) for x in row])
-        else:
-            w.writerow(["t_s", "z_m", "v_mps", "a_mps2", "B_T"])
-            b = fmap.field_at(self.z)
-            for row in zip(self.t, self.z, self.v, self.a, b):
-                w.writerow([repr(float(x)) for x in row])
-        return out.getvalue()
+        header = ["t_s", "z_m", "v_mps", "a_mps2"]
+        cols = [self.t, self.z, self.v, self.a]
+        if fmap is not None:
+            header.append("B_T")
+            cols.append(fmap.field_at(self.z))
+        return csv_text(header, zip(*(c.tolist() for c in cols)))
 
 
 def _segment_states(seg: Segment, tau: np.ndarray):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
+import math
 import os
 import tempfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -26,22 +27,14 @@ from . import motion as mo
 from . import relaxometry as rx
 from . import sequencer as sq
 from . import spin as sp
-from .errors import (FieldCycleError, SchemaViolation, UnknownKind,
-                     UnsupportedVersion)
-from .util import parallel_map
+from .errors import SchemaViolation, UnknownKind, UnsupportedVersion
+from .util import csv_text, parallel_map
 
-__all__ = ["ExperimentSpec", "RunRecord", "parse_spec", "run", "derive_seed"]
+__all__ = ["ExperimentSpec", "RunRecord", "parse_spec", "run",
+           "simulate_sequence", "derive_seed"]
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
-
-KINDS = (
-    "shuttle_characterization",
-    "lac_plan",
-    "dnp_sweep",
-    "t1_field_map",
-    "sequence_validation",
-)
 
 
 def derive_seed(seed: int, module: str) -> int:
@@ -56,9 +49,13 @@ def spec_hash(doc: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parsing / validation
+# schema: each key's JSON type, default and range, resolved once
 
 _REQUIRED = object()
+_NUM = (int, float)
+_TYPES = {float: _NUM, int: (int,), str: (str,), list: (list,), dict: (dict,)}
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 
 
 def _expect(cond, message, path):
@@ -66,118 +63,216 @@ def _expect(cond, message, path):
         raise SchemaViolation(message, path)
 
 
-def _get_typed(obj, key, types, path, default=_REQUIRED):
+def _check(val, types, path, check=None):
+    if not isinstance(val, types) or (isinstance(val, bool) and bool not in types):
+        names = "/".join(t.__name__ for t in types)
+        raise SchemaViolation(f"expected {names}, got {type(val).__name__}", path)
+    _expect(not isinstance(val, float) or math.isfinite(val),
+            "expected a finite number", path)
+    if check is not None:
+        _expect(check[0](val), check[1], path)
+
+
+def _get(obj, key, path, default=_REQUIRED, types=None, check=None):
+    """``obj[key]``, checked to be of ``types`` (by default the type of
+    ``default``) and to pass ``check``; ``default`` when the key is absent."""
+    path = f"{path}.{key}"
     if key not in obj:
-        if default is _REQUIRED:
-            raise SchemaViolation("missing required key", f"{path}.{key}")
+        _expect(default is not _REQUIRED, "missing required key", path)
         return default
-    val = obj[key]
-    if not isinstance(val, types):
-        names = types.__name__ if isinstance(types, type) else \
-            "/".join(t.__name__ for t in types)
-        raise SchemaViolation(f"expected {names}, got {type(val).__name__}",
-                              f"{path}.{key}")
-    return val
+    _check(obj[key], types or _TYPES[type(default)], path, check)
+    return obj[key]
 
 
-_NUM = (int, float)
+def _numbers(obj, key, path, default, check=_POSITIVE, length=None):
+    vals = _get(obj, key, path, default)
+    for i, v in enumerate(vals):
+        _check(v, _NUM, f"{path}.{key}[{i}]", check)
+    _expect(length is None or len(vals) == length,
+            f"expected {length} values, got {len(vals)}", f"{path}.{key}")
+    return vals
+
+
+def _call(fn, path, *args, **kwargs):
+    """``fn(...)``, with a layer's ValueError reported as a SchemaViolation."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaViolation(str(exc), path) from None
+
+
+def _layer(base, blk, path, keys=None, **fixed):
+    """Copy of the layer dataclass instance ``base`` with each field in
+    ``keys`` (default: all) read from ``blk``, defaulting to ``base``'s
+    value: the layer class owns the default and the range check."""
+    keys = keys or [f.name for f in fields(base)]
+    values = {k: _get(blk, k, path, getattr(base, k)) for k in keys}
+    return _call(replace, path, base, **values, **fixed)
+
+
+def _jitter(blk, path):
+    return _call(mo.JitterModel, path, sigma_s=_get(
+        blk, "jitter_sigma_s", path, mo.JitterModel.sigma_s))
+
+
+def _shuttle_params(blk, path, limits):
+    return {"distance_m": _get(blk, "distance_m", path, 1.1627),
+            "velocities": _numbers(blk, "velocities", path, [0.5, 1.0, 1.5, 2.0]),
+            "jitter": _jitter(blk, path),
+            "runs": _get(blk, "runs", path, 0, check=_NON_NEGATIVE)}
+
+
+def _lac_params(blk, path, limits):
+    return {"targets_T": _numbers(blk, "targets_T", path, [0.051, 0.102]),
+            "limits": _layer(limits, blk, path, ("precision_m", "v_max"))}
+
+
+def _dnp_params(blk, path, limits):
+    system = _call(sp.SpinSystem, path, theta_rad=0.0,
+                   hyperfine_Hz=_get(blk, "hyperfine_Hz", path, 1e6,
+                                     check=_POSITIVE),
+                   B_pol_T=_get(blk, "B_pol_T", path, 0.010))
+    return {"system": system,
+            "sweep": _layer(sp.SweepParams(), blk, path, (
+                "sweep_rate_Hz_per_s", "mw_rabi_Hz", "n_sweeps")),
+            "nodes": _get(blk, "nodes", path, 16, check=(
+                lambda n: n >= 8, "need at least 8 quadrature nodes"))}
+
+
+def _t1_params(blk, path, limits):
+    model = _layer(rx.RelaxationModel(), _get(blk, "relaxation", path, {}),
+                   f"{path}.relaxation")
+    fields_T = _numbers(blk, "fields_T", path, [0.008, 0.1, 0.5, 1.0, 7.0])
+    n_waits = _get(blk, "n_waits", path, 16, check=_POSITIVE)
+    lo, hi = _numbers(blk, "wait_span", path, [0.2, 2.0], check=None, length=2)
+    b_pol = _get(blk, "B_pol_T", path, rx.RelaxometryProtocol.B_pol_T,
+                 check=_POSITIVE)
+    protocols = []
+    for b in fields_T:
+        t1b = float(rx.t1_of_field(float(b), model))
+        waits = tuple(np.linspace(lo * t1b, hi * t1b, n_waits))
+        protocols.append(_call(rx.RelaxometryProtocol, f"{path}.wait_span",
+                               B_pol_T=b_pol, B_relax_T=float(b),
+                               T_relax_list_s=waits))
+    return {"model": model, "protocols": protocols,
+            "noise_sigma": _get(blk, "noise_sigma", path, 0.0,
+                                check=_NON_NEGATIVE)}
+
+
+def _sequence_params(blk, path, limits):
+    cryo = _get(blk, "cryo", path, False, types=(bool, dict))
+    if cryo:
+        cryo = _layer(sq.CryoSpec(), cryo if isinstance(cryo, dict) else {},
+                      f"{path}.cryo")
+    lat = _get(blk, "latencies", path, {})
+    latencies = {ch: _get(lat, ch, f"{path}.latencies", d, check=_NON_NEGATIVE)
+                 for ch, d in sq.DEFAULT_LATENCIES.items()}
+    # event times and durations reach event_log.csv, which writes floats
+    timing = {k: float(_get(blk, k, path, getattr(sq.SequenceSpec, k)))
+              for k in ("t_pol_s", "trigger_pulse_s", "acquire_duration_s")}
+    return {
+        "B_start_T": _get(blk, "B_start_T", path, 0.008, check=_POSITIVE),
+        "B_end_T": _get(blk, "B_end_T", path, 7.0, check=_POSITIVE),
+        "shuttle_distance_m": _get(blk, "shuttle_distance_m", path, None,
+                                   types=_NUM + (type(None),)),
+        "sequence": _layer(sq.SequenceSpec(), blk, path, ("low_field_max_T",),
+                           latencies=latencies, cryo=cryo or None, **timing),
+        "jitter": _jitter(blk, path),
+    }
+
+
+# kind -> (spec block, resolver of that block)
+_BLOCKS = {
+    "shuttle_characterization": ("shuttle", _shuttle_params),
+    "lac_plan": ("lac", _lac_params),
+    "dnp_sweep": ("dnp", _dnp_params),
+    "t1_field_map": ("t1", _t1_params),
+    "sequence_validation": ("sequence", _sequence_params),
+}
+KINDS = tuple(_BLOCKS)
+
+
+def _map_source(doc):
+    """(key, file name, model kind) of a map file block; None for the
+    built-in reference map."""
+    blk = doc.get("fieldmap", "reference")
+    if blk == "reference":
+        return None
+    path = "$.fieldmap"
+    _expect(isinstance(blk, dict), "expected 'reference' or an object", path)
+    if "file" in blk:
+        return "file", _get(blk, "file", path, ""), None
+    _expect("anchors_file" in blk, "needs 'file' or 'anchors_file'", path)
+    return ("anchors_file", _get(blk, "anchors_file", path, ""),
+            _get(blk, "model_kind", path, fm.DEFAULT_MODEL_KIND, check=(
+                lambda m: m in fm.MODEL_KINDS,
+                f"expected one of {', '.join(fm.MODEL_KINDS)}")))
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A parsed spec: ``limits`` and ``params`` (the kind block) hold every
+    value resolved, defaults included."""
+
     kind: str
     seed: int
     output_dir: Optional[str]
     doc: dict
-    base_dir: Path = field(default_factory=Path)
+    base_dir: Path
+    limits: mo.MotionLimits
+    params: dict
+    map_source: Optional[tuple]
 
-    def block(self, name, default=None):
-        return self.doc.get(name, default if default is not None else {})
-
-    # --- materialized components -------------------------------------
     def fieldmap(self) -> fm.FieldMap:
-        blk = self.doc.get("fieldmap", "reference")
-        if blk == "reference":
+        """The spec's field map; a map or anchor file that cannot be read
+        is a SchemaViolation at its key."""
+        if self.map_source is None:
             return fm.reference_map()
-        _expect(isinstance(blk, dict), "expected 'reference' or an object",
-                "$.fieldmap")
-        if "file" in blk:
-            text = (self.base_dir / blk["file"]).read_text()
-            return fm.FieldMap.from_json(text)
-        if "anchors_file" in blk:
-            text = (self.base_dir / blk["anchors_file"]).read_text()
-            anchors = fm.anchors_from_csv(text)
-            return fm.calibrate(anchors, blk.get("model_kind", "auto"))
-        raise SchemaViolation("needs 'file' or 'anchors_file'", "$.fieldmap")
-
-    def limits(self) -> mo.MotionLimits:
-        blk = _get_typed(self.doc, "motion", dict, "$", default={})
-        return mo.MotionLimits(
-            v_max=_get_typed(blk, "v_max", _NUM, "$.motion", default=2.0),
-            a_max=_get_typed(blk, "a_max", _NUM, "$.motion", default=30.0),
-            precision_m=_get_typed(blk, "precision_m", _NUM, "$.motion",
-                                   default=50e-6),
-            travel_range_m=_get_typed(blk, "travel_range_m", _NUM, "$.motion",
-                                      default=1.600),
-        )
+        key, name, model_kind = self.map_source
+        try:
+            text = (self.base_dir / name).read_text()
+            if key == "file":
+                return fm.FieldMap.from_json(text)
+            return fm.calibrate(fm.anchors_from_csv(text), model_kind)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise SchemaViolation(f"cannot load {name} ({type(exc).__name__}: "
+                                  f"{exc})", f"$.fieldmap.{key}") from None
 
 
 def parse_spec(document, base_dir=".") -> ExperimentSpec:
-    """Validate a spec document (JSON text or dict) into an ExperimentSpec."""
+    """Validate a spec document (JSON text or dict) into an ExperimentSpec.
+
+    This is the spec schema: every key is type- and range-checked here and
+    every absent key takes its default, so runners read resolved values.
+    Keys the schema does not know are ignored.
+    """
     if isinstance(document, (str, bytes)):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"not valid JSON: {exc}", "$")
+        except ValueError as exc:
+            raise SchemaViolation(f"not valid JSON: {exc}", "$") from None
     else:
         doc = document
     _expect(isinstance(doc, dict), "top level must be an object", "$")
-    version = _get_typed(doc, "schema_version", int, "$")
+    version = _get(doc, "schema_version", "$", types=(int,))
     if version != SCHEMA_VERSION:
         raise UnsupportedVersion(f"schema_version {version} not supported "
                                  f"(this tool reads {SCHEMA_VERSION})")
-    kind = _get_typed(doc, "kind", str, "$")
+    kind = _get(doc, "kind", "$", types=(str,))
     if kind not in KINDS:
         raise UnknownKind(f"kind {kind!r}; known kinds: {', '.join(KINDS)}")
-    seed = _get_typed(doc, "seed", int, "$", default=0)
-    output_dir = _get_typed(doc, "output_dir", str, "$", default=None)
-
-    spec = ExperimentSpec(kind=kind, seed=seed, output_dir=output_dir,
-                          doc=doc, base_dir=Path(base_dir))
-    _validate_kind_block(spec)
-    return spec
-
-
-def _validate_kind_block(spec: ExperimentSpec):
-    doc, kind = spec.doc, spec.kind
-    if kind == "shuttle_characterization":
-        blk = _get_typed(doc, "shuttle", dict, "$", default={})
-        vs = _get_typed(blk, "velocities", list, "$.shuttle",
-                        default=[0.5, 1.0, 1.5, 2.0])
-        _expect(all(isinstance(v, _NUM) and v > 0 for v in vs),
-                "velocities must be positive numbers", "$.shuttle.velocities")
-    elif kind == "lac_plan":
-        blk = _get_typed(doc, "lac", dict, "$", default={})
-        targets = _get_typed(blk, "targets_T", list, "$.lac",
-                             default=[0.051, 0.102])
-        _expect(all(isinstance(t, _NUM) and t > 0 for t in targets),
-                "targets_T must be positive numbers", "$.lac.targets_T")
-    elif kind == "dnp_sweep":
-        blk = _get_typed(doc, "dnp", dict, "$", default={})
-        for key, default in (("hyperfine_Hz", 1e6), ("B_pol_T", 0.010)):
-            v = _get_typed(blk, key, _NUM, "$.dnp", default=default)
-            _expect(v > 0, f"{key} must be positive", f"$.dnp.{key}")
-        nodes = _get_typed(blk, "nodes", int, "$.dnp", default=16)
-        _expect(nodes >= 8, "need at least 8 quadrature nodes", "$.dnp.nodes")
-    elif kind == "t1_field_map":
-        blk = _get_typed(doc, "t1", dict, "$", default={})
-        fields = _get_typed(blk, "fields_T", list, "$.t1",
-                            default=[0.008, 0.1, 0.5, 1.0, 7.0])
-        _expect(all(isinstance(b, _NUM) and b > 0 for b in fields),
-                "fields_T must be positive numbers", "$.t1.fields_T")
-    elif kind == "sequence_validation":
-        blk = _get_typed(doc, "sequence", dict, "$", default={})
-        _get_typed(blk, "t_pol_s", _NUM, "$.sequence", default=40.0)
+    limits = _layer(mo.MotionLimits(), _get(doc, "motion", "$", {}), "$.motion")
+    block, resolve = _BLOCKS[kind]
+    return ExperimentSpec(
+        kind=kind,
+        seed=_get(doc, "seed", "$", 0),
+        output_dir=_get(doc, "output_dir", "$", None, types=(str,)),
+        doc=doc,
+        base_dir=Path(base_dir),
+        limits=limits,
+        params=resolve(_get(doc, block, "$", {}), f"$.{block}", limits),
+        map_source=_map_source(doc),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +298,19 @@ class RunRecord:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _write_atomic(final: Path, text: str):
+    """Write via a temp file and rename, so ``final`` is never partial."""
+    fd, tmp = tempfile.mkstemp(dir=final.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, final)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 class _Workspace:
     """Atomic result writing; only fully written files reach the manifest."""
 
@@ -212,63 +320,38 @@ class _Workspace:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     def write(self, name: str, text: str):
-        final = self.out_dir / name
-        fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "w", newline="") as fh:
-                fh.write(text)
-            os.replace(tmp, final)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _write_atomic(self.out_dir / name, text)
         self.record.manifest.append(name)
 
 
-def _csv_rows(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) if isinstance(x, (int, float)) and
-                              not isinstance(x, bool) else str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def _run_shuttle(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
-    blk = spec.block("shuttle")
-    limits = spec.limits()
-    distance = blk.get("distance_m", 1.1627)
-    velocities = blk.get("velocities", [0.5, 1.0, 1.5, 2.0])
-    sigma = blk.get("jitter_sigma_s", 2.6e-3)
-    runs = int(blk.get("runs", 0))
-    jm = mo.JitterModel(sigma_s=sigma, seed=derive_seed(spec.seed, "motion"))
-
+    p = spec.params
+    jm = replace(p["jitter"], seed=derive_seed(spec.seed, "motion"))
     rows = []
-    for v in velocities:
-        prof = mo.plan(distance, limits, v_target=float(v))
+    for v in p["velocities"]:
+        prof = mo.plan(p["distance_m"], spec.limits, v_target=float(v))
         nominal = mo.duration(prof)
-        if runs > 0:
-            realized = np.array([mo.apply_jitter(nominal, jm) for _ in range(runs)])
-            rows.append([v, nominal, float(np.mean(realized)),
+        if p["runs"] > 0:
+            realized = np.array([mo.apply_jitter(nominal, jm)
+                                 for _ in range(p["runs"])])
+            rows.append([float(v), nominal, float(np.mean(realized)),
                          float(np.std(realized, ddof=1))])
         else:
-            rows.append([v, nominal, nominal, 0.0])
+            rows.append([float(v), nominal, nominal, 0.0])
     header = ["v_mps", "duration_s", "mean_realized_s", "std_realized_s"]
-    ws.write("shuttle_durations.csv", _csv_rows(header, rows))
+    ws.write("shuttle_durations.csv", csv_text(header, rows))
     if not quiet:
         for r in rows:
             print(f"v={r[0]:.3g} m/s  duration={r[1]:.6f} s")
 
 
 def _run_lac(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
-    blk = spec.block("lac")
     fmap = spec.fieldmap()
-    limits = spec.limits()
-    targets = blk.get("targets_T", [0.051, 0.102])
-    precision = blk.get("precision_m", limits.precision_m)
-    v_max = blk.get("v_max", limits.v_max)
+    limits = spec.params["limits"]
     rows = []
-    for t in targets:
-        p = fmap.plan_lac_access(float(t), precision_m=precision, v_max=v_max)
+    for t in spec.params["targets_T"]:
+        p = fmap.plan_lac_access(float(t), precision_m=limits.precision_m,
+                                 v_max=limits.v_max)
         rows.append([p.target_field_T, p.position_m, p.gradient_T_per_m,
                      p.resolution_T, p.max_sweep_rate_T_per_s])
         if not quiet:
@@ -277,26 +360,15 @@ def _run_lac(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
                   f"rate={p.max_sweep_rate_T_per_s:.4f} T/s")
     header = ["target_T", "position_m", "gradient_T_per_m", "resolution_T",
               "max_sweep_rate_T_per_s"]
-    ws.write("lac_plan.csv", _csv_rows(header, rows))
+    ws.write("lac_plan.csv", csv_text(header, rows))
 
 
 def _run_dnp(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
-    blk = spec.block("dnp")
-    sys = sp.SpinSystem(
-        hyperfine_Hz=float(blk.get("hyperfine_Hz", 1e6)),
-        theta_rad=0.0,
-        B_pol_T=float(blk.get("B_pol_T", 0.010)),
-    )
-    sweep = sp.SweepParams(
-        sweep_rate_Hz_per_s=float(blk.get("sweep_rate_Hz_per_s", 6e9)),
-        mw_rabi_Hz=float(blk.get("mw_rabi_Hz", 60e3)),
-        n_sweeps=int(blk.get("n_sweeps", 1)),
-    )
-    ensemble = sp.PowderEnsemble.gauss_legendre(int(blk.get("nodes", 16)))
-    result = sp.powder_average(sys, sweep, ensemble)
-    ws.write("dnp_sweep.csv", _csv_rows(
-        ["theta_rad", "weight", "polarization"],
-        [[t, w, p] for t, w, p in result.table]))
+    p = spec.params
+    ensemble = sp.PowderEnsemble.gauss_legendre(p["nodes"])
+    result = sp.powder_average(p["system"], p["sweep"], ensemble)
+    ws.write("dnp_sweep.csv", csv_text(["theta_rad", "weight", "polarization"],
+                                       result.table))
     summary = {
         "mean_polarization": result.mean_polarization,
         "signs_uniform": result.signs_uniform(),
@@ -309,33 +381,18 @@ def _run_dnp(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
 
 
 def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
-    blk = spec.block("t1")
+    p = spec.params
     fmap = spec.fieldmap()
-    limits = spec.limits()
-    rblk = blk.get("relaxation", {})
-    model = rx.RelaxationModel(
-        T1_max_s=rblk.get("T1_max_s", 395.7),
-        T1_min_s=rblk.get("T1_min_s", 10.19),
-        B_knee_T=rblk.get("B_knee_T", 0.5),
-        exponent=rblk.get("exponent", 2.0),
-    )
-    fields = [float(b) for b in blk.get("fields_T", [0.008, 0.1, 0.5, 1.0, 7.0])]
-    n_waits = int(blk.get("n_waits", 16))
-    lo, hi = blk.get("wait_span", [0.2, 2.0])
-    noise = float(blk.get("noise_sigma", 0.0))
-    b_pol = float(blk.get("B_pol_T", 0.008))
     base_seed = derive_seed(spec.seed, "relaxometry")
 
     def one(item):
-        i, b = item
-        t1b = float(rx.t1_of_field(b, model))
-        waits = tuple(np.linspace(lo * t1b, hi * t1b, n_waits))
-        prot = rx.RelaxometryProtocol(B_pol_T=b_pol, B_relax_T=b,
-                                      T_relax_list_s=waits)
-        return rx.simulate_protocol(prot, fmap, limits, model,
-                                    seed=base_seed + i, noise_sigma=noise)
+        i, prot = item
+        return rx.simulate_protocol(prot, fmap, spec.limits, p["model"],
+                                    seed=base_seed + i,
+                                    noise_sigma=p["noise_sigma"])
 
-    curves = parallel_map(one, list(enumerate(fields)))
+    curves = parallel_map(one, list(enumerate(p["protocols"])))
+    fields = [prot.B_relax_T for prot in p["protocols"]]
     for b, curve in zip(fields, curves):
         ws.write(f"curve_B{b:g}T.csv", curve.to_csv())
     t1map = rx.build_t1_map(fields, curves)
@@ -344,39 +401,21 @@ def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
         for b, f in t1map.entries:
             print(f"B={b:.4g} T  T1={f.T1_s:.4g} s")
     if t1map.failures:
-        ws.write("t1_failures.csv", _csv_rows(
-            ["B_T", "error"], [[b, e] for b, e in t1map.failures]))
+        ws.write("t1_failures.csv", csv_text(["B_T", "error"], t1map.failures))
 
 
 def _sequence_parts(spec: ExperimentSpec):
-    blk = spec.block("sequence")
+    p = spec.params
     fmap = spec.fieldmap()
-    limits = spec.limits()
-    b_start = float(blk.get("B_start_T", 0.008))
-    z_start = fmap.position_of_field(b_start)
-    z_end = fmap.position_of_field(float(blk.get("B_end_T", 7.0)))
-    distance = blk.get("shuttle_distance_m")
+    z_start = fmap.position_of_field(p["B_start_T"])
+    z_end = fmap.position_of_field(p["B_end_T"])
+    distance = p["shuttle_distance_m"]
     if distance is None:
         distance = abs(z_start - z_end)
     direction = 1.0 if z_end > z_start else -1.0
-    prof = mo.plan(float(distance), limits, z_start=z_start, direction=direction)
-    cryo = None
-    if blk.get("cryo"):
-        cblk = blk["cryo"] if isinstance(blk["cryo"], dict) else {}
-        cryo = sq.CryoSpec(
-            eject_duration_s=cblk.get("eject_duration_s", 1.0),
-            fill_duration_s=cblk.get("fill_duration_s", 2.0),
-            cold_delay_s=cblk.get("cold_delay_s", 3.5),
-        )
-    seq = sq.SequenceSpec(
-        t_pol_s=float(blk.get("t_pol_s", 40.0)),
-        shuttle_profile=prof,
-        trigger_pulse_s=float(blk.get("trigger_pulse_s", 0.010)),
-        acquire_duration_s=float(blk.get("acquire_duration_s", 1.0)),
-        latencies={**sq.DEFAULT_LATENCIES, **blk.get("latencies", {})},
-        cryo=cryo,
-        low_field_max_T=float(blk.get("low_field_max_T", 0.030)),
-    )
+    prof = mo.plan(float(distance), spec.limits, z_start=z_start,
+                   direction=direction)
+    seq = replace(p["sequence"], shuttle_profile=prof)
     return sq.build_timeline(seq), prof, fmap
 
 
@@ -392,29 +431,6 @@ def _run_sequence(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     return len(report.violations)
 
 
-def simulate_sequence(spec: ExperimentSpec, runs: int, out_dir: Path,
-                      quiet: bool = False) -> RunRecord:
-    """Realize ``runs`` jittered executions of the spec's timeline."""
-    record = _new_record(spec)
-    ws = _Workspace(out_dir, record)
-    try:
-        timeline, prof, fmap = _sequence_parts(spec)
-        blk = spec.block("sequence")
-        jm = mo.JitterModel(sigma_s=float(blk.get("jitter_sigma_s", 2.6e-3)),
-                            seed=derive_seed(spec.seed, "sequencer"))
-        logs = [sq.simulate(timeline, jm, run_id=i) for i in range(runs)]
-        rows = [r for log in logs for r in log.rows]
-        text = sq.EventLog(tuple(rows), logs[0].metadata if logs else {}).to_csv()
-        ws.write("event_log.csv", text)
-        if not quiet:
-            print(f"simulated {runs} runs, {len(rows)} events")
-        _finish(record, ws, "ok")
-    except FieldCycleError as exc:
-        _finish(record, ws, "failed", error=str(exc))
-        raise
-    return record
-
-
 _RUNNERS = {
     "shuttle_characterization": _run_shuttle,
     "lac_plan": _run_lac,
@@ -424,36 +440,57 @@ _RUNNERS = {
 }
 
 
-def _new_record(spec: ExperimentSpec) -> RunRecord:
-    return RunRecord(
+def _now() -> str:
+    return _dt.datetime.now(_dt.timezone.utc).isoformat()
+
+
+def _execute(spec: ExperimentSpec, out_dir, body) -> RunRecord:
+    """Run ``body(workspace)`` and write the RunRecord atomically, also
+    when ``body`` raises; ``body`` returns the violation count."""
+    record = RunRecord(
         spec_hash=spec_hash(spec.doc),
         tool_version=TOOL_VERSION,
         seed=spec.seed,
         kind=spec.kind,
-        started_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
+        started_at=_now(),
         config={k: v for k, v in spec.doc.items() if k != "schema_version"},
     )
-
-
-def _finish(record: RunRecord, ws: _Workspace, status: str, error=None,
-            violations: int = 0):
-    record.status = status
-    record.error = error
-    record.violations = violations
-    record.finished_at = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    (ws.out_dir / "runrecord.json").write_text(record.to_json())
+    ws = _Workspace(Path(out_dir or spec.output_dir or "fieldcycle-out"), record)
+    try:
+        record.violations = body(ws) or 0
+        record.status = "ok" if record.violations == 0 else "violations"
+    except BaseException as exc:  # recorded, then re-raised
+        record.status = "failed"
+        record.error = f"{type(exc).__name__}: {exc}"
+        raise
+    finally:
+        record.finished_at = _now()
+        _write_atomic(ws.out_dir / "runrecord.json", record.to_json())
+    return record
 
 
 def run(spec: ExperimentSpec, out_dir=None, quiet: bool = False) -> RunRecord:
     """Execute the experiment; writes result files and a RunRecord JSON."""
-    out = Path(out_dir or spec.output_dir or "fieldcycle-out")
-    record = _new_record(spec)
-    ws = _Workspace(out, record)
-    try:
-        violations = _RUNNERS[spec.kind](spec, ws, quiet) or 0
-        _finish(record, ws, "ok" if violations == 0 else "violations",
-                violations=violations)
-    except FieldCycleError as exc:
-        _finish(record, ws, "failed", error=str(exc))
-        raise
-    return record
+    return _execute(spec, out_dir,
+                    lambda ws: _RUNNERS[spec.kind](spec, ws, quiet))
+
+
+def simulate_sequence(spec: ExperimentSpec, runs: int, out_dir,
+                      quiet: bool = False) -> RunRecord:
+    """Realize ``runs`` jittered executions of the spec's timeline;
+    ``out_dir`` None falls back as in ``run``."""
+    _expect(spec.kind == "sequence_validation",
+            f"expected kind 'sequence_validation', got {spec.kind!r}", "$.kind")
+
+    def body(ws):
+        timeline, _, _ = _sequence_parts(spec)
+        jm = replace(spec.params["jitter"],
+                     seed=derive_seed(spec.seed, "sequencer"))
+        logs = [sq.simulate(timeline, jm, run_id=i) for i in range(runs)]
+        rows = [r for log in logs for r in log.rows]
+        text = sq.EventLog(tuple(rows), logs[0].metadata if logs else {}).to_csv()
+        ws.write("event_log.csv", text)
+        if not quiet:
+            print(f"simulated {runs} runs, {len(rows)} events")
+
+    return _execute(spec, out_dir, body)

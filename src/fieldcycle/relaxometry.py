@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from scipy.optimize import least_squares
 
 from .errors import FitDiverged, InsufficientPoints
 from .motion import MotionLimits, plan, sample_trajectory
+from .util import csv_text
 
 __all__ = [
     "RelaxationModel",
@@ -106,12 +107,7 @@ class DecayCurve:
         return np.array([p[1] for p in self.points])
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["T_relax_s", "signal_au"])
-        for t, s in self.points:
-            w.writerow([repr(float(t)), repr(float(s))])
-        return out.getvalue()
+        return csv_text(["T_relax_s", "signal_au"], self.points)
 
     @classmethod
     def from_csv(cls, text: str, noise_sigma: float = 0.0) -> "DecayCurve":
@@ -138,7 +134,6 @@ def simulate_protocol(protocol: RelaxometryProtocol, fmap,
                       model: RelaxationModel = RelaxationModel(),
                       seed: Optional[int] = None,
                       noise_sigma: float = 0.0,
-                      gain: float = 1.0,
                       dt: float = 1e-4,
                       instant_shuttle: bool = False) -> DecayCurve:
     """Detected signal versus wait time for one relaxation field."""
@@ -157,7 +152,7 @@ def simulate_protocol(protocol: RelaxometryProtocol, fmap,
     pts = []
     for wait in protocol.T_relax_list_s:
         p = math.exp(-loss) * math.exp(-wait / t1_relax)
-        signal = sign * gain * p
+        signal = sign * p
         if noise_sigma > 0:
             signal += rng.normal(0.0, noise_sigma)
         pts.append((float(wait), float(signal)))
@@ -260,19 +255,13 @@ class T1Map:
     entries: tuple[tuple[float, FitResult], ...]  # sorted by B
     failures: tuple[tuple[float, str], ...] = ()
 
-    def fields(self):
-        return np.array([b for b, _ in self.entries])
-
     def t1_values(self):
         return np.array([f.T1_s for _, f in self.entries])
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["B_T", "T1_s", "beta", "residual_rms"])
-        for b, f in self.entries:
-            w.writerow([repr(float(b)), repr(f.T1_s), repr(f.beta), repr(f.residual_rms)])
-        return out.getvalue()
+        return csv_text(["B_T", "T1_s", "beta", "residual_rms"],
+                        ((b, f.T1_s, f.beta, f.residual_rms)
+                         for b, f in self.entries))
 
 
 def build_t1_map(fields: Sequence[float], curves: Sequence[DecayCurve],

@@ -9,8 +9,6 @@ latency elements; timing is the modeled contract.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,10 +16,10 @@ import numpy as np
 
 from .errors import SpecInvalid
 from .motion import JitterModel, MotionProfile, states_at
+from .util import csv_text
 
 __all__ = [
     "CHANNELS",
-    "Channel",
     "Event",
     "Timeline",
     "SequenceSpec",
@@ -51,18 +49,6 @@ CHANNELS = (
 DEFAULT_LATENCIES = {name: 0.0 for name in CHANNELS}
 DEFAULT_LATENCIES["cryo_fill_valve"] = 1.0e-3
 DEFAULT_LATENCIES["cryo_eject_valve"] = 1.0e-3
-
-
-@dataclass(frozen=True)
-class Channel:
-    id: str
-    latency_s: float = 0.0
-
-    def __post_init__(self):
-        if self.id not in CHANNELS:
-            raise SpecInvalid(f"unknown channel {self.id!r}")
-        if self.latency_s < 0:
-            raise SpecInvalid("channel latency must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -199,12 +185,9 @@ class ValidationReport:
         return [v.code for v in self.violations]
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["code", "event_ids", "detail"])
-        for v in self.violations:
-            w.writerow([v.code, ";".join(v.event_ids), v.detail])
-        return out.getvalue()
+        return csv_text(["code", "event_ids", "detail"],
+                        ((v.code, ";".join(v.event_ids), v.detail)
+                         for v in self.violations))
 
 
 def _overlaps(a: Event, b: Event) -> bool:
@@ -294,14 +277,10 @@ class EventLog:
     metadata: dict
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["run_id", "channel", "event", "t_nominal_s",
-                    "t_realized_s", "duration_s"])
-        for r in self.rows:
-            w.writerow([r.run_id, r.channel, r.event, repr(r.t_nominal_s),
-                        repr(r.t_realized_s), repr(r.duration_s)])
-        return out.getvalue()
+        return csv_text(["run_id", "channel", "event", "t_nominal_s",
+                         "t_realized_s", "duration_s"],
+                        ((r.run_id, r.channel, r.event, r.t_nominal_s,
+                          r.t_realized_s, r.duration_s) for r in self.rows))
 
     def realized(self, event_id):
         for r in self.rows:

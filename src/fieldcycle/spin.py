@@ -379,8 +379,7 @@ class PowderResult:
 
 def powder_average(sys_template: SpinSystem, sweep: SweepParams,
                    ensemble: PowderEnsemble,
-                   c: SpinConstants = DEFAULT_CONSTANTS,
-                   max_workers: Optional[int] = None) -> PowderResult:
+                   c: SpinConstants = DEFAULT_CONSTANTS) -> PowderResult:
     """Orientation-averaged transfer; per-node results reduce in node order."""
     if len(ensemble.thetas) < 1:
         raise ValueError("empty ensemble")
@@ -388,7 +387,7 @@ def powder_average(sys_template: SpinSystem, sweep: SweepParams,
     def one(theta):
         return propagate_sweep(replace(sys_template, theta_rad=theta), sweep, c)
 
-    pols = parallel_map(one, ensemble.thetas, max_workers=max_workers)
+    pols = parallel_map(one, ensemble.thetas)
     mean = float(sum(w * p for w, p in zip(ensemble.weights, pols)))
     table = tuple((t, w, p) for t, w, p in zip(ensemble.thetas, ensemble.weights, pols))
     return PowderResult(mean, table)

@@ -32,6 +32,14 @@ def test_plan_lac_reference_map(tmp_path, capsys):
     assert (tmp_path / "lac_plan.csv").exists()
 
 
+def test_plan_lac_writes_run_outputs_by_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["plan-lac", "--target", "0.051", "--quiet"]) == 0
+    out = tmp_path / "fieldcycle-out"
+    record = json.loads((out / "runrecord.json").read_text())
+    assert record["kind"] == "lac_plan" and record["manifest"] == ["lac_plan.csv"]
+
+
 def test_calibrate_field_verb(tmp_path, capsys):
     from fieldcycle.fieldmap import anchors_to_csv, reference_anchors
     anchors = tmp_path / "anchors.csv"

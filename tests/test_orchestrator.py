@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -142,6 +143,34 @@ def test_failed_run_leaves_clean_record(tmp_path):
     for name in record["manifest"]:
         assert (tmp_path / name).exists()
     assert "t1_map.csv" not in record["manifest"]
+
+
+def test_t1_failures_csv_reads_back(tmp_path):
+    # fit errors contain commas; the CSV must quote them
+    spec = parse_spec(minimal("t1_field_map",
+                              t1={"fields_T": [0.1, 0.5], "n_waits": 3}))
+    run(spec, out_dir=tmp_path, quiet=True)
+    with open(tmp_path / "t1_failures.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(float(r["B_T"]), r["error"]) for r in rows] == \
+        [(0.1, "need >= 4 points, got 3"), (0.5, "need >= 4 points, got 3")]
+    assert all(None not in r for r in rows)
+
+
+def test_any_exception_is_recorded(tmp_path, monkeypatch):
+    from fieldcycle import motion
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("planner down")
+
+    monkeypatch.setattr(motion, "plan", broken)
+    spec = parse_spec(minimal("shuttle_characterization"))
+    with pytest.raises(RuntimeError):
+        run(spec, out_dir=tmp_path, quiet=True)
+    record = json.loads((tmp_path / "runrecord.json").read_text())
+    assert record["status"] == "failed"
+    assert record["error"] == "RuntimeError: planner down"
+    assert not list(tmp_path.glob(".tmp-*"))
 
 
 def test_run_record_contents(tmp_path):

@@ -68,6 +68,9 @@ def _cmd_plan_lac(args):
 
 
 def _cmd_plan_motion(args):
+    for flag in ("vmax", "amax", "dt"):
+        if not 0 < getattr(args, flag) < float("inf"):
+            raise SchemaViolation("must be a positive finite number", f"--{flag}")
     limits = mo.MotionLimits(v_max=args.vmax, a_max=args.amax)
     prof = mo.plan(args.distance, limits)
     if not args.quiet:
@@ -83,8 +86,12 @@ def _cmd_plan_motion(args):
 
 
 def _cmd_calibrate_field(args):
-    anchors = fm.anchors_from_csv(Path(args.anchors).read_text())
-    fmap = fm.calibrate(anchors, model_kind=args.model)
+    try:
+        anchors = fm.anchors_from_csv(Path(args.anchors).read_text())
+        fmap = fm.calibrate(anchors, model_kind=args.model)
+    except (OSError, ValueError, KeyError) as exc:  # KeyError: missing column
+        raise SchemaViolation(f"cannot use {args.anchors} ({type(exc).__name__}: "
+                              f"{exc})", "--anchors") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(fmap.to_json())

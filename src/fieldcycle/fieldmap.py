@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,8 +36,6 @@ __all__ = [
     "anchors_to_csv",
 ]
 
-DEFAULT_CENTER_SEPARATION_M = 0.830
-DEFAULT_FLOOR_T = 1.0e-3
 DEFAULT_MODEL_KIND = "auto"
 MODEL_KINDS = (DEFAULT_MODEL_KIND, "finite_solenoid", "monotone_spline")
 
@@ -157,11 +156,15 @@ class _HermiteSpline:
         self.b = np.asarray(b, float)
         self.m = np.asarray(m, float)
 
-    def __call__(self, x):
+    def _segment(self, x):
+        """Knot index, segment width and local coordinate t in [0, 1]."""
         x = np.asarray(x, float)
         i = np.clip(np.searchsorted(self.z, x, side="right") - 1, 0, len(self.z) - 2)
         h = self.z[i + 1] - self.z[i]
-        t = (x - self.z[i]) / h
+        return i, h, (x - self.z[i]) / h
+
+    def __call__(self, x):
+        i, h, t = self._segment(x)
         h00 = (1 + 2 * t) * (1 - t) ** 2
         h10 = t * (1 - t) ** 2
         h01 = t * t * (3 - 2 * t)
@@ -169,10 +172,7 @@ class _HermiteSpline:
         return h00 * self.b[i] + h10 * h * self.m[i] + h01 * self.b[i + 1] + h11 * h * self.m[i + 1]
 
     def derivative(self, x):
-        x = np.asarray(x, float)
-        i = np.clip(np.searchsorted(self.z, x, side="right") - 1, 0, len(self.z) - 2)
-        h = self.z[i + 1] - self.z[i]
-        t = (x - self.z[i]) / h
+        i, h, t = self._segment(x)
         d00 = (6 * t * t - 6 * t) / h
         d10 = 3 * t * t - 4 * t + 1
         d01 = (6 * t - 6 * t * t) / h
@@ -188,18 +188,24 @@ class FieldMap:
     """Calibrated on-axis B(z), strictly decreasing over ``domain_m``.
 
     Below ``floor_T`` the map clamps instead of extrapolating; ``in_shield``
-    reports where the clamp is active.
+    reports where the clamp is active.  ``params`` is read-only: a mapping
+    proxy, with the spline knots stored as tuples.
     """
 
     model: str  # "finite_solenoid" | "monotone_spline"
-    params: dict
-    domain_m: tuple[float, float]
+    params: MappingProxyType
+    domain_m: tuple[float, float] = (0.0, MotionLimits.travel_range_m)
     travel_range_m: float = MotionLimits.travel_range_m
-    center_separation_m: float = DEFAULT_CENTER_SEPARATION_M
-    floor_T: float = DEFAULT_FLOOR_T
+    center_separation_m: float = 0.830
+    floor_T: float = 1.0e-3
     _spline: Optional[_HermiteSpline] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.model not in MODEL_KINDS[1:]:
+            raise ValueError(f"unknown model {self.model!r}")
+        object.__setattr__(self, "params", MappingProxyType({
+            k: tuple(map(tuple, v)) if isinstance(v, list) else v
+            for k, v in self.params.items()}))
         if self.model == "monotone_spline" and self._spline is None:
             knots = self.params["knots"]
             z = np.array([k[0] for k in knots])
@@ -286,7 +292,7 @@ class FieldMap:
         doc = {
             "schema": 1,
             "model": self.model,
-            "params": self.params,
+            "params": dict(self.params),
             "domain_m": list(self.domain_m),
             "travel_range_m": self.travel_range_m,
             "center_separation_m": self.center_separation_m,
@@ -296,17 +302,25 @@ class FieldMap:
 
     @classmethod
     def from_json(cls, text):
+        """Load a schema 1 map, evaluated once: bad params raise ValueError."""
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("schema") != 1:
             raise ValueError("not a schema 1 field map")
-        return cls(
-            model=doc["model"],
-            params=doc["params"],
-            domain_m=tuple(doc["domain_m"]),
-            travel_range_m=doc["travel_range_m"],
-            center_separation_m=doc["center_separation_m"],
-            floor_T=doc["floor_T"],
-        )
+        try:
+            fmap = cls(
+                model=doc["model"],
+                params=doc["params"],
+                domain_m=tuple(doc["domain_m"]),
+                travel_range_m=doc["travel_range_m"],
+                center_separation_m=doc["center_separation_m"],
+                floor_T=doc["floor_T"],
+            )
+            if not all(map(math.isfinite, fmap.field_range())):
+                raise ValueError("map field is not finite")
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise ValueError(f"map does not evaluate ({type(exc).__name__}: "
+                             f"{exc})") from None
+        return fmap
 
 
 # ---------------------------------------------------------------------------
@@ -367,24 +381,18 @@ def _anchor_residual(fmap: FieldMap, a: FieldAnchor):
         return math.inf
 
 
-def _fit_solenoid(anchors, b0, domain, travel_range, center_separation, floor):
-    z_max = domain[1]
+def _fit_solenoid(anchors, b0):
     x0 = _initial_geometry(anchors, b0)
     sol = least_squares(
-        _solenoid_residuals, x0, args=(anchors, b0, z_max),
+        _solenoid_residuals, x0, args=(anchors, b0, FieldMap.domain_m[1]),
         bounds=_PARAM_BOUNDS, max_nfev=_MAX_ITER,
         xtol=_LSQ_TOL, ftol=_LSQ_TOL, gtol=_LSQ_TOL,
     )
     params = {"b0_T": b0, "half_length_m": float(sol.x[0]), "radius_m": float(sol.x[1])}
-    return FieldMap(
-        model="finite_solenoid", params=params, domain_m=domain,
-        travel_range_m=travel_range, center_separation_m=center_separation,
-        floor_T=floor,
-    )
+    return FieldMap(model="finite_solenoid", params=params)
 
 
-def _spline_from_anchors(anchors, backbone: FieldMap, domain, travel_range,
-                         center_separation, floor, fill_per_decade=14):
+def _spline_from_anchors(anchors, backbone: FieldMap, fill_per_decade=14):
     """Monotone Hermite spline interpolating every anchor exactly.
 
     Positions for unpositioned anchors come from inverting the backbone
@@ -440,20 +448,20 @@ def _spline_from_anchors(anchors, backbone: FieldMap, domain, travel_range,
     add(z_last, b_last, s_last)
 
     # exponential continuation beyond the last anchor (shield interior)
-    z_end = domain[1]
+    z_end = backbone.domain_m[1]
     if z_last < z_end:
         if len(placed) >= 2:
             z_prev, b_prev, _ = placed[-2]
             lam = (z_last - z_prev) / math.log(b_prev / b_last)
         else:
             lam = -b_last / float(backbone._model_gradient(z_last))
-        z_floor = z_last + lam * math.log(b_last / floor)
+        z_floor = z_last + lam * math.log(b_last / backbone.floor_T)
         z_stop = min(z_end, z_floor)
         for zq in np.linspace(z_last, z_stop, 12)[1:]:
             add(zq, b_last * math.exp(-(zq - z_last) / lam))
         if z_stop < z_end:
             for zq in np.linspace(z_stop, z_end, 4)[1:]:
-                add(zq, floor * math.exp(-(zq - z_stop) / lam))
+                add(zq, backbone.floor_T * math.exp(-(zq - z_stop) / lam))
 
     z = np.array(knot_z)
     b = np.array(knot_b)
@@ -466,18 +474,21 @@ def _spline_from_anchors(anchors, backbone: FieldMap, domain, travel_range,
     _check_monotone_slopes(z, b, m)
 
     params = {"knots": [[float(a), float(c), float(d)] for a, c, d in zip(z, b, m)]}
-    return FieldMap(
-        model="monotone_spline", params=params, domain_m=domain,
-        travel_range_m=travel_range, center_separation_m=center_separation,
-        floor_T=floor,
-    )
+    return FieldMap(model="monotone_spline", params=params)
 
 
-def calibrate(anchors: Sequence[FieldAnchor], model_kind: str = DEFAULT_MODEL_KIND,
-              domain_m: tuple[float, float] = (0.0, MotionLimits.travel_range_m),
-              travel_range_m: float = MotionLimits.travel_range_m,
-              center_separation_m: float = DEFAULT_CENTER_SEPARATION_M,
-              floor_T: float = DEFAULT_FLOOR_T) -> FieldMap:
+def _misfit(fmap: FieldMap, anchors, fit: str) -> Optional[NoConvergence]:
+    """The error naming the anchors ``fmap`` misses, or None when it fits."""
+    residuals = [abs(_anchor_residual(fmap, a)) for a in anchors]
+    bad = [r for r, a in zip(residuals, anchors) if r > a.tolerance_rel]
+    if not bad:
+        return None
+    return NoConvergence(f"{len(bad)} anchor(s) outside tolerance after {fit} "
+                         f"fit (worst relative residual {max(bad):.3g})")
+
+
+def calibrate(anchors: Sequence[FieldAnchor],
+              model_kind: str = DEFAULT_MODEL_KIND) -> FieldMap:
     """Fit a field map to anchors; every anchor must land within its tolerance.
 
     ``model_kind`` is "finite_solenoid", "monotone_spline", or "auto" (try the
@@ -491,28 +502,18 @@ def calibrate(anchors: Sequence[FieldAnchor], model_kind: str = DEFAULT_MODEL_KI
         raise ValueError(f"unknown model_kind {model_kind!r}")
     b0 = _center_anchor(anchors).field_T
 
-    solenoid = _fit_solenoid(anchors, b0, domain_m, travel_range_m,
-                             center_separation_m, floor_T)
+    solenoid = _fit_solenoid(anchors, b0)
     if model_kind in ("auto", "finite_solenoid"):
-        bad = [a for a in anchors if abs(_anchor_residual(solenoid, a)) > a.tolerance_rel]
-        if not bad:
+        error = _misfit(solenoid, anchors, "solenoid")
+        if error is None:
             return solenoid
         if model_kind == "finite_solenoid":
-            worst = max(abs(_anchor_residual(solenoid, a)) for a in bad)
-            raise NoConvergence(
-                f"{len(bad)} anchor(s) outside tolerance after solenoid fit "
-                f"(worst relative residual {worst:.3g})"
-            )
+            raise error
 
-    spline = _spline_from_anchors(anchors, solenoid, domain_m, travel_range_m,
-                                  center_separation_m, floor_T)
-    bad = [a for a in anchors if abs(_anchor_residual(spline, a)) > a.tolerance_rel]
-    if bad:
-        worst = max(abs(_anchor_residual(spline, a)) for a in bad)
-        raise NoConvergence(
-            f"{len(bad)} anchor(s) outside tolerance after spline fit "
-            f"(worst relative residual {worst:.3g})"
-        )
+    spline = _spline_from_anchors(anchors, solenoid)
+    error = _misfit(spline, anchors, "spline")
+    if error is not None:
+        raise error
     return spline
 
 

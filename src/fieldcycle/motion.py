@@ -93,12 +93,12 @@ class JitterModel:
         if self.sigma_s < 0:
             raise ValueError("sigma_s must be non-negative")
 
-    def draw(self, n=None):
+    def draw(self) -> float:
         if self._rng is None:
             self._rng = np.random.default_rng(self.seed)
         if self.sigma_s == 0.0:
-            return 0.0 if n is None else np.zeros(n)
-        return self._rng.normal(0.0, self.sigma_s, size=n)
+            return 0.0
+        return self._rng.normal(0.0, self.sigma_s)
 
 
 def duration_closed_form(distance: float, v: float, a: float) -> float:
@@ -118,7 +118,7 @@ def plan(distance: float, limits: MotionLimits = MotionLimits(),
     ``v_target`` caps the cruise speed (defaults to the limit); ``direction``
     (+1/-1) selects which way along the axis the move runs.
     """
-    if distance < 0 or distance > limits.travel_range_m:
+    if not 0 <= distance <= limits.travel_range_m:  # also rejects NaN
         raise DistanceExceedsTravel(
             f"distance {distance} m outside [0, {limits.travel_range_m}] m")
     if v_target is None:
@@ -176,13 +176,11 @@ class Trajectory:
     v: np.ndarray
     a: np.ndarray
 
-    def to_csv(self, fmap=None) -> str:
-        header = ["t_s", "z_m", "v_mps", "a_mps2"]
-        cols = [self.t, self.z, self.v, self.a]
-        if fmap is not None:
-            header.append("B_T")
-            cols.append(fmap.field_at(self.z))
-        return csv_text(header, zip(*(c.tolist() for c in cols)))
+    def to_csv(self, fmap) -> str:
+        """Samples with the field ``fmap`` gives at each position."""
+        cols = [self.t, self.z, self.v, self.a, fmap.field_at(self.z)]
+        return csv_text(["t_s", "z_m", "v_mps", "a_mps2", "B_T"],
+                        zip(*(c.tolist() for c in cols)))
 
 
 def _segment_states(seg: Segment, tau: np.ndarray):

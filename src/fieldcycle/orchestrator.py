@@ -28,7 +28,7 @@ from . import relaxometry as rx
 from . import sequencer as sq
 from . import spin as sp
 from .errors import SchemaViolation, UnknownKind, UnsupportedVersion
-from .util import csv_text, parallel_map
+from .util import csv_text
 
 __all__ = ["ExperimentSpec", "RunRecord", "parse_spec", "run",
            "simulate_sequence", "derive_seed"]
@@ -384,14 +384,10 @@ def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     p = spec.params
     fmap = spec.fieldmap()
     base_seed = derive_seed(spec.seed, "relaxometry")
-
-    def one(item):
-        i, prot = item
-        return rx.simulate_protocol(prot, fmap, spec.limits, p["model"],
-                                    seed=base_seed + i,
-                                    noise_sigma=p["noise_sigma"])
-
-    curves = parallel_map(one, list(enumerate(p["protocols"])))
+    curves = [rx.simulate_protocol(prot, fmap, spec.limits, p["model"],
+                                   seed=base_seed + i,
+                                   noise_sigma=p["noise_sigma"])
+              for i, prot in enumerate(p["protocols"])]
     fields = [prot.B_relax_T for prot in p["protocols"]]
     for b, curve in zip(fields, curves):
         ws.write(f"curve_B{b:g}T.csv", curve.to_csv())

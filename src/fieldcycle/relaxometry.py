@@ -77,7 +77,6 @@ def invert_t1(T1_s: float, model: RelaxationModel = RelaxationModel()) -> float:
 @dataclass(frozen=True)
 class RelaxometryProtocol:
     B_pol_T: float = 0.008
-    t_pol_s: float = 40.0
     B_relax_T: float = 0.008
     T_relax_list_s: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0)
     detect_field_T: float = 7.0
@@ -264,16 +263,15 @@ class T1Map:
                          for b, f in self.entries))
 
 
-def build_t1_map(fields: Sequence[float], curves: Sequence[DecayCurve],
-                 model: str = "monoexponential") -> T1Map:
-    """Fit every per-field curve; failures are reported alongside the
-    successful entries rather than aborting the map."""
+def build_t1_map(fields: Sequence[float], curves: Sequence[DecayCurve]) -> T1Map:
+    """Fit every per-field curve monoexponentially; failures are reported
+    alongside the successful entries rather than aborting the map."""
     if len(fields) != len(curves):
         raise ValueError("fields and curves must pair up")
     entries, failures = [], []
     for b, curve in sorted(zip(fields, curves), key=lambda p: p[0]):
         try:
-            entries.append((float(b), fit_decay(curve, model)))
+            entries.append((float(b), fit_decay(curve)))
         except (FitDiverged, InsufficientPoints) as exc:
             failures.append((float(b), str(exc)))
     return T1Map(tuple(entries), tuple(failures))

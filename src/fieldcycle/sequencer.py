@@ -49,6 +49,8 @@ CHANNELS = (
 DEFAULT_LATENCIES = {name: 0.0 for name in CHANNELS}
 DEFAULT_LATENCIES["cryo_fill_valve"] = 1.0e-3
 DEFAULT_LATENCIES["cryo_eject_valve"] = 1.0e-3
+COMPLETION_PULSE_S = 0.010  # actuator completion pulse width
+ACQUIRE_DELAY_S = 1.0e-3  # acquisition start after the completion pulse
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class Event:
     channel: str
     t_start_s: float
     duration_s: float
-    payload: dict = field(default_factory=dict)
     depends_on: Optional[str] = None
 
     def __post_init__(self):
@@ -85,13 +86,10 @@ class SequenceSpec:
     t_pol_s: float = 40.0
     shuttle_profile: Optional[MotionProfile] = None
     trigger_pulse_s: float = 0.010
-    completion_pulse_s: float = 0.010
     acquire_duration_s: float = 1.0
-    acquire_delay_s: float = 1.0e-3
     latencies: dict = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
     cryo: Optional[CryoSpec] = None
     low_field_max_T: float = 0.030
-    mw_payload: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -142,20 +140,18 @@ def build_timeline(spec: SequenceSpec) -> Timeline:
     events.append(Event("program", "pulse_gen", 0.0, 0.0))
     if spec.t_pol_s > 0:
         events.append(Event("pump", "laser", t_optical, spec.t_pol_s))
-        events.append(Event("sweep", "mw_sweep", t_optical, spec.t_pol_s,
-                            payload=dict(spec.mw_payload)))
+        events.append(Event("sweep", "mw_sweep", t_optical, spec.t_pol_s))
     t_trigger = t_optical + spec.t_pol_s
     events.append(Event("trigger", "servo_trigger", t_trigger,
                         spec.trigger_pulse_s,
                         depends_on="sweep" if spec.t_pol_s > 0 else "program"))
     t_motion = t_trigger + spec.trigger_pulse_s
     events.append(Event("shuttle", "actuator_motion", t_motion, shuttle_s,
-                        payload={"profile": spec.shuttle_profile},
                         depends_on="trigger"))
     t_done = t_motion + shuttle_s
     events.append(Event("done", "completion_pulse", t_done,
-                        spec.completion_pulse_s, depends_on="shuttle"))
-    t_acq = t_done + spec.completion_pulse_s + lat["nmr_acquire"] + spec.acquire_delay_s
+                        COMPLETION_PULSE_S, depends_on="shuttle"))
+    t_acq = t_done + COMPLETION_PULSE_S + lat["nmr_acquire"] + ACQUIRE_DELAY_S
     events.append(Event("acquire", "nmr_acquire", t_acq, spec.acquire_duration_s,
                         depends_on="done"))
 
@@ -206,8 +202,8 @@ def _sample_position(timeline: Timeline, profile: MotionProfile, t):
     return float(z[0])
 
 
-def validate(timeline: Timeline, motion_profile: Optional[MotionProfile] = None,
-             fieldmap=None) -> ValidationReport:
+def validate(timeline: Timeline, motion_profile: MotionProfile,
+             fieldmap) -> ValidationReport:
     """Check the timeline invariants; violations are data, not exceptions."""
     out = []
 
@@ -228,20 +224,19 @@ def validate(timeline: Timeline, motion_profile: Optional[MotionProfile] = None,
                     "acquire_during_motion", (acq.id, mot.id),
                     "acquisition overlaps shuttle motion"))
 
-    if motion_profile is not None and fieldmap is not None:
-        z_low = fieldmap.position_of_field(timeline.low_field_max_T)
-        for ev in timeline.events:
-            if ev.channel not in ("laser", "mw_sweep"):
-                continue
-            for t in np.linspace(ev.t_start_s, ev.t_end_s, 33):
-                z = _sample_position(timeline, motion_profile, float(t))
-                if z < z_low - 1e-12:
-                    out.append(Violation(
-                        "optical_outside_shield", (ev.id,),
-                        f"{ev.channel} active at t={t:.6f} s with sample at "
-                        f"z={z:.4f} m, above the low-field region start "
-                        f"z={z_low:.4f} m"))
-                    break
+    z_low = fieldmap.position_of_field(timeline.low_field_max_T)
+    for ev in timeline.events:
+        if ev.channel not in ("laser", "mw_sweep"):
+            continue
+        for t in np.linspace(ev.t_start_s, ev.t_end_s, 33):
+            z = _sample_position(timeline, motion_profile, float(t))
+            if z < z_low - 1e-12:
+                out.append(Violation(
+                    "optical_outside_shield", (ev.id,),
+                    f"{ev.channel} active at t={t:.6f} s with sample at "
+                    f"z={z:.4f} m, above the low-field region start "
+                    f"z={z_low:.4f} m"))
+                break
 
     by_id = {e.id: e for e in timeline.events}
     for ev in timeline.events:

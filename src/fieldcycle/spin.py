@@ -18,13 +18,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import constants as _const
 
 from .errors import NearDivergence, NonlinearRegime, StepTooCoarse
 from .util import parallel_map
 
 __all__ = [
-    "SpinConstants",
     "SpinSystem",
     "SweepParams",
     "PowderEnsemble",
@@ -43,31 +41,20 @@ __all__ = [
     "snr_field_scaling",
 ]
 
+GAMMA_E = 28.024e9  # electron gyromagnetic ratio (Hz/T)
+GAMMA_N = 10.7084e6  # 13C gyromagnetic ratio (Hz/T)
+D_ZFS = 2.87e9  # NV zero-field splitting (Hz)
+H = 6.62607015e-34  # Planck constant (J s, exact SI)
+K_B = 1.380649e-23  # Boltzmann constant (J/K, exact SI)
+
 GUARD_BAND_HZ = 1.0e6
 NORM_DRIFT_TOL = 1e-9
+CFL = 1e-2  # max |H| * dt per integrator step
+EDGE_FRACTION = 0.12  # cos^2 drive apodization at the window edges
 
 _SX = np.array([[0.0, 0.5], [0.5, 0.0]])
 _SZ = np.array([[0.5, 0.0], [0.0, -0.5]])
 _I2 = np.eye(2)
-
-
-@dataclass(frozen=True)
-class SpinConstants:
-    """Gyromagnetic ratios in Hz/T and the zero-field splitting in Hz."""
-
-    gamma_e: float = 28.024e9
-    gamma_n: float = 10.7084e6
-    delta_zfs: float = 2.87e9
-    h: float = _const.h
-    k_B: float = _const.k
-
-    def __post_init__(self):
-        for name in ("gamma_e", "gamma_n", "delta_zfs", "h", "k_B"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-DEFAULT_CONSTANTS = SpinConstants()
 
 
 @dataclass(frozen=True)
@@ -85,9 +72,9 @@ class SpinSystem:
         if self.B_pol_T <= 0:
             raise ValueError("B_pol_T must be positive")
 
-    def low_field(self, c: SpinConstants = DEFAULT_CONSTANTS) -> bool:
+    def low_field(self) -> bool:
         """True when the nuclear Larmor frequency is below the hyperfine."""
-        return c.gamma_n * self.B_pol_T <= abs(self.hyperfine_Hz)
+        return GAMMA_N * self.B_pol_T <= abs(self.hyperfine_Hz)
 
 
 @dataclass(frozen=True)
@@ -105,8 +92,6 @@ class SweepParams:
     n_sweeps: int = 1
     band_center_Hz: Optional[float] = None
     band_width_Hz: float = 400e6
-    cfl: float = 1e-2  # max |H| * dt per step
-    edge_fraction: float = 0.12  # cos^2 drive apodization at window edges
     reset_fidelity: float = 1.0
 
     def __post_init__(self):
@@ -118,8 +103,6 @@ class SweepParams:
             raise ValueError("mw_rabi_Hz must be positive")
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be at least 1")
-        if not 0.0 < self.cfl <= 1e-2:
-            raise ValueError("cfl must be in (0, 1e-2]")
         if not 0.0 <= self.reset_fidelity <= 1.0:
             raise ValueError("reset_fidelity must lie in [0, 1]")
 
@@ -127,39 +110,39 @@ class SweepParams:
 # ---------------------------------------------------------------------------
 # static structure
 
-def shifted_larmor(sys: SpinSystem, c: SpinConstants = DEFAULT_CONSTANTS) -> float:
+def shifted_larmor(sys: SpinSystem) -> float:
     """Second-order hyperfine-corrected nuclear frequency in m_s=0 (Hz)."""
-    denom = c.delta_zfs - c.gamma_e * sys.B_pol_T * math.cos(sys.theta_rad)
+    denom = electron_gap(sys)
     if abs(denom) < GUARD_BAND_HZ:
         raise NearDivergence(
             f"electron gap {denom:.3g} Hz inside the {GUARD_BAND_HZ:.0e} Hz guard band")
-    w_l = c.gamma_n * sys.B_pol_T
-    return w_l + c.gamma_e * sys.B_pol_T * sys.hyperfine_Hz * math.sin(sys.theta_rad) / denom
+    w_l = GAMMA_N * sys.B_pol_T
+    return w_l + GAMMA_E * sys.B_pol_T * sys.hyperfine_Hz * math.sin(sys.theta_rad) / denom
 
 
-def electron_gap(sys: SpinSystem, c: SpinConstants = DEFAULT_CONSTANTS) -> float:
+def electron_gap(sys: SpinSystem) -> float:
     """Rotating-frame reference: driven-sublevel energy above m_s=0 (Hz)."""
-    return c.delta_zfs - c.gamma_e * sys.B_pol_T * math.cos(sys.theta_rad)
+    return D_ZFS - GAMMA_E * sys.B_pol_T * math.cos(sys.theta_rad)
 
 
-def manifold_blocks(sys: SpinSystem, c: SpinConstants = DEFAULT_CONSTANTS):
+def manifold_blocks(sys: SpinSystem):
     """Nuclear Hamiltonians (Hz) of the two electron manifolds.
 
     m_s=0 carries the corrected Zeeman splitting along the field axis;
     the driven manifold carries the bare Zeeman plus the hyperfine field
     tilted by theta.
     """
-    h_g = shifted_larmor(sys, c) * _SZ
-    w_l = c.gamma_n * sys.B_pol_T
+    h_g = shifted_larmor(sys) * _SZ
+    w_l = GAMMA_N * sys.B_pol_T
     a = sys.hyperfine_Hz
     h_e = w_l * _SZ - a * (math.cos(sys.theta_rad) * _SZ + math.sin(sys.theta_rad) * _SX)
     return h_g, h_e
 
 
-def static_hamiltonian(sys: SpinSystem, c: SpinConstants = DEFAULT_CONSTANTS) -> np.ndarray:
+def static_hamiltonian(sys: SpinSystem) -> np.ndarray:
     """4x4 lab-frame Hamiltonian (Hz), basis (0,up),(0,dn),(e,up),(e,dn)."""
-    h_g, h_e = manifold_blocks(sys, c)
-    gap = electron_gap(sys, c)
+    h_g, h_e = manifold_blocks(sys)
+    gap = electron_gap(sys)
     h = np.zeros((4, 4))
     h[:2, :2] = h_g
     h[2:, 2:] = h_e + gap * _I2
@@ -177,12 +160,11 @@ class Crossing:
     coupling_Hz: float       # off-diagonal element (half the minimum gap)
 
 
-def crossing_table(sys: SpinSystem, sweep: SweepParams,
-                   c: SpinConstants = DEFAULT_CONSTANTS) -> list[Crossing]:
+def crossing_table(sys: SpinSystem, sweep: SweepParams) -> list[Crossing]:
     """The four ladder crossings, ordered as the upward sweep meets them
     (decreasing detuning)."""
-    h_g, h_e = manifold_blocks(sys, c)
-    gap = electron_gap(sys, c)
+    h_g, h_e = manifold_blocks(sys)
+    gap = electron_gap(sys)
     wg, qg = np.linalg.eigh(h_g)
     we, qe = np.linalg.eigh(h_e)
     out = []
@@ -208,9 +190,9 @@ def lz_probability(gap_Hz: float, rate_Hz_per_s: float) -> float:
 # ---------------------------------------------------------------------------
 # sweep propagation
 
-def _detuning_window(sys, sweep, c):
+def _detuning_window(sys, sweep):
     """Detuning interval (d_hi -> d_lo) the integrator covers."""
-    table = crossing_table(sys, sweep, c)
+    table = crossing_table(sys, sweep)
     dets = [x.detuning_Hz for x in table]
     rate = abs(sweep.sweep_rate_Hz_per_s)
     margin = max(12.0 * math.sqrt(rate) / (2 * math.pi), 8.0 * sweep.mw_rabi_Hz,
@@ -220,7 +202,7 @@ def _detuning_window(sys, sweep, c):
         d_hi = dets[0] + margin
         d_lo = 0.5 * (dets[1] + dets[2])
     else:
-        gap = electron_gap(sys, c)
+        gap = electron_gap(sys)
         d_hi = gap - (sweep.band_center_Hz - sweep.band_width_Hz / 2)
         d_lo = gap - (sweep.band_center_Hz + sweep.band_width_Hz / 2)
         # integrate only where the structure lives
@@ -231,16 +213,16 @@ def _detuning_window(sys, sweep, c):
     return d_hi, d_lo
 
 
-def _sweep_unitary(sys, sweep, c, chunk=32768):
+def _sweep_unitary(sys, sweep, chunk=32768):
     """Total unitary of one chirp over the detuning window.
 
     The per-step propagator is the exact exponential of the midpoint
     Hamiltonian (batched eigendecomposition, log-tree product), so each
     step is unitary to machine precision; the drive envelope ramps on and
-    off over ``edge_fraction`` of the window to avoid switching artifacts.
+    off over ``EDGE_FRACTION`` of the window to avoid switching artifacts.
     """
-    h_g, h_e = manifold_blocks(sys, c)
-    d_hi, d_lo = _detuning_window(sys, sweep, c)
+    h_g, h_e = manifold_blocks(sys)
+    d_hi, d_lo = _detuning_window(sys, sweep)
     if (d_hi - d_lo) * sweep.sweep_rate_Hz_per_s <= 0 or d_hi == d_lo:
         return np.eye(4, dtype=complex), 0
     omega = sweep.mw_rabi_Hz
@@ -256,23 +238,22 @@ def _sweep_unitary(sys, sweep, c, chunk=32768):
     hmax = (max(abs(d_hi), abs(d_lo))
             + float(abs(np.linalg.eigvalsh(h_g)).max())
             + float(abs(np.linalg.eigvalsh(h_e)).max()) + omega)
-    dt = sweep.cfl / hmax
+    dt = CFL / hmax
     span = d_hi - d_lo
     total_t = abs(span / sweep.sweep_rate_Hz_per_s)
     nst = max(8, int(math.ceil(total_t / dt)))
     dt = total_t / nst
 
     u_total = np.eye(4, dtype=complex)
-    ef = sweep.edge_fraction
     for s0 in range(0, nst, chunk):
         s1 = min(s0 + chunk, nst)
         x = (np.arange(s0, s1) + 0.5) / nst
         det = d_hi - span * x
         env = np.ones_like(x)
-        lo = x < ef
-        hi = x > 1.0 - ef
-        env[lo] = np.sin(0.5 * np.pi * x[lo] / ef) ** 2
-        env[hi] = np.sin(0.5 * np.pi * (1.0 - x[hi]) / ef) ** 2
+        lo = x < EDGE_FRACTION
+        hi = x > 1.0 - EDGE_FRACTION
+        env[lo] = np.sin(0.5 * np.pi * x[lo] / EDGE_FRACTION) ** 2
+        env[hi] = np.sin(0.5 * np.pi * (1.0 - x[hi]) / EDGE_FRACTION) ** 2
         hb = (h_base[None, :, :]
               + det[:, None, None] * h_detune[None, :, :]
               + (omega * env)[:, None, None] * h_drive[None, :, :])
@@ -312,12 +293,11 @@ class SweepResult:
 
 
 def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
-                    c: SpinConstants = DEFAULT_CONSTANTS,
                     details: bool = False):
     """Net nuclear polarization after ``n_sweeps`` chirps with electron
     repolarization between sweeps; starts in m_s=0 with an unpolarized
     nucleus.  Returns the polarization, or a SweepResult when ``details``."""
-    u, nst = _sweep_unitary(sys, sweep, c)
+    u, nst = _sweep_unitary(sys, sweep)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[1, 1] = 0.5
     per_sweep = []
@@ -378,14 +358,13 @@ class PowderResult:
 
 
 def powder_average(sys_template: SpinSystem, sweep: SweepParams,
-                   ensemble: PowderEnsemble,
-                   c: SpinConstants = DEFAULT_CONSTANTS) -> PowderResult:
+                   ensemble: PowderEnsemble) -> PowderResult:
     """Orientation-averaged transfer; per-node results reduce in node order."""
     if len(ensemble.thetas) < 1:
         raise ValueError("empty ensemble")
 
     def one(theta):
-        return propagate_sweep(replace(sys_template, theta_rad=theta), sweep, c)
+        return propagate_sweep(replace(sys_template, theta_rad=theta), sweep)
 
     pols = parallel_map(one, ensemble.thetas)
     mean = float(sum(w * p for w, p in zip(ensemble.weights, pols)))
@@ -396,24 +375,22 @@ def powder_average(sys_template: SpinSystem, sweep: SweepParams,
 # ---------------------------------------------------------------------------
 # polarization bookkeeping
 
-def boltzmann_polarization(B_T: float, T_K: float,
-                           c: SpinConstants = DEFAULT_CONSTANTS) -> float:
+def boltzmann_polarization(B_T: float, T_K: float) -> float:
     """Thermal nuclear polarization tanh(h gamma B / 2 k T); odd in B."""
     if T_K <= 0:
         raise ValueError("T must be positive")
-    return math.tanh(c.h * c.gamma_n * B_T / (2.0 * c.k_B * T_K))
+    return math.tanh(H * GAMMA_N * B_T / (2.0 * K_B * T_K))
 
 
 def enhancement_to_equivalent_field(epsilon: float, B_ref_T: float,
-                                    T_K: float = 298.0,
-                                    c: SpinConstants = DEFAULT_CONSTANTS) -> float:
+                                    T_K: float = 298.0) -> float:
     """Field whose thermal polarization matches an enhancement ``epsilon``
     over the reference field; valid only in the linear tanh regime."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     b_eq = epsilon * B_ref_T
     for b in (B_ref_T, b_eq):
-        if c.h * c.gamma_n * b / (2.0 * c.k_B * T_K) > 0.1:
+        if H * GAMMA_N * b / (2.0 * K_B * T_K) > 0.1:
             raise NonlinearRegime(
                 f"tanh argument at B={b:.3g} T exceeds 0.1; product rule invalid")
     return b_eq

@@ -103,7 +103,7 @@ def test_criterion_05_shifted_larmor_oracle():
                     split = abs(w[idx[0]] - w[idx[1]])
                     assert split == pytest.approx(sp.shifted_larmor(s), rel=0.01)
         s0 = sp.SpinSystem(5e6, 0.0, 0.010)
-        assert sp.shifted_larmor(s0) == sp.DEFAULT_CONSTANTS.gamma_n * 0.010
+        assert sp.shifted_larmor(s0) == sp.GAMMA_N * 0.010
 
 
 def test_criterion_06_lz_suite():

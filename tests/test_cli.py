@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fieldcycle.cli import main
 
 
@@ -102,3 +104,28 @@ def test_seed_override_changes_outputs(tmp_path):
     b = (tmp_path / "b" / "curve_B0.1T.csv").read_bytes()
     c = (tmp_path / "c" / "curve_B0.1T.csv").read_bytes()
     assert a != b and a == c
+
+
+ANCHOR_HEADER = "kind,position_m,field_T,gradient_T_per_m,tolerance_rel\n"
+
+
+@pytest.mark.parametrize("argv,anchors,named", [
+    (["plan-motion", "--distance", "1.0", "--vmax", "0"], None, "--vmax"),
+    (["plan-motion", "--distance", "1.0", "--amax", "inf"], None, "--amax"),
+    (["plan-motion", "--distance", "1.0", "--dt", "0", "--out", "traj"], None,
+     "--dt"),
+    (["calibrate-field"], ANCHOR_HEADER + "field_value,0.0,abc,,1e-06\n",
+     "anchors.csv"),
+    (["calibrate-field"], "position_m,field_T,tolerance_rel\n0.0,7.0,1e-06\n",
+     "anchors.csv"),
+], ids=["vmax-zero", "amax-inf", "dt-zero", "anchor-cell", "anchor-column"])
+def test_non_spec_verbs_reject_bad_input(tmp_path, monkeypatch, capsys, argv,
+                                         anchors, named):
+    monkeypatch.chdir(tmp_path)
+    if anchors is not None:
+        (tmp_path / "anchors.csv").write_text(anchors)
+        argv = argv + ["--anchors", "anchors.csv", "--out", "map.json"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and named in err
+    assert not (tmp_path / "traj").exists() and not (tmp_path / "map.json").exists()

@@ -143,6 +143,16 @@ def test_json_round_trip(ref_map):
     assert clone.domain_m == ref_map.domain_m
 
 
+def test_params_are_read_only(ref_map):
+    text = ref_map.to_json()
+    with pytest.raises(TypeError):
+        ref_map.params["knots"][0][1] = 99.0
+    with pytest.raises(TypeError):
+        ref_map.params["knots"] = []
+    assert ref_map.to_json() == text
+    assert FieldMap.from_json(text).field_at(0.0) == 7.0
+
+
 def test_json_rejects_unknown_schema(ref_map):
     doc = json.loads(ref_map.to_json())
     doc["schema"] = 99

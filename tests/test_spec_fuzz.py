@@ -46,10 +46,21 @@ FIXED = [
      "$.t1.relaxation"),
 ]
 # field-map files that cannot be loaded: exit 3 after a run record is opened
+MAP_FIELDS = {"schema": 1, "domain_m": [0.0, 1.6], "travel_range_m": 1.6,
+              "center_separation_m": 0.83, "floor_T": 0.001}
 BAD_MAPS = [
     ("file", "missing.json", None),
     ("file", "schema2.json", {"schema": 2}),
     ("file", "schema1.json", {"schema": 1}),
+    # schema 1 maps whose params do not evaluate
+    ("file", "no_params.json",
+     {**MAP_FIELDS, "model": "finite_solenoid", "params": {}}),
+    ("file", "short_knots.json",
+     {**MAP_FIELDS, "model": "monotone_spline", "params": {"knots": [[0.0, 7.0]]}}),
+    ("file", "one_knot.json",
+     {**MAP_FIELDS, "model": "monotone_spline", "params": {"knots": [[0.0, 7.0, -1.0]]}}),
+    ("file", "unknown_model.json",
+     {**MAP_FIELDS, "model": "dipole", "params": {"b0_T": 7.0}}),
     ("anchors_file", "anchors.csv",
      "kind,position_m,field_T,gradient_T_per_m,tolerance_rel\n"
      "field_value,0.0,abc,,1e-06\n"),

@@ -72,6 +72,9 @@ def _cmd_plan_motion(args):
         if not 0 < getattr(args, flag) < float("inf"):
             raise SchemaViolation("must be a positive finite number", f"--{flag}")
     limits = mo.MotionLimits(v_max=args.vmax, a_max=args.amax)
+    if not 0 <= args.distance <= limits.travel_range_m:  # also rejects NaN
+        raise SchemaViolation(f"must lie in [0, {limits.travel_range_m}] m",
+                              "--distance")
     prof = mo.plan(args.distance, limits)
     if not args.quiet:
         print(f"shape {prof.shape}  duration {mo.duration(prof):.6f} s")

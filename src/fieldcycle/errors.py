@@ -42,7 +42,11 @@ class NearDivergence(FieldCycleError):
 
 
 class StepTooCoarse(FieldCycleError):
-    """Propagation step violated the norm-drift tolerance."""
+    """Integrator error estimate still above tolerance at the step cap."""
+
+    def __init__(self, message, estimate):
+        super().__init__(message)
+        self.estimate = estimate
 
 
 class NonlinearRegime(FieldCycleError):

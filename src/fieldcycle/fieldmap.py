@@ -153,6 +153,8 @@ class _HermiteSpline:
 
     def __init__(self, z, b, m):
         self.z = np.asarray(z, float)
+        if len(self.z) < 2 or not np.all(np.diff(self.z) > 0):
+            raise ValueError("spline needs two or more strictly increasing knots")
         self.b = np.asarray(b, float)
         self.m = np.asarray(m, float)
 

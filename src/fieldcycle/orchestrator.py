@@ -373,6 +373,8 @@ def _run_dnp(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
         "mean_polarization": result.mean_polarization,
         "signs_uniform": result.signs_uniform(),
         "nodes": len(result.table),
+        "integrator_steps": sum(n for n, _ in result.diagnostics),
+        "max_error_estimate": max(e for _, e in result.diagnostics),
     }
     ws.write("dnp_summary.json", json.dumps(summary, indent=2, sort_keys=True))
     if not quiet:

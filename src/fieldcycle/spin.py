@@ -48,9 +48,20 @@ H = 6.62607015e-34  # Planck constant (J s, exact SI)
 K_B = 1.380649e-23  # Boltzmann constant (J/K, exact SI)
 
 GUARD_BAND_HZ = 1.0e6
-NORM_DRIFT_TOL = 1e-9
-CFL = 1e-2  # max |H| * dt per integrator step
+POL_TOL = 1e-8  # step-doubling estimate of the polarization error to reach
+START_HDT = 0.5  # |H| * dt of the first, coarsest pass
+CAP_HDT = 1e-2  # step cap: all passes together stay within the exponentials
+                # of fixed steps of this |H| * dt
 EDGE_FRACTION = 0.12  # cos^2 drive apodization at the window edges
+
+_CHUNK_STEPS = 16384  # steps per batched eigh (32,768 exponentials)
+_SEGMENTS = ((0.0, EDGE_FRACTION), (EDGE_FRACTION, 1.0 - EDGE_FRACTION),
+             (1.0 - EDGE_FRACTION, 1.0))
+# CF4: Gauss nodes c of a step, and the weights of H(c_0), H(c_1) in its
+# first (row 0) and second (row 1) exponential
+_CF4_C = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+_CF4_W = np.array([[0.25 + math.sqrt(3.0) / 6.0, 0.25 - math.sqrt(3.0) / 6.0],
+                   [0.25 - math.sqrt(3.0) / 6.0, 0.25 + math.sqrt(3.0) / 6.0]])
 
 _SX = np.array([[0.0, 0.5], [0.5, 0.0]])
 _SZ = np.array([[0.5, 0.0], [0.0, -0.5]])
@@ -213,63 +224,84 @@ def _detuning_window(sys, sweep):
     return d_hi, d_lo
 
 
-def _sweep_unitary(sys, sweep, chunk=32768):
-    """Total unitary of one chirp over the detuning window.
+class _Chirp:
+    """One chirp over the detuning window, integrated by the fourth-order
+    commutator-free Magnus scheme (CF4: two exact exponentials per step, at
+    the Gauss nodes).  The step grid breaks at the drive-envelope kinks, so
+    no step straddles the switch from the cos^2 ramps to the flat top."""
 
-    The per-step propagator is the exact exponential of the midpoint
-    Hamiltonian (batched eigendecomposition, log-tree product), so each
-    step is unitary to machine precision; the drive envelope ramps on and
-    off over ``EDGE_FRACTION`` of the window to avoid switching artifacts.
-    """
-    h_g, h_e = manifold_blocks(sys)
-    d_hi, d_lo = _detuning_window(sys, sweep)
-    if (d_hi - d_lo) * sweep.sweep_rate_Hz_per_s <= 0 or d_hi == d_lo:
-        return np.eye(4, dtype=complex), 0
-    omega = sweep.mw_rabi_Hz
-    h_base = np.zeros((4, 4))
-    h_base[:2, :2] = h_g
-    h_base[2:, 2:] = h_e
-    h_drive = np.zeros((4, 4))
-    h_drive[:2, 2:] = _I2 / 2
-    h_drive[2:, :2] = _I2 / 2
-    h_detune = np.zeros((4, 4))
-    h_detune[2, 2] = h_detune[3, 3] = 1.0
-
-    hmax = (max(abs(d_hi), abs(d_lo))
+    def __init__(self, sys, sweep):
+        h_g, h_e = manifold_blocks(sys)
+        self.d_hi, d_lo = _detuning_window(sys, sweep)
+        self.span = self.d_hi - d_lo
+        self.omega = sweep.mw_rabi_Hz
+        self.total_t = abs(self.span / sweep.sweep_rate_Hz_per_s)
+        self.h_base = np.zeros((4, 4))
+        self.h_base[:2, :2] = h_g
+        self.h_base[2:, 2:] = h_e
+        hmax_t = self.total_t * (  # |H| dt summed over the chirp
+            max(abs(self.d_hi), abs(d_lo)) + self.omega
             + float(abs(np.linalg.eigvalsh(h_g)).max())
-            + float(abs(np.linalg.eigvalsh(h_e)).max()) + omega)
-    dt = CFL / hmax
-    span = d_hi - d_lo
-    total_t = abs(span / sweep.sweep_rate_Hz_per_s)
-    nst = max(8, int(math.ceil(total_t / dt)))
-    dt = total_t / nst
+            + float(abs(np.linalg.eigvalsh(h_e)).max()))
+        if self.span * sweep.sweep_rate_Hz_per_s <= 0:  # band misses the ladder
+            self.n0 = [0] * len(_SEGMENTS)
+        else:
+            self.n0 = [max(1, math.ceil((b - a) * hmax_t / START_HDT))
+                       for a, b in _SEGMENTS]
+        # all passes together cost at most the exponentials of fixed steps
+        # of |H| dt = CAP_HDT; the first two passes always run
+        self.max_steps = max(math.ceil(hmax_t / CAP_HDT) // 2, 3 * sum(self.n0))
 
-    u_total = np.eye(4, dtype=complex)
-    for s0 in range(0, nst, chunk):
-        s1 = min(s0 + chunk, nst)
-        x = (np.arange(s0, s1) + 0.5) / nst
-        det = d_hi - span * x
-        env = np.ones_like(x)
-        lo = x < EDGE_FRACTION
-        hi = x > 1.0 - EDGE_FRACTION
-        env[lo] = np.sin(0.5 * np.pi * x[lo] / EDGE_FRACTION) ** 2
-        env[hi] = np.sin(0.5 * np.pi * (1.0 - x[hi]) / EDGE_FRACTION) ** 2
-        hb = (h_base[None, :, :]
-              + det[:, None, None] * h_detune[None, :, :]
-              + (omega * env)[:, None, None] * h_drive[None, :, :])
-        w, q = np.linalg.eigh(hb)
-        phases = np.exp(-2j * np.pi * w * dt)
-        ub = np.einsum("nij,nj,nkj->nik", q, phases, q.conj())
-        while ub.shape[0] > 1:
-            m = ub.shape[0]
-            if m % 2:
-                tail = ub[-1]
-                ub = np.matmul(ub[1:m:2], ub[0:m - 1:2])
-                ub = np.concatenate([ub, tail[None]])
-            else:
-                ub = np.matmul(ub[1::2], ub[0::2])
-        u_total = ub[0] @ u_total
-    return u_total, nst
+    def unitary(self, level):
+        """Total unitary and step count with every segment's first-pass
+        step count doubled ``level`` times."""
+        u_total = np.eye(4, dtype=complex)
+        n_total = 0
+        for (a, b), n0 in zip(_SEGMENTS, self.n0):
+            n = n0 << level
+            if n == 0:  # empty window
+                continue
+            n_total += n
+            h = (b - a) / n
+            dt = self.total_t * h
+            for s0 in range(0, n, _CHUNK_STEPS):
+                steps = np.arange(s0, min(s0 + _CHUNK_STEPS, n))
+                x = a + h * (steps[:, None] + _CF4_C)
+                # x[j] holds the Gauss nodes of step j.  H is affine in the
+                # detuning and the envelope, so exponents 2j (applied first)
+                # and 2j + 1 take them weighted by rows 0 and 1 of _CF4_W;
+                # each row sums to 1/2, the weight of h_base
+                det = ((self.d_hi - self.span * x) @ _CF4_W.T).ravel()
+                env = (_envelope(x) @ _CF4_W.T).ravel()
+                hb = np.empty((len(det), 4, 4))
+                hb[:] = 0.5 * self.h_base
+                hb[:, 2, 2] += det
+                hb[:, 3, 3] += det
+                hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = \
+                    0.5 * self.omega * env
+                w, q = np.linalg.eigh(hb)
+                ub = np.matmul(q * np.exp(-2j * np.pi * dt * w)[:, None, :],
+                               q.transpose(0, 2, 1))
+                while ub.shape[0] > 1:
+                    m = ub.shape[0]
+                    if m % 2:
+                        tail = ub[-1]
+                        ub = np.matmul(ub[1:m:2], ub[0:m - 1:2])
+                        ub = np.concatenate([ub, tail[None]])
+                    else:
+                        ub = np.matmul(ub[1::2], ub[0::2])
+                u_total = ub[0] @ u_total
+        return u_total, n_total
+
+
+def _envelope(x):
+    """cos^2 drive apodization over ``EDGE_FRACTION`` at both window ends."""
+    env = np.ones_like(x)
+    lo = x < EDGE_FRACTION
+    hi = x > 1.0 - EDGE_FRACTION
+    env[lo] = np.sin(0.5 * np.pi * x[lo] / EDGE_FRACTION) ** 2
+    env[hi] = np.sin(0.5 * np.pi * (1.0 - x[hi]) / EDGE_FRACTION) ** 2
+    return env
 
 
 def _reset_electron(rho: np.ndarray, fidelity: float) -> np.ndarray:
@@ -284,37 +316,60 @@ def _reset_electron(rho: np.ndarray, fidelity: float) -> np.ndarray:
     return fidelity * reset + (1.0 - fidelity) * rho
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    polarization: float
-    norm_drift: float
-    n_steps: int
-    per_sweep: tuple[float, ...]
-
-
-def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
-                    details: bool = False):
-    """Net nuclear polarization after ``n_sweeps`` chirps with electron
-    repolarization between sweeps; starts in m_s=0 with an unpolarized
-    nucleus.  Returns the polarization, or a SweepResult when ``details``."""
-    u, nst = _sweep_unitary(sys, sweep)
+def _sweeps(u, sweep):
+    """Per-sweep polarizations and worst norm drift of ``n_sweeps`` chirps
+    of unitary ``u`` with electron resets, from m_s=0 and an unpolarized
+    nucleus."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[1, 1] = 0.5
     per_sweep = []
     worst_drift = 0.0
     for _ in range(sweep.n_sweeps):
         rho = u @ rho @ u.conj().T
-        drift = abs(float(np.trace(rho).real) - 1.0)
-        worst_drift = max(worst_drift, drift)
-        if drift > NORM_DRIFT_TOL:
-            raise StepTooCoarse(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL:.0e}")
+        worst_drift = max(worst_drift, abs(float(np.trace(rho).real) - 1.0))
         rho = _reset_electron(rho, sweep.reset_fidelity)
         per_sweep.append(float((rho[0, 0] - rho[1, 1]).real
                                + (rho[2, 2] - rho[3, 3]).real))
-    pol = per_sweep[-1]
+    return tuple(per_sweep), worst_drift
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    polarization: float
+    norm_drift: float      # diagnostic: every step is unitary by construction
+    n_steps: int           # integrator steps of every pass, coarse ones included
+    per_sweep: tuple[float, ...]
+    error_estimate: float  # step-doubling estimate of the polarization error
+
+
+def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
+                    details: bool = False):
+    """Net nuclear polarization after ``n_sweeps`` chirps with electron
+    repolarization between sweeps; starts in m_s=0 with an unpolarized
+    nucleus.  Returns the polarization, or a SweepResult when ``details``.
+
+    The step count doubles from |H| dt ~ ``START_HDT`` until the Richardson
+    estimate |P(2n) - P(n)| / 15 of the fourth-order scheme is within
+    ``POL_TOL``; StepTooCoarse if the step cap comes first.
+    """
+    chirp = _Chirp(sys, sweep)
+    u, steps = chirp.unitary(0)
+    per_sweep, drift = _sweeps(u, sweep)
+    level, estimate = 0, math.inf if steps else 0.0
+    while estimate > POL_TOL:
+        level += 1
+        if steps + (sum(chirp.n0) << level) > chirp.max_steps:
+            raise StepTooCoarse(
+                f"polarization error estimate {estimate:.3e} above {POL_TOL:.0e} "
+                f"at the {chirp.max_steps}-step cap", estimate)
+        coarse = per_sweep[-1]
+        u, n = chirp.unitary(level)
+        steps += n
+        per_sweep, drift = _sweeps(u, sweep)
+        estimate = abs(per_sweep[-1] - coarse) / 15.0
     if details:
-        return SweepResult(pol, worst_drift, nst, tuple(per_sweep))
-    return pol
+        return SweepResult(per_sweep[-1], drift, steps, per_sweep, estimate)
+    return per_sweep[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +406,7 @@ class PowderEnsemble:
 class PowderResult:
     mean_polarization: float
     table: tuple[tuple[float, float, float], ...]  # (theta, weight, polarization)
+    diagnostics: tuple[tuple[int, float], ...]  # (n_steps, error_estimate)
 
     def signs_uniform(self) -> bool:
         signs = {p > 0 for _, _, p in self.table}
@@ -364,12 +420,15 @@ def powder_average(sys_template: SpinSystem, sweep: SweepParams,
         raise ValueError("empty ensemble")
 
     def one(theta):
-        return propagate_sweep(replace(sys_template, theta_rad=theta), sweep)
+        return propagate_sweep(replace(sys_template, theta_rad=theta), sweep,
+                               details=True)
 
-    pols = parallel_map(one, ensemble.thetas)
+    results = parallel_map(one, ensemble.thetas)
+    pols = [r.polarization for r in results]
     mean = float(sum(w * p for w, p in zip(ensemble.weights, pols)))
     table = tuple((t, w, p) for t, w, p in zip(ensemble.thetas, ensemble.weights, pols))
-    return PowderResult(mean, table)
+    return PowderResult(mean, table,
+                        tuple((r.n_steps, r.error_estimate) for r in results))
 
 
 # ---------------------------------------------------------------------------

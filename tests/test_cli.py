@@ -114,11 +114,15 @@ ANCHOR_HEADER = "kind,position_m,field_T,gradient_T_per_m,tolerance_rel\n"
     (["plan-motion", "--distance", "1.0", "--amax", "inf"], None, "--amax"),
     (["plan-motion", "--distance", "1.0", "--dt", "0", "--out", "traj"], None,
      "--dt"),
+    (["plan-motion", "--distance", "nan", "--out", "traj"], None, "--distance"),
+    (["plan-motion", "--distance", "-1", "--out", "traj"], None, "--distance"),
+    (["plan-motion", "--distance", "1.7", "--out", "traj"], None, "--distance"),
     (["calibrate-field"], ANCHOR_HEADER + "field_value,0.0,abc,,1e-06\n",
      "anchors.csv"),
     (["calibrate-field"], "position_m,field_T,tolerance_rel\n0.0,7.0,1e-06\n",
      "anchors.csv"),
-], ids=["vmax-zero", "amax-inf", "dt-zero", "anchor-cell", "anchor-column"])
+], ids=["vmax-zero", "amax-inf", "dt-zero", "distance-nan", "distance-negative",
+        "distance-beyond-travel", "anchor-cell", "anchor-column"])
 def test_non_spec_verbs_reject_bad_input(tmp_path, monkeypatch, capsys, argv,
                                          anchors, named):
     monkeypatch.chdir(tmp_path)

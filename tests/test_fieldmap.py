@@ -205,3 +205,13 @@ def test_floor_clamp_and_shield_flag():
     assert fmap.gradient_at(1.45) == 0.0
     with pytest.raises(FieldNotReachable):
         fmap.position_of_field(5e-4)
+
+
+@pytest.mark.parametrize("knots", [
+    [[0.0, 7.0, -1.0]],
+    [[0.0, 7.0, -1.0], [0.0, 1.0, -1.0]],
+    [[0.5, 7.0, -1.0], [0.2, 1.0, -1.0]],
+], ids=["one-knot", "repeated-z", "decreasing-z"])
+def test_spline_rejects_bad_knots_before_evaluating(knots):
+    with pytest.raises(ValueError, match="strictly increasing knots"):
+        FieldMap(model="monotone_spline", params={"knots": knots})

@@ -220,6 +220,8 @@ def test_dnp_sweep_run(tmp_path):
     assert all(p < 0 for p in pols)
     summary = json.loads((tmp_path / "dnp_summary.json").read_text())
     assert summary["signs_uniform"] is True
+    assert summary["integrator_steps"] > 0
+    assert 0 < summary["max_error_estimate"] <= 1e-8
     weights = [float(r.split(",")[1]) for r in rows]
     assert sum(w * p for w, p in zip(weights, pols)) == \
         pytest.approx(summary["mean_polarization"], rel=1e-9)

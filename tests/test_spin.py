@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from scipy import constants as const
 
 from oracles import ladder_band, lz_composition
 
-from fieldcycle.errors import NearDivergence, NonlinearRegime
+from fieldcycle import spin
+from fieldcycle.errors import NearDivergence, NonlinearRegime, StepTooCoarse
 from fieldcycle.spin import (D_ZFS, GAMMA_E, GAMMA_N, PowderEnsemble,
                              SpinSystem, SweepParams, boltzmann_polarization,
                              electron_gap, enhancement_to_equivalent_field,
@@ -171,6 +174,40 @@ def test_reset_fidelity_partial():
     assert -1.0 <= pol <= 1.0
 
 
+SLOW = dict(sweep_rate_Hz_per_s=2e9, mw_rabi_Hz=15e3)
+
+
+@pytest.mark.parametrize("regime", [{}, SLOW], ids=["default", "slow"])
+@pytest.mark.parametrize("deg", [10, 45, 80])
+def test_error_estimate_bounds_true_error(monkeypatch, regime, deg):
+    s = SpinSystem(1e6, math.radians(deg), 0.010)
+    res = propagate_sweep(s, SweepParams(**regime), details=True)
+    assert 0 < res.error_estimate <= spin.POL_TOL
+    # reference: one CF4 pass at 4x the steps of the old fixed |H| dt = 1e-2
+    monkeypatch.setattr(spin, "START_HDT", spin.CAP_HDT / 4)
+    monkeypatch.setattr(spin, "POL_TOL", math.inf)
+    ref = propagate_sweep(s, SweepParams(**regime), details=True)
+    assert ref.n_steps > 10 * res.n_steps
+    assert abs(res.polarization - ref.polarization) <= res.error_estimate
+
+
+def test_step_cap_raises_with_estimate(monkeypatch):
+    s = SpinSystem(1e6, math.radians(45), 0.010)
+    monkeypatch.setattr(spin, "POL_TOL", 1e-16)
+    with pytest.raises(StepTooCoarse) as exc:
+        propagate_sweep(s, SweepParams())
+    assert 1e-16 < exc.value.estimate < 1e-8
+
+
+def test_step_count_includes_coarse_passes(monkeypatch):
+    s = SpinSystem(1e6, math.radians(45), 0.010)
+    res = propagate_sweep(s, SweepParams(), details=True)
+    monkeypatch.setattr(spin, "POL_TOL", math.inf)  # first pass only
+    first = propagate_sweep(s, SweepParams(), details=True)
+    # passes of n, 2n, 4n, ... steps, at least two of them
+    assert res.n_steps in {first.n_steps * (2 ** k - 1) for k in (2, 3, 4)}
+
+
 def test_sweep_params_validation():
     with pytest.raises(ValueError):
         SweepParams(sweep_rate_Hz_per_s=0.0)
@@ -205,6 +242,23 @@ def test_powder_quadrature_converges():
     m32 = powder_average(s, SweepParams(), PowderEnsemble.gauss_legendre(32))
     rel = abs(m32.mean_polarization - m16.mean_polarization) / abs(m16.mean_polarization)
     assert rel < 0.01
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "fcbench" / "dnp_reference.json"
+
+
+@pytest.mark.parametrize("regime,nodes,sweep", [
+    ("default16", 16, {}), ("default32", 32, {}), ("slow16", 16, SLOW)],
+    ids=["default16", "default32", "slow16"])
+def test_powder_matches_benchmark_reference(regime, nodes, sweep):
+    expect = next(e["mean_polarization"] for e in json.loads(REFERENCE.read_text())
+                  if (e["hyperfine_Hz"], e["B_pol_T"], e["regime"])
+                  == (1.0e6, 0.010, regime))
+    res = powder_average(SpinSystem(1.0e6, 0.0, 0.010), SweepParams(**sweep),
+                         PowderEnsemble.gauss_legendre(nodes))
+    assert res.mean_polarization == pytest.approx(expect, rel=1e-6)
+    assert len(res.diagnostics) == nodes
+    assert all(n > 0 and 0 <= e <= spin.POL_TOL for n, e in res.diagnostics)
 
 
 def test_powder_ensemble_validation():

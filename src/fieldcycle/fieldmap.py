@@ -16,11 +16,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
 from .errors import FieldNotReachable, NoConvergence, NonMonotonicModel, OutOfDomain
 from .motion import MotionLimits
@@ -42,6 +42,8 @@ MODEL_KINDS = (DEFAULT_MODEL_KIND, "finite_solenoid", "monotone_spline")
 _PARAM_BOUNDS = ([1e-3, 1e-3], [2.0, 2.0])  # half-length, radius (m)
 _MAX_ITER = 500
 _LSQ_TOL = 1e-10
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-14, 8.9e-16, 100
+_REFERENCE_MAP_FILE = Path(__file__).with_name("reference_map.json")
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,54 @@ class LacPlan:
 
 
 # ---------------------------------------------------------------------------
+# root bracketing
+
+def _brentq(f, xa, xb):
+    """Root of ``f`` in [xa, xb]: a line-for-line port of scipy's brentq.c,
+    so it returns the bit-identical root without importing scipy.optimize."""
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            break
+    raise NoConvergence(f"root bracketing failed near x={xcur!r}")
+
+
+# ---------------------------------------------------------------------------
 # finite solenoid on-axis profile
 
 def _solenoid_shape(z, half_length, radius):
@@ -103,10 +153,8 @@ def _solenoid_gradient(z, b0, half_length, radius):
 def _solenoid_invert(target, b0, half_length, radius, z_max):
     if not (_solenoid_field(z_max, b0, half_length, radius) <= target <= b0):
         return None
-    return brentq(
-        lambda z: _solenoid_field(z, b0, half_length, radius) - target,
-        0.0, z_max, xtol=1e-14, rtol=8.9e-16,
-    )
+    return _brentq(lambda z: _solenoid_field(z, b0, half_length, radius) - target,
+                   0.0, z_max)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +322,7 @@ class FieldMap:
             return lo
         if f(hi) >= 0:
             return hi
-        return brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
+        return _brentq(f, lo, hi)
 
     def plan_lac_access(self, target_field_T, precision_m=MotionLimits.precision_m,
                         v_max=MotionLimits.v_max):
@@ -384,6 +432,8 @@ def _anchor_residual(fmap: FieldMap, a: FieldAnchor):
 
 
 def _fit_solenoid(anchors, b0):
+    from scipy.optimize import least_squares
+
     x0 = _initial_geometry(anchors, b0)
     sol = least_squares(
         _solenoid_residuals, x0, args=(anchors, b0, FieldMap.domain_m[1]),
@@ -544,8 +594,17 @@ def reference_anchors() -> list[FieldAnchor]:
 
 @lru_cache(maxsize=1)
 def reference_map() -> FieldMap:
-    """Calibrated map of the reference instrument (memoized; immutable)."""
-    return calibrate(reference_anchors())
+    """Calibrated map of the reference instrument (memoized; immutable).
+
+    Loaded from the frozen ``reference_map.json``, which holds
+    ``calibrate(reference_anchors()).to_json()``, and checked against the
+    reference anchors: NoConvergence if it misses any of them.
+    """
+    fmap = FieldMap.from_json(_REFERENCE_MAP_FILE.read_text())
+    error = _misfit(fmap, reference_anchors(), "frozen reference")
+    if error is not None:
+        raise error
+    return fmap
 
 
 # ---------------------------------------------------------------------------

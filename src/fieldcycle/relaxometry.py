@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitDiverged, InsufficientPoints
 from .motion import MotionLimits, plan, sample_trajectory
@@ -204,6 +203,8 @@ def fit_decay(curve: DecayCurve, model: str = "monoexponential") -> FitResult:
     Initialization is a deterministic log-linear regression, so identical
     curves give identical fits.
     """
+    from scipy.optimize import least_squares
+
     if model not in ("monoexponential", "stretched"):
         raise ValueError(f"unknown decay model {model!r}")
     if len(curve.points) < _MIN_POINTS:

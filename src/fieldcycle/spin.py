@@ -50,6 +50,9 @@ K_B = 1.380649e-23  # Boltzmann constant (J/K, exact SI)
 GUARD_BAND_HZ = 1.0e6
 POL_TOL = 1e-8  # step-doubling estimate of the polarization error to reach
 START_HDT = 0.5  # |H| * dt of the first, coarsest pass
+MIN_SEGMENT_STEPS = 32  # first-pass floor per segment: fewer steps can sit
+                        # outside the fourth-order regime, where the
+                        # step-doubling estimate undershoots the error
 CAP_HDT = 1e-2  # step cap: all passes together stay within the exponentials
                 # of fixed steps of this |H| * dt
 EDGE_FRACTION = 0.12  # cos^2 drive apodization at the window edges
@@ -246,7 +249,7 @@ class _Chirp:
         if self.span * sweep.sweep_rate_Hz_per_s <= 0:  # band misses the ladder
             self.n0 = [0] * len(_SEGMENTS)
         else:
-            self.n0 = [max(1, math.ceil((b - a) * hmax_t / START_HDT))
+            self.n0 = [max(MIN_SEGMENT_STEPS, math.ceil((b - a) * hmax_t / START_HDT))
                        for a, b in _SEGMENTS]
         # all passes together cost at most the exponentials of fixed steps
         # of |H| dt = CAP_HDT; the first two passes always run

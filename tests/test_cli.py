@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fieldcycle
 from fieldcycle.cli import main
 
 
@@ -133,3 +138,41 @@ def test_non_spec_verbs_reject_bad_input(tmp_path, monkeypatch, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith("spec error: ") and named in err
     assert not (tmp_path / "traj").exists() and not (tmp_path / "map.json").exists()
+
+
+_SCIPY_OPTIMIZE_PROBE = """
+import json, sys
+from fieldcycle.cli import main
+
+tmp = sys.argv[1]
+def spec(kind):
+    path = f"{tmp}/{kind}.json"
+    with open(path, "w") as fh:
+        json.dump({"schema_version": 1, "kind": kind, "seed": 1}, fh)
+    return path
+
+for kind in ("lac_plan", "sequence_validation", "shuttle_characterization"):
+    assert main(["run", "--spec", spec(kind), "--out", f"{tmp}/{kind}",
+                 "--quiet"]) == 0
+assert main(["dnp-sweep", "--config", spec("dnp_sweep"), "--nodes", "8",
+             "--out", f"{tmp}/dnp", "--quiet"]) == 0
+assert main(["plan-motion", "--distance", "0.2", "--out", f"{tmp}/motion",
+             "--quiet"]) == 0
+print("scipy.optimize" in sys.modules)
+assert main(["run", "--spec", spec("t1_field_map"), "--out", f"{tmp}/t1",
+             "--quiet"]) == 0
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_only_fits_import_scipy_optimize(tmp_path):
+    # a fresh process: the verbs that fit nothing never load scipy.optimize,
+    # a T1 map (decay fits) does
+    src = str(Path(fieldcycle.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", _SCIPY_OPTIMIZE_PROBE,
+                          str(tmp_path)], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]

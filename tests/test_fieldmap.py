@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+
+import fieldcycle.fieldmap as fm
 
 from fieldcycle.errors import (FieldNotReachable, NoConvergence,
                                NonMonotonicModel, OutOfDomain)
 from fieldcycle.fieldmap import (FieldAnchor, FieldMap, anchors_from_csv,
                                  anchors_to_csv, calibrate, reference_anchors)
-from fieldcycle.fieldmap import _solenoid_field
+from fieldcycle.fieldmap import _brentq, _solenoid_field
 
 
 def known_solenoid(b0=7.0, half_length=0.3, radius=0.12):
@@ -215,3 +219,44 @@ def test_floor_clamp_and_shield_flag():
 def test_spline_rejects_bad_knots_before_evaluating(knots):
     with pytest.raises(ValueError, match="strictly increasing knots"):
         FieldMap(model="monotone_spline", params={"knots": knots})
+
+
+def test_frozen_reference_map_matches_calibration():
+    # the shipped map is the calibration of the reference anchors, byte for
+    # byte: regenerate it when the anchors, the fit or scipy change
+    frozen = Path(fm.__file__).with_name("reference_map.json").read_text()
+    assert frozen == calibrate(reference_anchors()).to_json()
+
+
+def test_reference_map_rejects_a_frozen_map_that_misses_anchors(monkeypatch,
+                                                                 tmp_path):
+    doc = json.loads(fm.reference_map().to_json())
+    doc["params"]["knots"][0][1] = 7.1  # the center anchor is 7 T
+    bad = tmp_path / "reference_map.json"
+    bad.write_text(json.dumps(doc))
+    monkeypatch.setattr(fm, "_REFERENCE_MAP_FILE", bad)
+    fm.reference_map.cache_clear()
+    try:
+        with pytest.raises(NoConvergence, match="frozen reference"):
+            fm.reference_map()
+    finally:
+        fm.reference_map.cache_clear()
+
+
+def test_brentq_port_is_bit_identical_to_scipy(ref_map):
+    rng = np.random.default_rng(5)
+    bmin, bmax = ref_map.field_range()
+    lo = float(_solenoid_field(1.6, 7.0, 0.3, 0.12))
+    cases = [(lambda z, b=float(b): ref_map._model_field(z) - b)
+             for b in np.exp(rng.uniform(np.log(bmin), np.log(bmax), 600))]
+    cases += [(lambda z, b=float(b): _solenoid_field(z, 7.0, 0.3, 0.12) - b)
+              for b in np.exp(rng.uniform(np.log(lo), np.log(7.0), 600))]
+    for f in cases:
+        assert _brentq(f, 0.0, 1.6) == brentq(f, 0.0, 1.6, xtol=1e-14, rtol=8.9e-16)
+
+
+def test_brentq_raises_without_a_bracket_or_convergence():
+    with pytest.raises(ValueError):
+        _brentq(lambda z: z + 1.0, 0.0, 1.0)
+    with pytest.raises(NoConvergence):
+        _brentq(lambda z: float("nan") if 0 < z < 1 else z - 0.5, 0.0, 1.0)

@@ -191,6 +191,21 @@ def test_error_estimate_bounds_true_error(monkeypatch, regime, deg):
     assert abs(res.polarization - ref.polarization) <= res.error_estimate
 
 
+def test_error_estimate_bounds_true_error_on_a_coarse_first_pass(monkeypatch):
+    # a fast sweep whose ramps started at 16 steps each: the first doubling
+    # was not yet fourth order, and the estimate (6.2e-9) read below the
+    # true error (2.7e-8)
+    s = SpinSystem(786376.1414845478, 1.316538536400009, 0.0074053039656357495)
+    sweep = SweepParams(15732694357.241776, 42878.720156439274)
+    assert min(spin._Chirp(s, sweep).n0) == spin.MIN_SEGMENT_STEPS
+    res = propagate_sweep(s, sweep, details=True)
+    tol = spin.POL_TOL
+    monkeypatch.setattr(spin, "START_HDT", spin.START_HDT / 2 ** 7)
+    monkeypatch.setattr(spin, "POL_TOL", math.inf)
+    ref = propagate_sweep(s, sweep, details=True)
+    assert abs(res.polarization - ref.polarization) <= tol
+
+
 def test_step_cap_raises_with_estimate(monkeypatch):
     s = SpinSystem(1e6, math.radians(45), 0.010)
     monkeypatch.setattr(spin, "POL_TOL", 1e-16)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import FieldNotReachable, NoConvergence, NonMonotonicModel, OutOfDomain
 from .motion import MotionLimits
+from .util import _brentq, csv_text
 
 __all__ = [
     "FieldAnchor",
@@ -42,7 +43,6 @@ MODEL_KINDS = (DEFAULT_MODEL_KIND, "finite_solenoid", "monotone_spline")
 _PARAM_BOUNDS = ([1e-3, 1e-3], [2.0, 2.0])  # half-length, radius (m)
 _MAX_ITER = 500
 _LSQ_TOL = 1e-10
-_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-14, 8.9e-16, 100
 _REFERENCE_MAP_FILE = Path(__file__).with_name("reference_map.json")
 
 
@@ -77,54 +77,6 @@ class LacPlan:
     gradient_T_per_m: float
     resolution_T: float
     max_sweep_rate_T_per_s: float
-
-
-# ---------------------------------------------------------------------------
-# root bracketing
-
-def _brentq(f, xa, xb):
-    """Root of ``f`` in [xa, xb]: a line-for-line port of scipy's brentq.c,
-    so it returns the bit-identical root without importing scipy.optimize."""
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-        if math.isnan(fcur):
-            break
-    raise NoConvergence(f"root bracketing failed near x={xcur!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +583,6 @@ def anchors_from_csv(text: str) -> list[FieldAnchor]:
 
 
 def anchors_to_csv(anchors: Sequence[FieldAnchor]) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(_CSV_HEADER)
-    for a in anchors:
-        w.writerow([
-            a.kind,
-            "" if a.position_m is None else repr(a.position_m),
-            repr(a.field_T),
-            "" if a.gradient_T_per_m is None else repr(a.gradient_T_per_m),
-            repr(a.tolerance_rel),
-        ])
-    return out.getvalue()
+    return csv_text(_CSV_HEADER, ((a.kind, a.position_m, a.field_T,
+                                   a.gradient_T_per_m, a.tolerance_rel)
+                                  for a in anchors))

@@ -291,6 +291,7 @@ class RunRecord:
     manifest: list = field(default_factory=list)
     violations: int = 0
     error: Optional[str] = None
+    diagnostics: dict = field(default_factory=dict)  # solver details
 
     def to_json(self) -> str:
         doc = dict(self.__dict__)
@@ -382,6 +383,11 @@ def _run_dnp(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
               f"({len(result.table)} nodes)")
 
 
+def _finite(x: float) -> Optional[float]:
+    """``x``, or None (JSON null) when it is NaN or infinite."""
+    return x if math.isfinite(x) else None
+
+
 def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     p = spec.params
     fmap = spec.fieldmap()
@@ -394,6 +400,11 @@ def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     for b, curve in zip(fields, curves):
         ws.write(f"curve_B{b:g}T.csv", curve.to_csv())
     t1map = rx.build_t1_map(fields, curves)
+    fits = [{"B_T": b, "amplitude_stderr": _finite(f.param_stderr[0]),
+             "T1_stderr_s": _finite(f.param_stderr[1]),
+             "residual_rms": f.residual_rms} for b, f in t1map.entries]
+    fits += [{"B_T": b, "error": err} for b, err in t1map.failures]
+    ws.record.diagnostics["t1_fits"] = sorted(fits, key=lambda d: d["B_T"])
     ws.write("t1_map.csv", t1map.to_csv())
     if not quiet:
         for b, f in t1map.entries:

@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FitDiverged, InsufficientPoints
+from .errors import FitDiverged, InsufficientPoints, NoConvergence
 from .motion import MotionLimits, plan, sample_trajectory
-from .util import csv_text
+from .util import _brentq, csv_text
 
 __all__ = [
     "RelaxationModel",
@@ -37,6 +37,11 @@ __all__ = [
 ]
 
 _MIN_POINTS = 4
+# fit bounds: T1 in [_T1_MIN_S, _T1_MAX_SPANS * wait span]; a curve that
+# decays by less than 1 ppm over its waits does not resolve T1
+_T1_MIN_S = 1e-9
+_T1_MAX_SPANS = 1e6
+_LOG_FLOAT_MAX = 709.0  # exp() of anything larger overflows a float
 
 
 @dataclass(frozen=True)
@@ -194,57 +199,109 @@ def _log_linear_init(t, y):
         raise FitDiverged("too few positive signals for log-linear initialization")
     slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
     t1 = -1.0 / slope if slope < 0 else float(t[-1])
-    return float(np.exp(intercept)), float(max(t1, 1e-9))
+    return float(intercept), float(max(t1, _T1_MIN_S))  # log A, T1
+
+
+def _fit_mono(t, y, t1_start):
+    """Variable projection (Golub & Pereyra 1973) for A exp(-t/T1): for a
+    rate k the best amplitude is (e.y)/(e.e), e = exp(-k t), and the
+    projected cost is stationary where D = (e.y)(te.e) - (te.y)(e.e) = 0.
+    D rises through zero in u = log T1 at a cost minimum; Brent finds it.
+    Shifting t to start at 0 and scaling y to unit peak multiply D by a
+    positive factor and keep every exponential in (0, 1], so nothing
+    overflows and tiny signals do not underflow.
+    """
+    t0 = float(t.min())
+    tau, scale = t - t0, float(np.max(np.abs(y)))
+    yn = y / scale
+
+    def slope(u):
+        e = np.exp(-tau * math.exp(-u))
+        te = tau * e
+        return float((e @ yn) * (te @ e) - (te @ yn) * (e @ e))
+
+    lo = math.log(_T1_MIN_S)
+    hi = math.log(_T1_MAX_SPANS * max(float(tau.max()), _T1_MIN_S))
+    a = min(max(math.log(t1_start), lo), hi)
+    side = 1.0 if slope(a) < 0 else -1.0  # step toward the sign change
+    step = 0.5
+    while True:
+        b = min(max(a + side * step, lo), hi)
+        d = side * slope(b)
+        if d > 0:
+            break
+        if b in (lo, hi):
+            raise FitDiverged(
+                "projected cost has no interior stationary point for T1 in "
+                f"[{_T1_MIN_S:g}, {math.exp(hi):.3g}] s: flat, increasing "
+                "or unresolved decay")
+        if d < 0:
+            a = b
+        step *= 2
+    try:
+        u = _brentq(slope, min(a, b), max(a, b))
+    except NoConvergence as exc:
+        raise FitDiverged(str(exc)) from exc
+    t1, k = math.exp(u), math.exp(-u)
+    e = np.exp(-tau * k)
+    c = float(e @ yn) / float(e @ e) * scale  # amplitude at t0
+    if not c > 0:
+        raise FitDiverged("stationary point has a non-positive amplitude")
+    if math.log(c) + k * t0 > _LOG_FLOAT_MAX:
+        raise FitDiverged(f"amplitude at t = 0 overflows for T1 {t1!r}")
+    amplitude = c * math.exp(k * t0)  # back to t = 0
+    fitted = c * e
+    jac = np.column_stack([fitted / amplitude, fitted * t / (t1 * t1)])
+    return t1, amplitude, fitted - y, jac
 
 
 def fit_decay(curve: DecayCurve, model: str = "monoexponential") -> FitResult:
     """Least-squares A exp(-(t/T1)^beta); beta fixed to 1 for the mono fit.
 
     Initialization is a deterministic log-linear regression, so identical
-    curves give identical fits.
+    curves give identical fits.  The mono fit is a one-dimensional root
+    (see ``_fit_mono``); the stretched fit uses scipy's least_squares.
     """
-    from scipy.optimize import least_squares
-
     if model not in ("monoexponential", "stretched"):
         raise ValueError(f"unknown decay model {model!r}")
     if len(curve.points) < _MIN_POINTS:
         raise InsufficientPoints(f"need >= {_MIN_POINTS} points, got {len(curve.points)}")
     t = curve.waits
     y = curve.signals
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise FitDiverged("non-finite wait or signal")
     sign = 1.0
     if np.median(y) < 0:  # anti-aligned curves fit on magnitude
         sign, y = -1.0, -y
-    a0, t10 = _log_linear_init(t, y)
+    log_a0, t10 = _log_linear_init(t, y)
 
     if model == "monoexponential":
-        def resid(p):
-            return p[0] * np.exp(-t / p[1]) - y
-        x0 = [a0, t10]
-        lb, ub = [0.0, 1e-9], [np.inf, np.inf]
+        t1, amplitude, r, jac = _fit_mono(t, y, t10)
+        beta = 1.0
     else:
+        from scipy.optimize import least_squares
+
         def resid(p):
             return p[0] * np.exp(-((t / p[1]) ** p[2])) - y
-        x0 = [a0, t10, 1.0]
-        lb, ub = [0.0, 1e-9, 0.5], [np.inf, np.inf, 2.5]
-
-    sol = least_squares(resid, x0, bounds=(lb, ub), method="trf",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
-    if not sol.success or not np.all(np.isfinite(sol.x)):
-        raise FitDiverged(sol.message)
-    r = sol.fun
-    dof = max(1, len(t) - len(sol.x))
-    jtj = sol.jac.T @ sol.jac
+        sol = least_squares(resid, [np.exp(log_a0), t10, 1.0],
+                            bounds=([0.0, _T1_MIN_S, 0.5], [np.inf, np.inf, 2.5]),
+                            method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                            max_nfev=2000)
+        if not sol.success or not np.all(np.isfinite(sol.x)):
+            raise FitDiverged(sol.message)
+        amplitude, t1, beta = (float(v) for v in sol.x)
+        r, jac = sol.fun, sol.jac
+    dof = max(1, len(t) - jac.shape[1])
     try:
-        cov = np.linalg.inv(jtj) * (r @ r / dof)
+        cov = np.linalg.inv(jac.T @ jac) * (r @ r / dof)
         stderr = tuple(float(v) for v in np.sqrt(np.maximum(np.diag(cov), 0.0)))
     except np.linalg.LinAlgError:
-        stderr = tuple(float("nan") for _ in sol.x)
-    beta = 1.0 if model == "monoexponential" else float(sol.x[2])
+        stderr = (float("nan"),) * jac.shape[1]
     return FitResult(
         model=model,
-        T1_s=float(sol.x[1]),
+        T1_s=t1,
         beta=beta,
-        amplitude=sign * float(sol.x[0]),
+        amplitude=sign * amplitude,
         param_stderr=stderr,
         residual_rms=float(np.sqrt(np.mean(r ** 2))),
     )

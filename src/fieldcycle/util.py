@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import NoConvergence
+
 THREADS_ENV = "FIELDCYCLE_THREADS"
+_BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-14, 8.9e-16, 100
 
 
 def thread_count() -> int:
@@ -40,3 +44,48 @@ def csv_text(header, rows) -> str:
     w.writerow(header)
     w.writerows(rows)
     return out.getvalue()
+
+
+def _brentq(f, xa, xb):
+    """Root of ``f`` in [xa, xb]: a line-for-line port of scipy's brentq.c,
+    so it returns the bit-identical root without importing scipy.optimize."""
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            break
+    raise NoConvergence(f"root bracketing failed near x={xcur!r}")

@@ -143,6 +143,7 @@ def test_non_spec_verbs_reject_bad_input(tmp_path, monkeypatch, capsys, argv,
 _SCIPY_OPTIMIZE_PROBE = """
 import json, sys
 from fieldcycle.cli import main
+from fieldcycle.fieldmap import anchors_to_csv, reference_anchors
 
 tmp = sys.argv[1]
 def spec(kind):
@@ -162,12 +163,18 @@ print("scipy.optimize" in sys.modules)
 assert main(["run", "--spec", spec("t1_field_map"), "--out", f"{tmp}/t1",
              "--quiet"]) == 0
 print("scipy.optimize" in sys.modules)
+with open(f"{tmp}/anchors.csv", "w") as fh:
+    fh.write(anchors_to_csv(reference_anchors()))
+assert main(["calibrate-field", "--anchors", f"{tmp}/anchors.csv",
+             "--out", f"{tmp}/map.json", "--quiet"]) == 0
+print("scipy.optimize" in sys.modules)
 """
 
 
 def test_only_fits_import_scipy_optimize(tmp_path):
-    # a fresh process: the verbs that fit nothing never load scipy.optimize,
-    # a T1 map (decay fits) does
+    # a fresh process: no verb on the reference map loads scipy.optimize,
+    # T1 maps included (the decay fit is a Brent root); calibrating a map
+    # from anchors does
     src = str(Path(fieldcycle.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
@@ -175,4 +182,4 @@ def test_only_fits_import_scipy_optimize(tmp_path):
                           str(tmp_path)], env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False", "True"]

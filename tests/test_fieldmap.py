@@ -11,7 +11,8 @@ from fieldcycle.errors import (FieldNotReachable, NoConvergence,
                                NonMonotonicModel, OutOfDomain)
 from fieldcycle.fieldmap import (FieldAnchor, FieldMap, anchors_from_csv,
                                  anchors_to_csv, calibrate, reference_anchors)
-from fieldcycle.fieldmap import _brentq, _solenoid_field
+from fieldcycle.fieldmap import _solenoid_field
+from fieldcycle.util import _brentq
 
 
 def known_solenoid(b0=7.0, half_length=0.3, radius=0.12):
@@ -169,6 +170,21 @@ def test_anchor_csv_round_trip():
     text = anchors_to_csv(anchors)
     back = anchors_from_csv(text)
     assert back == anchors
+
+
+def test_anchor_csv_bytes():
+    # the anchor file format, byte for byte: empty cells for None, repr floats
+    assert anchors_to_csv(reference_anchors()) == (
+        "kind,position_m,field_T,gradient_T_per_m,tolerance_rel\n"
+        "field_value,0.0,7.0,,1e-06\n"
+        "gradient_at_field,,0.051,-0.228,0.01\n"
+        "gradient_at_field,,0.102,-0.606,0.01\n"
+        "field_value,,0.03,,0.2\n"
+        "field_value,1.1627,0.008,,0.1\n")
+    bare = FieldAnchor("field_value", 0.03, tolerance_rel=0.2)
+    assert anchors_to_csv([bare]) == (
+        "kind,position_m,field_T,gradient_T_per_m,tolerance_rel\n"
+        "field_value,,0.03,,0.2\n")
 
 
 def test_anchor_csv_empty_cells():

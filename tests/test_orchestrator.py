@@ -102,6 +102,30 @@ def test_run_t1_map_golden_values(tmp_path):
         assert f"curve_B{b:g}T.csv" in record.manifest
 
 
+def test_run_t1_records_fit_diagnostics(tmp_path):
+    spec = parse_spec(minimal("t1_field_map",
+                              t1={"fields_T": [0.5, 0.008], "n_waits": 12,
+                                  "noise_sigma": 0.01}))
+    run(spec, out_dir=tmp_path, quiet=True)
+    fits = json.loads((tmp_path / "runrecord.json").read_text())
+    fits = fits["diagnostics"]["t1_fits"]
+    assert [d["B_T"] for d in fits] == [0.008, 0.5]
+    with open(tmp_path / "t1_map.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for d, row in zip(fits, rows):
+        assert d["residual_rms"] == float(row["residual_rms"])
+        assert 0 < d["amplitude_stderr"] < 0.1
+        assert 0 < d["T1_stderr_s"] < 0.1 * float(row["T1_s"])
+    # failed fields carry their error text; result CSVs carry no stderr
+    spec = parse_spec(minimal("t1_field_map",
+                              t1={"fields_T": [0.1], "n_waits": 3}))
+    run(spec, out_dir=tmp_path / "short", quiet=True)
+    doc = json.loads((tmp_path / "short" / "runrecord.json").read_text())
+    assert doc["diagnostics"]["t1_fits"] == [
+        {"B_T": 0.1, "error": "need >= 4 points, got 3"}]
+    assert "stderr" not in (tmp_path / "t1_map.csv").read_text()
+
+
 def test_run_rerun_byte_identical(tmp_path):
     spec = parse_spec(minimal("t1_field_map",
                               t1={"fields_T": [0.1, 1.0], "n_waits": 8,

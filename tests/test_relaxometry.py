@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fieldcycle.errors import FitDiverged, InsufficientPoints
+from fieldcycle.fieldmap import reference_map
 from fieldcycle.relaxometry import (DecayCurve, RelaxationModel,
                                     RelaxometryProtocol, build_t1_map,
                                     fit_decay, invert_t1, simulate_protocol,
@@ -133,6 +134,110 @@ def test_fit_input_validation():
     zeros = DecayCurve(((1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)))
     with pytest.raises(FitDiverged):
         fit_decay(zeros)
+
+
+def _trf_mono_fit(curve):
+    """The monoexponential fit as scipy's bounded TRF solves it, from the
+    same log-linear start: the oracle for the variable-projection fit."""
+    from scipy.optimize import least_squares
+
+    t, y = curve.waits, curve.signals
+    sign = -1.0 if np.median(y) < 0 else 1.0
+    y = sign * y
+    pos = y > 0
+    if np.count_nonzero(pos) < 2:
+        raise FitDiverged("too few positive signals")
+    slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
+    t10 = max(-1.0 / slope if slope < 0 else float(t[-1]), 1e-9)
+    sol = least_squares(lambda p: p[0] * np.exp(-t / p[1]) - y,
+                        [float(np.exp(intercept)), t10],
+                        bounds=([0.0, 1e-9], [np.inf, np.inf]), method="trf",
+                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+    if not sol.success or not np.all(np.isfinite(sol.x)):
+        raise FitDiverged(sol.message)
+    cov = (np.linalg.inv(sol.jac.T @ sol.jac)
+           * (sol.fun @ sol.fun / max(1, len(t) - 2)))
+    return sol.x[1], sign * sol.x[0], np.sqrt(np.maximum(np.diag(cov), 0.0))
+
+
+def _oracle_curves():
+    """304 seeded curves: noiseless grids, SNR-20 trials and reference-map
+    protocol curves of both signs, half of them noisy."""
+    curves = [synthetic_decay(t1, tuple(np.linspace(0.2 * t1, 2.0 * t1, 24)))
+              for t1 in (5.0, 20.0, 120.0, 500.0)]
+    curves += [synthetic_decay(50.0, tuple(np.linspace(10.0, 100.0, 200)),
+                               noise_sigma=0.05, seed=1000 + trial)
+               for trial in range(100)]
+    fmap = reference_map()
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        b = float(10 ** rng.uniform(math.log10(0.008), math.log10(7.0)))
+        t1b = float(t1_of_field(b, MODEL))
+        waits = tuple(np.linspace(0.2 * t1b, 2.0 * t1b, int(rng.integers(4, 25))))
+        prot = RelaxometryProtocol(
+            B_relax_T=b, T_relax_list_s=waits,
+            initial_polarization_sign=("aligned", "anti_aligned")[i % 2])
+        curves.append(simulate_protocol(prot, fmap, seed=i,
+                                        noise_sigma=0.01 if i % 4 < 2 else 0.0))
+    return curves
+
+
+def test_mono_fit_matches_scipy_trf():
+    curves = _oracle_curves()
+    assert len(curves) >= 300
+    for curve in curves:
+        try:
+            t1, amp, stderr = _trf_mono_fit(curve)
+        except FitDiverged:
+            with pytest.raises(FitDiverged):
+                fit_decay(curve)
+            continue
+        fit = fit_decay(curve)
+        assert fit.T1_s == pytest.approx(t1, rel=1e-7)
+        assert fit.amplitude == pytest.approx(amp, rel=1e-7)
+        for got, want in zip(fit.param_stderr, stderr):
+            if want > 1e-9:
+                assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_mono_fit_edge_curves():
+    waits = (1.0, 2.0, 3.0, 4.0)
+    # flat and increasing curves: the projected cost falls all the way to
+    # T1 -> infinity (scipy's TRF wandered off to 6.8e8 s and 1.1e9 s)
+    for signals in ((0.5, 0.5, 0.5, 0.5), (0.5, 0.6, 0.7, 0.8)):
+        with pytest.raises(FitDiverged, match="no interior stationary point"):
+            fit_decay(DecayCurve(tuple(zip(waits, signals))))
+    # a decay of 3e-7 over the waits is not resolved (TRF: T1 = 1e7 s)
+    with pytest.raises(FitDiverged, match="no interior stationary point"):
+        fit_decay(synthetic_decay(1e7, waits))
+    # signals down to exp(-400): products underflow unless t is shifted
+    # and y scaled
+    fit = fit_decay(synthetic_decay(0.01, waits))
+    assert fit.T1_s == pytest.approx(0.01, rel=1e-12)
+    assert fit.amplitude == pytest.approx(1.0, rel=1e-12)
+    # pure noise with a spurious fast decay (TRF: 0.317941542622832 s)
+    noise = synthetic_decay(1.0, waits + (5.0,), amplitude=0.0,
+                            noise_sigma=0.01, seed=4)
+    fit = fit_decay(noise)
+    assert fit.T1_s == pytest.approx(0.317941542622832, rel=1e-6)
+    assert fit.amplitude == pytest.approx(-0.15211633145440348, rel=1e-6)
+    # the same noise on four waits rises (TRF: T1 = 4.8e-5 s, A = 9e-6)
+    with pytest.raises(FitDiverged, match="no interior stationary point"):
+        fit_decay(synthetic_decay(1.0, waits, amplitude=0.0, noise_sigma=0.01,
+                                  seed=4))
+    # the only stationary point wants a negative amplitude (TRF: A -> 0)
+    with pytest.raises(FitDiverged, match="non-positive amplitude"):
+        fit_decay(DecayCurve(tuple(zip(waits + (5.0,),
+                                       (0.35, -0.6, -0.35, -0.5, 2.1)))))
+    # one positive point: no log-linear start
+    with pytest.raises(FitDiverged, match="too few positive"):
+        fit_decay(DecayCurve(tuple(zip(waits, (0.5, 0.0, -0.001, 0.0)))))
+    # curves on which TRF raised ValueError (non-finite residuals)
+    with pytest.raises(FitDiverged, match="non-finite"):
+        fit_decay(DecayCurve(tuple(zip(waits, (1.0, 0.5, float("nan"), 0.1)))))
+    with pytest.raises(FitDiverged, match="overflows"):
+        fit_decay(DecayCurve(tuple(zip((10.0, 11.0, 12.0, 13.0),
+                                       (1e300, 1e200, 1e100, 1.0)))))
 
 
 def test_fit_deterministic():

@@ -44,6 +44,7 @@ _PARAM_BOUNDS = ([1e-3, 1e-3], [2.0, 2.0])  # half-length, radius (m)
 _MAX_ITER = 500
 _LSQ_TOL = 1e-10
 _REFERENCE_MAP_FILE = Path(__file__).with_name("reference_map.json")
+_MEMO_SIZE = 1024  # field inversions kept per map
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,12 @@ class FieldMap:
     travel_range_m: float = MotionLimits.travel_range_m
     center_separation_m: float = 0.830
     floor_T: float = 1.0e-3
-    _spline: Optional[_HermiteSpline] = field(default=None, repr=False, compare=False)
+    # per-instance derived state; not init fields, so dataclasses.replace
+    # rebuilds the spline from the new params and starts an empty memo
+    _spline: Optional[_HermiteSpline] = field(init=False, default=None,
+                                              repr=False, compare=False)
+    _positions: dict = field(init=False, default_factory=dict, repr=False,
+                             compare=False)  # position_of_field memo
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS[1:]:
@@ -208,7 +214,7 @@ class FieldMap:
         object.__setattr__(self, "params", MappingProxyType({
             k: tuple(map(tuple, v)) if isinstance(v, list) else v
             for k, v in self.params.items()}))
-        if self.model == "monotone_spline" and self._spline is None:
+        if self.model == "monotone_spline":
             knots = self.params["knots"]
             z = np.array([k[0] for k in knots])
             b = np.array([k[1] for k in knots])
@@ -260,7 +266,18 @@ class FieldMap:
         return float(self.field_at(hi)), float(self.field_at(lo))
 
     def position_of_field(self, b_target):
-        """Unique axial position where B equals ``b_target`` (monotonicity)."""
+        """Unique axial position where B equals ``b_target`` (monotonicity).
+
+        Memoized per map: the ``_MEMO_SIZE`` targets found last are kept; a
+        target that raises is not."""
+        z = self._positions.get(b_target)
+        if z is None:
+            z = self._positions[b_target] = self._invert(b_target)
+            if len(self._positions) > _MEMO_SIZE:
+                self._positions.pop(next(iter(self._positions)), None)
+        return z
+
+    def _invert(self, b_target):
         bmin, bmax = self.field_range()
         if not (bmin <= b_target <= bmax):
             raise FieldNotReachable(

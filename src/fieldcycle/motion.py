@@ -93,12 +93,14 @@ class JitterModel:
         if self.sigma_s < 0:
             raise ValueError("sigma_s must be non-negative")
 
-    def draw(self) -> float:
+    def draw(self, size=None):
+        """One draw, or an array of ``size`` draws that equals as many
+        scalar draws bit for bit; sigma 0 draws nothing and gives zeros."""
         if self._rng is None:
             self._rng = np.random.default_rng(self.seed)
         if self.sigma_s == 0.0:
-            return 0.0
-        return self._rng.normal(0.0, self.sigma_s)
+            return 0.0 if size is None else np.zeros(size)
+        return self._rng.normal(0.0, self.sigma_s, size)
 
 
 def duration_closed_form(distance: float, v: float, a: float) -> float:
@@ -253,8 +255,10 @@ def field_vs_time(profile: MotionProfile, fmap, dt: float):
     return t, fmap.field_at(z)  # the map raises OutOfDomain when z leaves it
 
 
-def apply_jitter(duration_s: float, jm: JitterModel) -> float:
-    """Realized duration with one draw of actuator timing jitter."""
-    if duration_s < 0:
+def apply_jitter(duration_s, jm: JitterModel):
+    """Realized duration with one draw of actuator timing jitter per element
+    of ``duration_s``, a float or an array."""
+    d = np.asarray(duration_s, float)
+    if np.any(d < 0):
         raise ValueError("duration must be non-negative")
-    return duration_s + float(jm.draw())
+    return d + jm.draw(d.shape or None)

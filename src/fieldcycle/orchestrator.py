@@ -104,14 +104,20 @@ def _call(fn, path, *args, **kwargs):
 def _layer(base, blk, path, keys=None, **fixed):
     """Copy of the layer dataclass instance ``base`` with each field in
     ``keys`` (default: all) read from ``blk``, defaulting to ``base``'s
-    value: the layer class owns the default and the range check."""
+    value: the layer class owns the default and the range check.  A range
+    error names the first key that fails it alone, else the block."""
     keys = keys or [f.name for f in fields(base)]
     values = {k: _get(blk, k, path, getattr(base, k)) for k in keys}
-    return _call(replace, path, base, **values, **fixed)
+    try:
+        return replace(base, **values, **fixed)
+    except ValueError as exc:
+        for k, v in values.items():
+            _call(replace, f"{path}.{k}", base, **{k: v})
+        raise SchemaViolation(str(exc), path) from None
 
 
 def _jitter(blk, path):
-    return _call(mo.JitterModel, path, sigma_s=_get(
+    return _call(mo.JitterModel, f"{path}.jitter_sigma_s", sigma_s=_get(
         blk, "jitter_sigma_s", path, mo.JitterModel.sigma_s))
 
 
@@ -128,7 +134,7 @@ def _lac_params(blk, path, limits):
 
 
 def _dnp_params(blk, path, limits):
-    system = _call(sp.SpinSystem, path, theta_rad=0.0,
+    system = _call(sp.SpinSystem, f"{path}.B_pol_T", theta_rad=0.0,
                    hyperfine_Hz=_get(blk, "hyperfine_Hz", path, 1e6,
                                      check=_POSITIVE),
                    B_pol_T=_get(blk, "B_pol_T", path, 0.010))
@@ -333,8 +339,7 @@ def _run_shuttle(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
         prof = mo.plan(p["distance_m"], spec.limits, v_target=float(v))
         nominal = mo.duration(prof)
         if p["runs"] > 0:
-            realized = np.array([mo.apply_jitter(nominal, jm)
-                                 for _ in range(p["runs"])])
+            realized = mo.apply_jitter(np.full(p["runs"], nominal), jm)
             rows.append([float(v), nominal, float(np.mean(realized)),
                          float(np.std(realized, ddof=1))])
         else:
@@ -490,16 +495,23 @@ def simulate_sequence(spec: ExperimentSpec, runs: int, out_dir,
     ``out_dir`` None falls back as in ``run``."""
     _expect(spec.kind == "sequence_validation",
             f"expected kind 'sequence_validation', got {spec.kind!r}", "$.kind")
+    _expect(runs >= 0, "must be non-negative", "--runs")
 
     def body(ws):
         timeline, _, _ = _sequence_parts(spec)
         jm = replace(spec.params["jitter"],
                      seed=derive_seed(spec.seed, "sequencer"))
-        logs = [sq.simulate(timeline, jm, run_id=i) for i in range(runs)]
-        rows = [r for log in logs for r in log.rows]
-        text = sq.EventLog(tuple(rows), logs[0].metadata if logs else {}).to_csv()
-        ws.write("event_log.csv", text)
+        log = sq.simulate(timeline, jm, runs)
+        j = log.metadata["shuttle_jitter_s"]
+        ws.record.diagnostics["shuttle_jitter"] = {
+            "runs": runs,
+            "mean_s": float(np.mean(j)) if runs else None,
+            "std_s": float(np.std(j, ddof=1)) if runs > 1 else None,
+            "min_s": float(np.min(j)) if runs else None,
+            "max_s": float(np.max(j)) if runs else None,
+        }
+        ws.write("event_log.csv", log.to_csv())
         if not quiet:
-            print(f"simulated {runs} runs, {len(rows)} events")
+            print(f"simulated {runs} runs, {runs * len(timeline.events)} events")
 
     return _execute(spec, out_dir, body)

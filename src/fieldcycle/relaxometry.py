@@ -194,12 +194,18 @@ class FitResult:
 
 
 def _log_linear_init(t, y):
+    """Starting T1 from a line through log y."""
     pos = y > 0
     if np.count_nonzero(pos) < 2:
         raise FitDiverged("too few positive signals for log-linear initialization")
-    slope, intercept = np.polyfit(t[pos], np.log(y[pos]), 1)
+    slope, _ = np.polyfit(t[pos], np.log(y[pos]), 1)
     t1 = -1.0 / slope if slope < 0 else float(t[-1])
-    return float(intercept), float(max(t1, _T1_MIN_S))  # log A, T1
+    return float(max(t1, _T1_MIN_S))
+
+
+def _t1_cap(t):
+    """Largest T1 a fit may return: _T1_MAX_SPANS wait spans."""
+    return _T1_MAX_SPANS * max(float(np.ptp(t)), _T1_MIN_S)
 
 
 def _fit_mono(t, y, t1_start):
@@ -221,7 +227,7 @@ def _fit_mono(t, y, t1_start):
         return float((e @ yn) * (te @ e) - (te @ yn) * (e @ e))
 
     lo = math.log(_T1_MIN_S)
-    hi = math.log(_T1_MAX_SPANS * max(float(tau.max()), _T1_MIN_S))
+    hi = math.log(_t1_cap(t))
     a = min(max(math.log(t1_start), lo), hi)
     side = 1.0 if slope(a) < 0 else -1.0  # step toward the sign change
     step = 0.5
@@ -260,7 +266,10 @@ def fit_decay(curve: DecayCurve, model: str = "monoexponential") -> FitResult:
 
     Initialization is a deterministic log-linear regression, so identical
     curves give identical fits.  The mono fit is a one-dimensional root
-    (see ``_fit_mono``); the stretched fit uses scipy's least_squares.
+    (see ``_fit_mono``).  The stretched fit starts from the mono fit, so it
+    rejects the same flat, increasing and overflowing curves, and refines
+    it with scipy's least_squares; a T1 beyond the mono bracket is
+    FitDiverged.
     """
     if model not in ("monoexponential", "stretched"):
         raise ValueError(f"unknown decay model {model!r}")
@@ -273,23 +282,23 @@ def fit_decay(curve: DecayCurve, model: str = "monoexponential") -> FitResult:
     sign = 1.0
     if np.median(y) < 0:  # anti-aligned curves fit on magnitude
         sign, y = -1.0, -y
-    log_a0, t10 = _log_linear_init(t, y)
-
-    if model == "monoexponential":
-        t1, amplitude, r, jac = _fit_mono(t, y, t10)
-        beta = 1.0
-    else:
+    t1, amplitude, r, jac = _fit_mono(t, y, _log_linear_init(t, y))
+    beta = 1.0
+    if model == "stretched":
         from scipy.optimize import least_squares
 
         def resid(p):
             return p[0] * np.exp(-((t / p[1]) ** p[2])) - y
-        sol = least_squares(resid, [np.exp(log_a0), t10, 1.0],
+        sol = least_squares(resid, [amplitude, t1, beta],
                             bounds=([0.0, _T1_MIN_S, 0.5], [np.inf, np.inf, 2.5]),
                             method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
                             max_nfev=2000)
         if not sol.success or not np.all(np.isfinite(sol.x)):
             raise FitDiverged(sol.message)
         amplitude, t1, beta = (float(v) for v in sol.x)
+        if t1 > _t1_cap(t):
+            raise FitDiverged(f"stretched fit T1 {t1:.3g} s exceeds "
+                              f"{_T1_MAX_SPANS:g} wait spans")
         r, jac = sol.fun, sol.jac
     dof = max(1, len(t) - jac.shape[1])
     try:

@@ -268,54 +268,84 @@ class LogRow:
 
 @dataclass(frozen=True)
 class EventLog:
-    rows: tuple[LogRow, ...]
+    """Realized runs of one timeline, stored per event: entry k of
+    ``t_realized_s`` and ``duration_s`` is event k's value, either an array
+    over the runs or one value that every run shares."""
+
+    events: tuple[Event, ...]
+    runs: int
+    t_realized_s: tuple
+    duration_s: tuple
     metadata: dict
+
+    def _table(self):
+        """Rows (run_id, channel, event, nominal, realized, duration), run
+        by run, with Python scalars so floats render as ``repr``."""
+        cols = [(ev, np.broadcast_to(s, self.runs).tolist(),
+                 np.broadcast_to(d, self.runs).tolist())
+                for ev, s, d in zip(self.events, self.t_realized_s,
+                                    self.duration_s)]
+        return ((r, ev.channel, ev.id, ev.t_start_s, s[r], d[r])
+                for r in range(self.runs) for ev, s, d in cols)
+
+    @property
+    def rows(self) -> tuple[LogRow, ...]:
+        return tuple(LogRow(*row) for row in self._table())
 
     def to_csv(self) -> str:
         return csv_text(["run_id", "channel", "event", "t_nominal_s",
-                         "t_realized_s", "duration_s"],
-                        ((r.run_id, r.channel, r.event, r.t_nominal_s,
-                          r.t_realized_s, r.duration_s) for r in self.rows))
+                         "t_realized_s", "duration_s"], self._table())
 
-    def realized(self, event_id):
-        for r in self.rows:
-            if r.event == event_id:
-                return r
+    def realized(self, event_id, run_id=0) -> LogRow:
+        for row in self._table():
+            if row[0] == run_id and row[2] == event_id:
+                return LogRow(*row)
         raise KeyError(event_id)
 
 
-def simulate(timeline: Timeline, jitter: JitterModel, run_id: int = 0) -> EventLog:
-    """One realized run: nominal times + channel latencies + shuttle jitter.
+def simulate(timeline: Timeline, jitter: JitterModel, runs: int = 1) -> EventLog:
+    """``runs`` realized runs: nominal times + channel latencies + shuttle
+    jitter, realized for all runs at once, event by event.
 
-    The jitter draw perturbs the actuator-motion duration; every event that
-    (transitively) depends on the motion inherits the shift.  Deterministic
-    for a given jitter stream state.
+    Each run draws once per actuator-motion event, in event order, and the
+    draw perturbs that event's duration; every event that (transitively)
+    depends on the motion inherits the shift.  The arithmetic is that of a
+    loop over runs, so each run's values do not depend on ``runs``, and
+    ``np.where(b > a, b, a)`` is Python's ``max(a, b)``, ties included.
+    Deterministic for a given jitter stream state.
+
+    ``metadata["shuttle_jitter_s"]`` is an array with one entry per run:
+    the run's draw for the last motion event, 0 when there is none.
     """
+    n_motions = sum(ev.channel == "actuator_motion" for ev in timeline.events)
+    draws = iter(jitter.draw((runs, n_motions)).T)
     shift = {}
     realized = {}
-    rows = []
-    jitter_amount = 0.0
+    starts, durations = [], []
+    jitter_amount = np.zeros(runs)
     for ev in timeline.events:
         inherited = shift.get(ev.depends_on, 0.0) if ev.depends_on else 0.0
         start = ev.t_start_s + timeline.latencies.get(ev.channel, 0.0) + inherited
         if ev.depends_on in realized:
-            start = max(start, realized[ev.depends_on])
+            dep_end = realized[ev.depends_on]
+            start = np.where(dep_end > start, dep_end, start)
         dur = ev.duration_s
         if ev.channel == "actuator_motion":
-            jitter_amount = float(jitter.draw())
-            dur = max(0.0, dur + jitter_amount)
+            jitter_amount = next(draws)
+            dur = dur + jitter_amount
+            dur = np.where(dur > 0.0, dur, 0.0)  # max(0.0, dur)
             shift[ev.id] = inherited + (dur - ev.duration_s)
         else:
             shift[ev.id] = inherited
         realized[ev.id] = start + dur
-        rows.append(LogRow(run_id, ev.channel, ev.id, ev.t_start_s, start, dur))
+        starts.append(start)
+        durations.append(dur)
 
     meta = {
-        "run_id": run_id,
         "chain_latency_s": timeline.chain_latency_s,
         "shuttle_jitter_s": jitter_amount,
     }
     if timeline.sample_cold_s is not None:
         lat = timeline.latencies.get("cryo_eject_valve", 0.0)
         meta["sample_cold_s"] = timeline.sample_cold_s + lat
-    return EventLog(tuple(rows), meta)
+    return EventLog(timeline.events, runs, tuple(starts), tuple(durations), meta)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -276,3 +277,35 @@ def test_brentq_raises_without_a_bracket_or_convergence():
         _brentq(lambda z: z + 1.0, 0.0, 1.0)
     with pytest.raises(NoConvergence):
         _brentq(lambda z: float("nan") if 0 < z < 1 else z - 0.5, 0.0, 1.0)
+
+
+def test_replaced_map_evaluates_its_own_knots(ref_map):
+    ref_map.position_of_field(0.051)  # the shared map's memo is warm
+    doubled = replace(ref_map, params={
+        "knots": [[z, 2 * b, 2 * m] for z, b, m in ref_map.params["knots"]]})
+    assert doubled._positions == {}
+    assert doubled._spline is not ref_map._spline
+    assert float(doubled.field_at(0.5)) == 2 * float(ref_map.field_at(0.5))
+    # the doubled field crosses 0.102 T where the reference crosses 0.051 T
+    assert doubled.position_of_field(0.102) == ref_map.position_of_field(0.051)
+    assert replace(doubled, params=ref_map.params).field_at(0.5) == \
+        ref_map.field_at(0.5)
+
+
+def test_position_memo_is_bit_identical_and_skips_failures(ref_map, monkeypatch):
+    targets = [0.008, 0.03, 0.051, 0.102, 1.5, 7.0]
+    fresh = lambda: FieldMap.from_json(ref_map.to_json())  # noqa: E731
+    cold = [fresh().position_of_field(b) for b in targets]
+    fmap = fresh()
+    first = [fmap.position_of_field(b) for b in targets]
+    assert list(fmap._positions) == targets
+    warm = [fmap.position_of_field(b) for b in targets]
+    assert cold == first == warm
+    for bad in (8.0, 5e-4, float("nan")):
+        with pytest.raises(FieldNotReachable):
+            fmap.position_of_field(bad)
+    assert list(fmap._positions) == targets
+    monkeypatch.setattr(fm, "_MEMO_SIZE", 4)
+    small = fresh()
+    assert [small.position_of_field(b) for b in targets] == cold
+    assert list(small._positions) == targets[2:]

@@ -197,3 +197,33 @@ def test_limits_validation():
         MotionLimits(v_max=0.0)
     with pytest.raises(ValueError):
         MotionLimits(precision_m=2.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20260810])
+def test_jitter_array_draws_equal_scalar_draws(seed):
+    scalar = JitterModel(sigma_s=2.6e-3, seed=seed)
+    vector = JitterModel(sigma_s=2.6e-3, seed=seed)
+    expected = [float(scalar.draw()) for _ in range(2001)]
+    got = np.concatenate([vector.draw(1000), vector.draw((500, 2)).ravel(),
+                          [vector.draw()]])
+    assert got.tolist() == expected
+
+
+def test_apply_jitter_on_an_array_equals_scalar_calls():
+    durations = np.linspace(0.1, 1.0, 400)
+    a = JitterModel(sigma_s=2.6e-3, seed=5)
+    b = JitterModel(sigma_s=2.6e-3, seed=5)
+    loop = [apply_jitter(float(d), a) for d in durations]
+    assert apply_jitter(durations, b).tolist() == loop
+    assert apply_jitter(0.5, a) == apply_jitter(0.5, b)  # streams stay aligned
+    with pytest.raises(ValueError):
+        apply_jitter(np.array([0.5, -0.1]), b)
+
+
+def test_zero_sigma_draws_zeros_and_consumes_nothing():
+    jm = JitterModel(sigma_s=0.0, seed=3)
+    assert jm.draw() == 0.0
+    assert jm.draw((4, 2)).tolist() == [[0.0, 0.0]] * 4
+    assert apply_jitter(np.full(3, 0.648), jm).tolist() == [0.648] * 3
+    assert jm._rng.bit_generator.state == \
+        np.random.default_rng(3).bit_generator.state

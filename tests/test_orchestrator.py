@@ -156,6 +156,27 @@ def test_simulate_sequence_event_log(tmp_path):
     assert run_ids == {"0", "1", "2", "3", "4"}
 
 
+def test_simulate_sequence_records_jitter_diagnostics(tmp_path):
+    spec = parse_spec(minimal("sequence_validation", sequence={"t_pol_s": 1.0}))
+    draws = np.random.default_rng(derive_seed(42, "sequencer")).normal(
+        0.0, 2.6e-3, size=5)
+    simulate_sequence(spec, runs=5, out_dir=tmp_path, quiet=True)
+    doc = json.loads((tmp_path / "runrecord.json").read_text())
+    assert doc["diagnostics"]["shuttle_jitter"] == {
+        "runs": 5, "mean_s": float(np.mean(draws)),
+        "std_s": float(np.std(draws, ddof=1)),
+        "min_s": float(np.min(draws)), "max_s": float(np.max(draws))}
+    for runs, nulls in ((1, ["std_s"]), (0, ["mean_s", "std_s", "min_s", "max_s"])):
+        simulate_sequence(spec, runs=runs, out_dir=tmp_path / str(runs), quiet=True)
+        doc = json.loads((tmp_path / str(runs) / "runrecord.json").read_text())
+        stats = doc["diagnostics"]["shuttle_jitter"]
+        assert stats["runs"] == runs
+        assert sorted(k for k, v in stats.items() if v is None) == sorted(nulls)
+    assert (tmp_path / "0" / "event_log.csv").read_text().count("\n") == 1
+    with pytest.raises(SchemaViolation, match="--runs"):
+        simulate_sequence(spec, runs=-1, out_dir=tmp_path / "neg", quiet=True)
+
+
 def test_failed_run_leaves_clean_record(tmp_path):
     # 1 nT relaxation field is below the map floor: numerical failure
     spec = parse_spec(minimal("t1_field_map", t1={"fields_T": [1e-9]}))

@@ -240,6 +240,23 @@ def test_mono_fit_edge_curves():
                                        (1e300, 1e200, 1e100, 1.0)))))
 
 
+def test_stretched_fit_edge_curves():
+    waits = (1.0, 2.0, 3.0, 4.0)
+    # scipy raised ValueError (residuals not finite at the initial point)
+    with pytest.raises(FitDiverged, match="overflows"):
+        fit_decay(DecayCurve(tuple(zip((10.0, 11.0, 12.0, 13.0),
+                                       (1e300, 1e200, 1e100, 1.0)))),
+                  "stretched")
+    # a flat curve returned T1 of about 4e4 s with NaN standard errors
+    with pytest.raises(FitDiverged, match="no interior stationary point"):
+        fit_decay(DecayCurve(tuple(zip(waits, (0.5,) * 4))), "stretched")
+    # the mono fit resolves T1 = 1.4e5 s; the stretched one runs off to 2e9 s
+    curve = DecayCurve(tuple(zip(waits, (0.99999, 0.99998, 0.99997, 0.999969))))
+    assert fit_decay(curve).T1_s == pytest.approx(1.37e5, rel=0.01)
+    with pytest.raises(FitDiverged, match="exceeds 1e\\+06 wait spans"):
+        fit_decay(curve, "stretched")
+
+
 def test_fit_deterministic():
     waits = tuple(np.linspace(2, 60, 16))
     curve = synthetic_decay(23.0, waits, noise_sigma=0.02, seed=5)

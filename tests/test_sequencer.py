@@ -5,6 +5,7 @@ from fieldcycle.errors import SpecInvalid
 from fieldcycle.motion import JitterModel, plan
 from fieldcycle.sequencer import (CryoSpec, Event, SequenceSpec, Timeline,
                                   build_timeline, simulate, validate)
+from fieldcycle.util import csv_text
 
 
 @pytest.fixture()
@@ -118,7 +119,7 @@ def test_simulate_zero_jitter_is_nominal_plus_latency(dnp_timeline):
 def test_simulate_jitter_shifts_downstream(dnp_timeline):
     jm = JitterModel(sigma_s=2.6e-3, seed=5)
     log = simulate(dnp_timeline, jm)
-    j = log.metadata["shuttle_jitter_s"]
+    (j,) = log.metadata["shuttle_jitter_s"]  # one entry per run
     assert j != 0.0
     shuttle = log.realized("shuttle")
     assert shuttle.duration_s == pytest.approx(
@@ -132,13 +133,13 @@ def test_simulate_jitter_shifts_downstream(dnp_timeline):
 
 
 def test_simulate_completion_minus_trigger_statistics(dnp_timeline):
-    jm = JitterModel(sigma_s=2.6e-3, seed=7)
-    diffs = []
-    for i in range(1400):
-        log = simulate(dnp_timeline, jm, run_id=i)
-        diffs.append(log.realized("done").t_realized_s
-                     - log.realized("trigger").t_realized_s)
-    sd = np.std(np.asarray(diffs), ddof=1)
+    log = simulate(dnp_timeline, JitterModel(sigma_s=2.6e-3, seed=7), 1400)
+    starts = {}
+    for r in log.rows:
+        starts.setdefault(r.event, []).append(r.t_realized_s)
+    diffs = np.subtract(starts["done"], starts["trigger"])
+    assert len(diffs) == 1400
+    sd = np.std(diffs, ddof=1)
     assert sd == pytest.approx(2.6e-3, rel=0.10)
 
 
@@ -158,15 +159,17 @@ def test_chain_latency_in_metadata(shuttle_profile):
 
 
 def test_causality_under_jitter(dnp_timeline):
-    jm = JitterModel(sigma_s=5e-3, seed=13)
-    by_id = {e.id: e for e in dnp_timeline.events}
-    for i in range(200):
-        log = simulate(dnp_timeline, jm, run_id=i)
-        realized_end = {r.event: r.t_realized_s + r.duration_s for r in log.rows}
-        realized_start = {r.event: r.t_realized_s for r in log.rows}
+    log = simulate(dnp_timeline, JitterModel(sigma_s=5e-3, seed=13), 200)
+    by_run = {}
+    for r in log.rows:
+        by_run.setdefault(r.run_id, {})[r.event] = r
+    assert sorted(by_run) == list(range(200))
+    for rows in by_run.values():
         for ev in dnp_timeline.events:
             if ev.depends_on:
-                assert realized_start[ev.id] >= realized_end[ev.depends_on] - 1e-12
+                dep = rows[ev.depends_on]
+                assert rows[ev.id].t_realized_s >= \
+                    dep.t_realized_s + dep.duration_s - 1e-12
 
 
 def test_event_log_csv_shape(dnp_timeline):
@@ -175,3 +178,69 @@ def test_event_log_csv_shape(dnp_timeline):
     lines = text.strip().split("\n")
     assert lines[0] == "run_id,channel,event,t_nominal_s,t_realized_s,duration_s"
     assert len(lines) == len(dnp_timeline.events) + 1
+
+
+def _reference_csv(timeline, jitter, runs):
+    """event_log.csv of ``runs`` runs realized one at a time with Python
+    scalars: the per-run loop that ``simulate`` vectorizes."""
+    rows = []
+    for run_id in range(runs):
+        shift, realized = {}, {}
+        for ev in timeline.events:
+            inherited = shift.get(ev.depends_on, 0.0) if ev.depends_on else 0.0
+            start = ev.t_start_s + timeline.latencies.get(ev.channel, 0.0) + inherited
+            if ev.depends_on in realized:
+                start = max(start, realized[ev.depends_on])
+            dur = ev.duration_s
+            if ev.channel == "actuator_motion":
+                dur = max(0.0, dur + float(jitter.draw()))
+                shift[ev.id] = inherited + (dur - ev.duration_s)
+            else:
+                shift[ev.id] = inherited
+            realized[ev.id] = start + dur
+            rows.append((run_id, ev.channel, ev.id, ev.t_start_s, start, dur))
+    return csv_text(["run_id", "channel", "event", "t_nominal_s",
+                     "t_realized_s", "duration_s"], rows)
+
+
+@pytest.mark.parametrize("case", ["default", "cryo", "latency", "two_moves"])
+@pytest.mark.parametrize("sigma", [0.0, 2.6e-3, 0.5])
+def test_simulate_matches_per_run_loop_bytes(shuttle_profile, case, sigma):
+    spec = {"default": SequenceSpec(shuttle_profile=shuttle_profile),
+            # integer cryo durations must stay integers in the CSV
+            "cryo": SequenceSpec(t_pol_s=10.0, shuttle_profile=shuttle_profile,
+                                 cryo=CryoSpec(eject_duration_s=1,
+                                               fill_duration_s=2)),
+            "latency": SequenceSpec(t_pol_s=2.0, shuttle_profile=shuttle_profile,
+                                    latencies={"servo_trigger": 1e-4,
+                                               "actuator_motion": 3e-3,
+                                               "completion_pulse": 2e-3,
+                                               "nmr_acquire": 2e-3})}
+    if case == "two_moves":  # a second move, dependants listed before and after it
+        tl = build_timeline(spec["default"])
+        shuttle = tl.find("shuttle")
+        timeline = Timeline(tl.events + (
+            Event("early", "nmr_acquire", 0.5, 0.1, depends_on="back"),
+            Event("back", "actuator_motion", shuttle.t_end_s + 5.0,
+                  shuttle.duration_s, depends_on="acquire"),
+            Event("late", "nmr_acquire", shuttle.t_end_s + 5.5, 0.1,
+                  depends_on="back")),
+            tl.latencies, tl.low_field_max_T)
+    else:
+        timeline = build_timeline(spec[case])
+    runs = 300
+    log = simulate(timeline, JitterModel(sigma_s=sigma, seed=21), runs)
+    expected = _reference_csv(timeline, JitterModel(sigma_s=sigma, seed=21), runs)
+    assert log.to_csv() == expected
+    assert log.runs == runs and len(log.metadata["shuttle_jitter_s"]) == runs
+    if sigma == 0.5:  # draws below minus the move time clamp it to zero
+        assert min(r.duration_s for r in log.rows if r.event == "shuttle") == 0.0
+
+
+def test_simulate_runs_do_not_depend_on_run_count(dnp_timeline):
+    many = simulate(dnp_timeline, JitterModel(sigma_s=2.6e-3, seed=4), 50)
+    one = simulate(dnp_timeline, JitterModel(sigma_s=2.6e-3, seed=4))
+    assert many.rows[:len(dnp_timeline.events)] == one.rows
+    assert many.realized("acquire", 49) == many.rows[-1]
+    assert simulate(dnp_timeline, JitterModel(seed=4), 0).to_csv() == \
+        "run_id,channel,event,t_nominal_s,t_realized_s,duration_s\n"

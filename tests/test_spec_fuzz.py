@@ -34,15 +34,28 @@ BASES = [
 ]
 PER_BASE = 14
 
-# (spec, JSON path the error must name); each exits 3
+# (spec, JSON path the error must name); each exits 3.  A range check of a
+# layer dataclass names the key that fails it alone, and the block only when
+# keys fail together.
 FIXED = [
-    ({"kind": "shuttle_characterization", "motion": {"v_max": -1}}, "$.motion"),
+    ({"kind": "shuttle_characterization", "motion": {"v_max": -1}},
+     "$.motion.v_max"),
     ({"kind": "shuttle_characterization", "shuttle": {"runs": "x"}},
      "$.shuttle.runs"),
     ({"kind": "t1_field_map", "t1": {"wait_span": [1]}}, "$.t1.wait_span"),
-    ({"kind": "dnp_sweep", "dnp": {"n_sweeps": 0}}, "$.dnp"),
+    ({"kind": "dnp_sweep", "dnp": {"n_sweeps": 0}}, "$.dnp.n_sweeps"),
     ({"kind": "lac_plan", "lac": {"v_max": "fast"}}, "$.lac.v_max"),
     ({"kind": "t1_field_map", "t1": {"relaxation": {"T1_min_s": 500}}},
+     "$.t1.relaxation.T1_min_s"),
+    ({"kind": "sequence_validation", "sequence": {"jitter_sigma_s": -1e-3}},
+     "$.sequence.jitter_sigma_s"),
+    ({"kind": "shuttle_characterization", "shuttle": {"jitter_sigma_s": -1}},
+     "$.shuttle.jitter_sigma_s"),
+    ({"kind": "dnp_sweep", "dnp": {"B_pol_T": -0.01}}, "$.dnp.B_pol_T"),
+    ({"kind": "lac_plan", "motion": {"a_max": 30.0, "precision_m": 2.0}},
+     "$.motion.precision_m"),
+    ({"kind": "t1_field_map",
+      "t1": {"relaxation": {"T1_min_s": 300.0, "T1_max_s": 200.0}}},
      "$.t1.relaxation"),
 ]
 # field-map files that cannot be loaded: exit 3 after a run record is opened

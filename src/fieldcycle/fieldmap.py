@@ -45,6 +45,7 @@ _MAX_ITER = 500
 _LSQ_TOL = 1e-10
 _REFERENCE_MAP_FILE = Path(__file__).with_name("reference_map.json")
 _MEMO_SIZE = 1024  # field inversions kept per map
+_FILL_PER_DECADE = 14  # backbone fill knots per decade of field between anchors
 
 
 @dataclass(frozen=True)
@@ -190,9 +191,9 @@ class _HermiteSpline:
 class FieldMap:
     """Calibrated on-axis B(z), strictly decreasing over ``domain_m``.
 
-    Below ``floor_T`` the map clamps instead of extrapolating; ``in_shield``
-    reports where the clamp is active.  ``params`` is read-only: a mapping
-    proxy, with the spline knots stored as tuples.
+    Below ``floor_T`` (inside the shield) the map clamps instead of
+    extrapolating.  ``params`` is read-only: a mapping proxy, with the
+    spline knots stored as tuples.
     """
 
     model: str  # "finite_solenoid" | "monotone_spline"
@@ -255,11 +256,6 @@ class FieldMap:
         z = self._check_domain(z)
         g = self._model_gradient(z)
         return np.where(self._model_field(z) <= self.floor_T, 0.0, g)[()]
-
-    def in_shield(self, z):
-        """True where the model field has fallen below the shield floor."""
-        z = self._check_domain(z)
-        return bool(np.all(self._model_field(z) <= self.floor_T))
 
     def field_range(self):
         lo, hi = self.domain_m
@@ -413,7 +409,7 @@ def _fit_solenoid(anchors, b0):
     return FieldMap(model="finite_solenoid", params=params)
 
 
-def _spline_from_anchors(anchors, backbone: FieldMap, fill_per_decade=14):
+def _spline_from_anchors(anchors, backbone: FieldMap):
     """Monotone Hermite spline interpolating every anchor exactly.
 
     Positions for unpositioned anchors come from inverting the backbone
@@ -456,7 +452,7 @@ def _spline_from_anchors(anchors, backbone: FieldMap, fill_per_decade=14):
         add(za, ba, sa)
         ra = math.log(ba / float(backbone._model_field(za)))
         rb = math.log(bb / float(backbone._model_field(zb)))
-        n_fill = max(2, int(fill_per_decade * abs(math.log10(ba / bb))))
+        n_fill = max(2, int(_FILL_PER_DECADE * abs(math.log10(ba / bb))))
         for bq in np.geomspace(ba, bb, n_fill + 2)[1:-1]:
             zq = backbone.position_of_field(bq)
             if not (za < zq < zb):

@@ -26,7 +26,6 @@ __all__ = [
     "duration",
     "duration_closed_form",
     "sample_trajectory",
-    "field_vs_time",
     "apply_jitter",
     "Trajectory",
 ]
@@ -60,7 +59,6 @@ class Segment:
 @dataclass(frozen=True)
 class MotionProfile:
     segments: tuple[Segment, ...]
-    total_distance_m: float
     total_duration_s: float
     shape: str  # "trapezoidal" | "triangular" | "null"
     z_start_m: float = 0.0
@@ -133,7 +131,7 @@ def plan(distance: float, limits: MotionLimits = MotionLimits(),
     a = limits.a_max
 
     if distance == 0.0:
-        return MotionProfile((), 0.0, 0.0, "null", z_start)
+        return MotionProfile((), 0.0, "null", z_start)
 
     if distance >= v_target * v_target / a:
         t_ramp = v_target / a
@@ -157,7 +155,7 @@ def plan(distance: float, limits: MotionLimits = MotionLimits(),
         shape = "triangular"
         total = 2 * t_ramp
 
-    prof = MotionProfile(segments, distance, total, shape, z_start)
+    prof = MotionProfile(segments, total, shape, z_start)
     assert abs(abs(prof.z_end_m - z_start) - distance) < _POSITION_ATOL
     return prof
 
@@ -241,24 +239,11 @@ def states_at(profile: MotionProfile, times: np.ndarray):
     return z, v, a
 
 
-def field_vs_time(profile: MotionProfile, fmap, dt: float):
-    """B(t) along the move; raises OutOfDomain if the path leaves the map."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not profile.segments:
-        b = float(fmap.field_at(profile.z_start_m))
-        return np.array([0.0]), np.array([b])
-    T = profile.total_duration_s
-    t = np.unique(np.concatenate([
-        np.arange(0.0, T + 0.5 * dt, dt), np.asarray(profile.boundary_times())]))
-    z, _, _ = states_at(profile, t)
-    return t, fmap.field_at(z)  # the map raises OutOfDomain when z leaves it
-
-
 def apply_jitter(duration_s, jm: JitterModel):
     """Realized duration with one draw of actuator timing jitter per element
-    of ``duration_s``, a float or an array."""
+    of ``duration_s``, a float or an array; a move takes no less than 0 s."""
     d = np.asarray(duration_s, float)
     if np.any(d < 0):
         raise ValueError("duration must be non-negative")
-    return d + jm.draw(d.shape or None)
+    r = d + jm.draw(d.shape or None)
+    return np.where(r > 0.0, r, 0.0)[()]  # max(0.0, r), as sequencer.simulate

@@ -187,17 +187,6 @@ def _sequence_params(blk, path, limits):
     }
 
 
-# kind -> (spec block, resolver of that block)
-_BLOCKS = {
-    "shuttle_characterization": ("shuttle", _shuttle_params),
-    "lac_plan": ("lac", _lac_params),
-    "dnp_sweep": ("dnp", _dnp_params),
-    "t1_field_map": ("t1", _t1_params),
-    "sequence_validation": ("sequence", _sequence_params),
-}
-KINDS = tuple(_BLOCKS)
-
-
 def _map_source(doc):
     """(key, file name, model kind) of a map file block; None for the
     built-in reference map."""
@@ -265,10 +254,10 @@ def parse_spec(document, base_dir=".") -> ExperimentSpec:
         raise UnsupportedVersion(f"schema_version {version} not supported "
                                  f"(this tool reads {SCHEMA_VERSION})")
     kind = _get(doc, "kind", "$", types=(str,))
-    if kind not in KINDS:
-        raise UnknownKind(f"kind {kind!r}; known kinds: {', '.join(KINDS)}")
+    if kind not in _KINDS:
+        raise UnknownKind(f"kind {kind!r}; known kinds: {', '.join(_KINDS)}")
     limits = _layer(mo.MotionLimits(), _get(doc, "motion", "$", {}), "$.motion")
-    block, resolve = _BLOCKS[kind]
+    block, resolve, _ = _KINDS[kind]
     return ExperimentSpec(
         kind=kind,
         seed=_get(doc, "seed", "$", 0),
@@ -340,8 +329,8 @@ def _run_shuttle(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
         nominal = mo.duration(prof)
         if p["runs"] > 0:
             realized = mo.apply_jitter(np.full(p["runs"], nominal), jm)
-            rows.append([float(v), nominal, float(np.mean(realized)),
-                         float(np.std(realized, ddof=1))])
+            std = float(np.std(realized, ddof=1)) if p["runs"] > 1 else None
+            rows.append([float(v), nominal, float(np.mean(realized)), std])
         else:
             rows.append([float(v), nominal, nominal, 0.0])
     header = ["v_mps", "duration_s", "mean_realized_s", "std_realized_s"]
@@ -445,12 +434,13 @@ def _run_sequence(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     return len(report.violations)
 
 
-_RUNNERS = {
-    "shuttle_characterization": _run_shuttle,
-    "lac_plan": _run_lac,
-    "dnp_sweep": _run_dnp,
-    "t1_field_map": _run_t1,
-    "sequence_validation": _run_sequence,
+# kind -> (spec block, resolver of that block, runner)
+_KINDS = {
+    "shuttle_characterization": ("shuttle", _shuttle_params, _run_shuttle),
+    "lac_plan": ("lac", _lac_params, _run_lac),
+    "dnp_sweep": ("dnp", _dnp_params, _run_dnp),
+    "t1_field_map": ("t1", _t1_params, _run_t1),
+    "sequence_validation": ("sequence", _sequence_params, _run_sequence),
 }
 
 
@@ -486,7 +476,7 @@ def _execute(spec: ExperimentSpec, out_dir, body) -> RunRecord:
 def run(spec: ExperimentSpec, out_dir=None, quiet: bool = False) -> RunRecord:
     """Execute the experiment; writes result files and a RunRecord JSON."""
     return _execute(spec, out_dir,
-                    lambda ws: _RUNNERS[spec.kind](spec, ws, quiet))
+                    lambda ws: _KINDS[spec.kind][2](spec, ws, quiet))
 
 
 def simulate_sequence(spec: ExperimentSpec, runs: int, out_dir,

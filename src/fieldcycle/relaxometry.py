@@ -10,8 +10,6 @@ decays are represented by a stretched exponential when generating data.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -99,7 +97,6 @@ class RelaxometryProtocol:
 @dataclass(frozen=True)
 class DecayCurve:
     points: tuple[tuple[float, float], ...]  # (T_relax_s, signal a.u.)
-    noise_sigma: float = 0.0
 
     @property
     def waits(self):
@@ -111,12 +108,6 @@ class DecayCurve:
 
     def to_csv(self) -> str:
         return csv_text(["T_relax_s", "signal_au"], self.points)
-
-    @classmethod
-    def from_csv(cls, text: str, noise_sigma: float = 0.0) -> "DecayCurve":
-        rows = list(csv.DictReader(io.StringIO(text)))
-        pts = tuple((float(r["T_relax_s"]), float(r["signal_au"])) for r in rows)
-        return cls(pts, noise_sigma)
 
 
 def _shuttle_log_loss(z_from, z_to, fmap, limits, model, dt):
@@ -139,7 +130,9 @@ def simulate_protocol(protocol: RelaxometryProtocol, fmap,
                       noise_sigma: float = 0.0,
                       dt: float = 1e-4,
                       instant_shuttle: bool = False) -> DecayCurve:
-    """Detected signal versus wait time for one relaxation field."""
+    """Detected signal versus wait time for one relaxation field: a
+    monoexponential decay at T1(B_relax) whose amplitude carries the
+    initial sign and the loss along both shuttle moves."""
     z_pol = fmap.position_of_field(protocol.B_pol_T)
     z_relax = fmap.position_of_field(protocol.B_relax_T)
     z_det = fmap.position_of_field(protocol.detect_field_T)
@@ -151,22 +144,17 @@ def simulate_protocol(protocol: RelaxometryProtocol, fmap,
         loss = (_shuttle_log_loss(z_pol, z_relax, fmap, limits, model, dt)
                 + _shuttle_log_loss(z_relax, z_det, fmap, limits, model, dt))
     sign = 1.0 if protocol.initial_polarization_sign == "aligned" else -1.0
-    rng = np.random.default_rng(seed)
-    pts = []
-    for wait in protocol.T_relax_list_s:
-        p = math.exp(-loss) * math.exp(-wait / t1_relax)
-        signal = sign * p
-        if noise_sigma > 0:
-            signal += rng.normal(0.0, noise_sigma)
-        pts.append((float(wait), float(signal)))
-    return DecayCurve(tuple(pts), noise_sigma)
+    return synthetic_decay(t1_relax, protocol.T_relax_list_s,
+                           amplitude=sign * math.exp(-loss),
+                           noise_sigma=noise_sigma, seed=seed)
 
 
 def synthetic_decay(T1_s: float, waits: Sequence[float], beta: float = 1.0,
                     amplitude: float = 1.0, noise_sigma: float = 0.0,
                     seed: Optional[int] = None) -> DecayCurve:
-    """Stretched-exponential generator A exp(-(t/T1)^beta) for test data;
-    beta > 1 reproduces the super-exponential low-field behavior."""
+    """A exp(-(t/T1)^beta) at each wait, plus Gaussian noise of
+    ``noise_sigma`` drawn in wait order; beta > 1 reproduces the
+    super-exponential low-field behavior."""
     rng = np.random.default_rng(seed)
     pts = []
     for t in waits:
@@ -174,7 +162,7 @@ def synthetic_decay(T1_s: float, waits: Sequence[float], beta: float = 1.0,
         if noise_sigma > 0:
             s += rng.normal(0.0, noise_sigma)
         pts.append((float(t), float(s)))
-    return DecayCurve(tuple(pts), noise_sigma)
+    return DecayCurve(tuple(pts))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ __all__ = [
     "powder_average",
     "boltzmann_polarization",
     "enhancement_to_equivalent_field",
-    "snr_field_scaling",
 ]
 
 GAMMA_E = 28.024e9  # electron gyromagnetic ratio (Hz/T)
@@ -168,7 +167,6 @@ class Crossing:
     """One avoided crossing of the swept ladder."""
 
     detuning_Hz: float       # rotating-frame detuning where the levels meet
-    frequency_Hz: float      # absolute microwave frequency of the transition
     g_level: int             # 0 = lower m_s=0 nuclear level, 1 = upper
     e_level: int             # 0 = lower driven-manifold level, 1 = upper
     coupling_Hz: float       # off-diagonal element (half the minimum gap)
@@ -178,7 +176,6 @@ def crossing_table(sys: SpinSystem, sweep: SweepParams) -> list[Crossing]:
     """The four ladder crossings, ordered as the upward sweep meets them
     (decreasing detuning)."""
     h_g, h_e = manifold_blocks(sys)
-    gap = electron_gap(sys)
     wg, qg = np.linalg.eigh(h_g)
     we, qe = np.linalg.eigh(h_e)
     out = []
@@ -186,7 +183,7 @@ def crossing_table(sys: SpinSystem, sweep: SweepParams) -> list[Crossing]:
         for j in range(2):
             coupling = sweep.mw_rabi_Hz / 2 * abs(np.vdot(qe[:, j], qg[:, i]))
             det = float(wg[i] - we[j])
-            out.append(Crossing(det, gap - det, i, j, float(coupling)))
+            out.append(Crossing(det, i, j, float(coupling)))
     out.sort(key=lambda x: -x.detuning_Hz)
     return out
 
@@ -320,20 +317,18 @@ def _reset_electron(rho: np.ndarray, fidelity: float) -> np.ndarray:
 
 
 def _sweeps(u, sweep):
-    """Per-sweep polarizations and worst norm drift of ``n_sweeps`` chirps
-    of unitary ``u`` with electron resets, from m_s=0 and an unpolarized
+    """Polarization and worst norm drift after ``n_sweeps`` chirps of
+    unitary ``u`` with electron resets, from m_s=0 and an unpolarized
     nucleus."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[1, 1] = 0.5
-    per_sweep = []
     worst_drift = 0.0
     for _ in range(sweep.n_sweeps):
         rho = u @ rho @ u.conj().T
         worst_drift = max(worst_drift, abs(float(np.trace(rho).real) - 1.0))
         rho = _reset_electron(rho, sweep.reset_fidelity)
-        per_sweep.append(float((rho[0, 0] - rho[1, 1]).real
-                               + (rho[2, 2] - rho[3, 3]).real))
-    return tuple(per_sweep), worst_drift
+    return float((rho[0, 0] - rho[1, 1]).real
+                 + (rho[2, 2] - rho[3, 3]).real), worst_drift
 
 
 @dataclass(frozen=True)
@@ -341,7 +336,6 @@ class SweepResult:
     polarization: float
     norm_drift: float      # diagnostic: every step is unitary by construction
     n_steps: int           # integrator steps of every pass, coarse ones included
-    per_sweep: tuple[float, ...]
     error_estimate: float  # step-doubling estimate of the polarization error
 
 
@@ -357,7 +351,7 @@ def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
     """
     chirp = _Chirp(sys, sweep)
     u, steps = chirp.unitary(0)
-    per_sweep, drift = _sweeps(u, sweep)
+    pol, drift = _sweeps(u, sweep)
     level, estimate = 0, math.inf if steps else 0.0
     while estimate > POL_TOL:
         level += 1
@@ -365,14 +359,14 @@ def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
             raise StepTooCoarse(
                 f"polarization error estimate {estimate:.3e} above {POL_TOL:.0e} "
                 f"at the {chirp.max_steps}-step cap", estimate)
-        coarse = per_sweep[-1]
+        coarse = pol
         u, n = chirp.unitary(level)
         steps += n
-        per_sweep, drift = _sweeps(u, sweep)
-        estimate = abs(per_sweep[-1] - coarse) / 15.0
+        pol, drift = _sweeps(u, sweep)
+        estimate = abs(pol - coarse) / 15.0
     if details:
-        return SweepResult(per_sweep[-1], drift, steps, per_sweep, estimate)
-    return per_sweep[-1]
+        return SweepResult(pol, drift, steps, estimate)
+    return pol
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +393,6 @@ class PowderEnsemble:
         cosu = 0.5 * (u + 1.0)
         return cls(tuple(float(t) for t in np.arccos(cosu)),
                    tuple(float(x) for x in 0.5 * w))
-
-    @classmethod
-    def single(cls, theta: float) -> "PowderEnsemble":
-        return cls((float(theta),), (1.0,))
 
 
 @dataclass(frozen=True)
@@ -456,10 +446,3 @@ def enhancement_to_equivalent_field(epsilon: float, B_ref_T: float,
             raise NonlinearRegime(
                 f"tanh argument at B={b:.3g} T exceeds 0.1; product rule invalid")
     return b_eq
-
-
-def snr_field_scaling(B1_T: float, B2_T: float) -> float:
-    """Inductive-detection SNR ratio between fields, (B2/B1)^(7/4)."""
-    if B1_T <= 0 or B2_T <= 0:
-        raise ValueError("fields must be positive")
-    return (B2_T / B1_T) ** 1.75

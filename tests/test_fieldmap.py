@@ -221,9 +221,8 @@ def test_floor_clamp_and_shield_flag():
     fmap = FieldMap(model="monotone_spline", params={"knots": knots},
                     domain_m=(0.0, 1.5), floor_T=1e-3)
     assert fmap.field_at(1.5) == 1e-3  # clamped
-    assert fmap.in_shield(1.45)
-    assert not fmap.in_shield(0.2)
-    assert fmap.gradient_at(1.45) == 0.0
+    assert fmap.field_at(1.45) == 1e-3 and fmap.gradient_at(1.45) == 0.0
+    assert fmap.field_at(0.2) > 1e-3 and fmap.gradient_at(0.2) < 0.0
     with pytest.raises(FieldNotReachable):
         fmap.position_of_field(5e-4)
 

@@ -5,8 +5,8 @@ import pytest
 
 from fieldcycle.errors import DistanceExceedsTravel, InvalidTarget, OutOfDomain
 from fieldcycle.motion import (JitterModel, MotionLimits, apply_jitter,
-                               duration, duration_closed_form, field_vs_time,
-                               plan, sample_trajectory, states_at)
+                               duration, duration_closed_form, plan,
+                               sample_trajectory, states_at)
 
 
 def integrate_trajectory(traj):
@@ -15,6 +15,21 @@ def integrate_trajectory(traj):
     v = np.concatenate([[traj.v[0]], traj.v[0] + np.cumsum(0.5 * (traj.a[1:] + traj.a[:-1]) * dt)])
     z = np.concatenate([[traj.z[0]], traj.z[0] + np.cumsum(0.5 * (traj.v[1:] + traj.v[:-1]) * dt)])
     return z, v
+
+
+def field_vs_time(prof, fmap, dt):
+    """B(t) along a move as ``plan-motion --out`` writes it to
+    trajectory.csv: the sampled positions through the map."""
+    traj = sample_trajectory(prof, dt)
+    return traj.t, fmap.field_at(traj.z)
+
+
+def field_rate(t, b):
+    """|dB/dt| between samples; the zero-width intervals of the duplicated
+    segment boundaries are dropped."""
+    dt = np.diff(t)
+    keep = dt > 0
+    return np.abs(np.diff(b)[keep] / dt[keep])
 
 
 def test_headline_shuttle_duration(limits):
@@ -144,14 +159,13 @@ def test_field_vs_time_peak_rate_at_gslac(ref_map, limits):
     z_g = ref_map.position_of_field(0.102)
     z0 = z_g - limits.v_max ** 2 / (2 * limits.a_max)
     prof = plan(0.4, limits, z_start=z0, direction=1)
-    t, b = field_vs_time(prof, ref_map, 1e-5)
-    rate = np.abs(np.diff(b) / np.diff(t))
+    rate = field_rate(*field_vs_time(prof, ref_map, 1e-5))
     assert np.max(rate) == pytest.approx(1.21, rel=0.02)
     # half-speed crossing halves the peak rate
     prof_h = plan(0.4, limits, v_target=1.0,
                   z_start=z_g - 1.0 / (2 * limits.a_max), direction=1)
-    t2, b2 = field_vs_time(prof_h, ref_map, 1e-5)
-    ratio = np.max(np.abs(np.diff(b2) / np.diff(t2))) / np.max(rate)
+    rate_h = field_rate(*field_vs_time(prof_h, ref_map, 1e-5))
+    ratio = np.max(rate_h) / np.max(rate)
     assert ratio == pytest.approx(0.5, rel=1e-3)
 
 
@@ -163,8 +177,8 @@ def test_field_vs_time_stationary_and_bounds(ref_map, limits):
     zg = np.linspace(0.01, 1.59, 4000)
     gmax = np.max(np.abs(ref_map.gradient_at(zg)))
     prof2 = plan(1.1627, limits, z_start=1.1627, direction=-1)
-    t3, b3 = field_vs_time(prof2, ref_map, 1e-5)
-    assert np.max(np.abs(np.diff(b3) / np.diff(t3))) <= gmax * limits.v_max * (1 + 1e-3)
+    rate = field_rate(*field_vs_time(prof2, ref_map, 1e-5))
+    assert np.max(rate) <= gmax * limits.v_max * (1 + 1e-3)
 
 
 def test_field_vs_time_out_of_domain(ref_map, limits):
@@ -176,6 +190,15 @@ def test_field_vs_time_out_of_domain(ref_map, limits):
 def test_jitter_zero_sigma_identity():
     jm = JitterModel(sigma_s=0.0, seed=1)
     assert apply_jitter(0.648, jm) == 0.648
+
+
+def test_realized_duration_is_clamped_at_zero():
+    jm = JitterModel(sigma_s=2.6e-3, seed=1)
+    draws = JitterModel(sigma_s=2.6e-3, seed=1).draw(8)
+    assert np.any(draws < 0) and np.any(draws > 0)
+    realized = apply_jitter(np.zeros(8), jm)
+    assert realized.tolist() == np.where(draws > 0, draws, 0.0).tolist()
+    assert apply_jitter(0.5, JitterModel(sigma_s=1.0, seed=4)) == 0.0  # draw -0.65
 
 
 def test_jitter_statistics_1400_trials():

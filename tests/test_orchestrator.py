@@ -87,6 +87,17 @@ def test_run_shuttle_characterization_monotone(tmp_path):
     assert all(b < a for a, b in zip(durations, durations[1:]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shuttle_with_one_run_leaves_std_empty(tmp_path):
+    spec = parse_spec(minimal("shuttle_characterization",
+                              shuttle={"velocities": [2.0], "runs": 1}))
+    run(spec, out_dir=tmp_path, quiet=True)
+    with open(tmp_path / "shuttle_durations.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["std_realized_s"] == ""
+    assert float(row["mean_realized_s"]) > 0.0
+
+
 def test_run_t1_map_golden_values(tmp_path):
     # noiseless pipeline lands on the generating model's T1 values
     spec = parse_spec(minimal("t1_field_map",

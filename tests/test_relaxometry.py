@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -5,10 +7,12 @@ import pytest
 
 from fieldcycle.errors import FitDiverged, InsufficientPoints
 from fieldcycle.fieldmap import reference_map
+from fieldcycle.motion import MotionLimits
 from fieldcycle.relaxometry import (DecayCurve, RelaxationModel,
-                                    RelaxometryProtocol, build_t1_map,
-                                    fit_decay, invert_t1, simulate_protocol,
-                                    synthetic_decay, t1_of_field)
+                                    RelaxometryProtocol, _shuttle_log_loss,
+                                    build_t1_map, fit_decay, invert_t1,
+                                    simulate_protocol, synthetic_decay,
+                                    t1_of_field)
 
 MODEL = RelaxationModel()
 
@@ -88,6 +92,28 @@ def test_anti_aligned_sign_flag(ref_map):
     fit = fit_decay(curve)
     assert fit.amplitude < 0
     assert fit.T1_s > 0
+
+
+@pytest.mark.parametrize("sign", ["aligned", "anti_aligned"])
+def test_protocol_curve_equals_the_per_wait_loop(ref_map, sign):
+    """Bit for bit against the loop simulate_protocol ran before it called
+    synthetic_decay: sign * (exp(-loss) * exp(-wait / T1)), then one noise
+    draw per wait."""
+    prot = RelaxometryProtocol(B_relax_T=0.1, initial_polarization_sign=sign,
+                               T_relax_list_s=tuple(np.linspace(1, 60, 12)))
+    curve = simulate_protocol(prot, ref_map, seed=3, noise_sigma=0.01)
+    z_pol, z_relax, z_det = (ref_map.position_of_field(b) for b in (
+        prot.B_pol_T, prot.B_relax_T, prot.detect_field_T))
+    loss = sum(_shuttle_log_loss(a, b, ref_map, MotionLimits(), MODEL, 1e-4)
+               for a, b in ((z_pol, z_relax), (z_relax, z_det)))
+    t1 = float(t1_of_field(prot.B_relax_T, MODEL))
+    rng = np.random.default_rng(3)
+    expected = []
+    for wait in prot.T_relax_list_s:
+        signal = (1.0 if sign == "aligned" else -1.0) * (
+            math.exp(-loss) * math.exp(-wait / t1))
+        expected.append((float(wait), float(signal + rng.normal(0.0, 0.01))))
+    assert curve.points == tuple(expected)
 
 
 def test_fit_round_trip_noiseless_grid():
@@ -266,7 +292,9 @@ def test_fit_deterministic():
 
 def test_decay_curve_csv_round_trip():
     curve = synthetic_decay(10.0, (1.0, 2.0, 4.0, 8.0), noise_sigma=0.01, seed=1)
-    back = DecayCurve.from_csv(curve.to_csv(), noise_sigma=0.01)
+    rows = list(csv.reader(io.StringIO(curve.to_csv())))
+    assert rows[0] == ["T_relax_s", "signal_au"]
+    back = DecayCurve(tuple((float(t), float(y)) for t, y in rows[1:]))
     assert back == curve
 
 

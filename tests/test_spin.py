@@ -14,8 +14,7 @@ from fieldcycle.spin import (D_ZFS, GAMMA_E, GAMMA_N, PowderEnsemble,
                              SpinSystem, SweepParams, boltzmann_polarization,
                              electron_gap, enhancement_to_equivalent_field,
                              lz_probability, powder_average, propagate_sweep,
-                             shifted_larmor, snr_field_scaling,
-                             static_hamiltonian)
+                             shifted_larmor, static_hamiltonian)
 
 
 def ms0_splitting(h):
@@ -238,7 +237,7 @@ def test_sweep_params_validation():
 def test_powder_single_node_equals_single_orientation():
     s = SpinSystem(1e6, 0.0, 0.010)
     theta = math.radians(37.0)
-    res = powder_average(s, SweepParams(), PowderEnsemble.single(theta))
+    res = powder_average(s, SweepParams(), PowderEnsemble((theta,), (1.0,)))
     direct = propagate_sweep(SpinSystem(1e6, theta, 0.010), SweepParams())
     assert res.mean_polarization == direct
 
@@ -335,15 +334,6 @@ def test_enhancement_nonlinear_regime_guard():
         enhancement_to_equivalent_field(2e4, 7.0)
     with pytest.raises(ValueError):
         enhancement_to_equivalent_field(-1.0, 7.0)
-
-
-def test_snr_scaling():
-    assert snr_field_scaling(7.0, 7.0) == 1.0
-    assert snr_field_scaling(0.008, 7.0) == pytest.approx((7.0 / 0.008) ** 1.75)
-    assert snr_field_scaling(0.008, 7.0) == pytest.approx(1.4e5, rel=0.02)
-    assert snr_field_scaling(1.0, 2.0) == pytest.approx(3.363, rel=1e-3)
-    with pytest.raises(ValueError):
-        snr_field_scaling(0.0, 1.0)
 
 
 def test_constants_validation():

@@ -14,7 +14,8 @@ outputs to check that a change keeps result bytes:
     diff old.txt new.txt
 
 The set covers the five spec kinds through ``run`` and through each typed
-verb, ``plan-lac`` with and without ``--map``, ``plan-motion``,
+verb, shuttle specs with one run and with a zero-distance move,
+``plan-lac`` with and without ``--map``, ``plan-motion``,
 ``calibrate-field`` with each model kind, custom map and anchor files,
 cryo and latency sequence specs, a spec with violations (exit 2) and a
 numerical failure (exit 4).  It uses only the standard library.
@@ -69,6 +70,10 @@ SPECS = {
     "shuttle_runs": _spec("shuttle_characterization",
                           {"velocities": [0.5, 1.25, 2.0], "runs": 20},
                           motion={"v_max": 2.0, "a_max": 25.0}),
+    "shuttle_one": _spec("shuttle_characterization",
+                         {"velocities": [2.0], "runs": 1}),
+    "shuttle_zero": _spec("shuttle_characterization",
+                          {"distance_m": 0.0, "velocities": [2.0], "runs": 3}),
     "lac": _spec("lac_plan"),
     "lac_anchors": _spec("lac_plan", {"targets_T": [0.051, 0.3]},
                          fieldmap={"anchors_file": "reference.csv"}),

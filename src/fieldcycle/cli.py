@@ -182,10 +182,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (SchemaViolation, SpecInvalid, UnknownKind, UnsupportedVersion,
-            FileNotFoundError) as exc:
+            OSError) as exc:  # OSError: a path that cannot be read or made
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
-    except FieldCycleError as exc:
+    except (FieldCycleError, MemoryError) as exc:  # MemoryError: sizes too big
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

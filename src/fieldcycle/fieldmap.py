@@ -199,8 +199,6 @@ class FieldMap:
     model: str  # "finite_solenoid" | "monotone_spline"
     params: MappingProxyType
     domain_m: tuple[float, float] = (0.0, MotionLimits.travel_range_m)
-    travel_range_m: float = MotionLimits.travel_range_m
-    center_separation_m: float = 0.830
     floor_T: float = 1.0e-3
     # per-instance derived state; not init fields, so dataclasses.replace
     # rebuilds the spline from the new params and starts an empty memo
@@ -309,15 +307,14 @@ class FieldMap:
             "model": self.model,
             "params": dict(self.params),
             "domain_m": list(self.domain_m),
-            "travel_range_m": self.travel_range_m,
-            "center_separation_m": self.center_separation_m,
             "floor_T": self.floor_T,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
-        """Load a schema 1 map, evaluated once: bad params raise ValueError."""
+        """Load a schema 1 map, evaluated once: bad params raise ValueError.
+        Unread keys, such as older files' ``travel_range_m``, are ignored."""
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("schema") != 1:
             raise ValueError("not a schema 1 field map")
@@ -326,8 +323,6 @@ class FieldMap:
                 model=doc["model"],
                 params=doc["params"],
                 domain_m=tuple(doc["domain_m"]),
-                travel_range_m=doc["travel_range_m"],
-                center_separation_m=doc["center_separation_m"],
                 floor_T=doc["floor_T"],
             )
             if not all(map(math.isfinite, fmap.field_range())):

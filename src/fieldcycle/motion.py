@@ -59,17 +59,18 @@ class Segment:
 @dataclass(frozen=True)
 class MotionProfile:
     segments: tuple[Segment, ...]
-    total_duration_s: float
-    shape: str  # "trapezoidal" | "triangular" | "null"
     z_start_m: float = 0.0
+
+    @property
+    def shape(self) -> str:
+        return {0: "null", 2: "triangular", 3: "trapezoidal"}[len(self.segments)]
 
     @property
     def z_end_m(self) -> float:
         if not self.segments:
             return self.z_start_m
         s = self.segments[-1]
-        return s.z_start_m + s.v_start_m_s * s.duration_s \
-            + 0.5 * s.accel_m_s2 * s.duration_s ** 2
+        return _segment_states(s, s.duration_s)[0]
 
     def boundary_times(self) -> list[float]:
         out, acc = [0.0], 0.0
@@ -131,7 +132,7 @@ def plan(distance: float, limits: MotionLimits = MotionLimits(),
     a = limits.a_max
 
     if distance == 0.0:
-        return MotionProfile((), 0.0, "null", z_start)
+        return MotionProfile((), z_start)
 
     if distance >= v_target * v_target / a:
         t_ramp = v_target / a
@@ -143,8 +144,6 @@ def plan(distance: float, limits: MotionLimits = MotionLimits(),
             Segment(t_ramp, -sgn * a, sgn * v_target,
                     z_start + sgn * (distance - d_ramp)),
         )
-        shape = "trapezoidal"
-        total = 2 * t_ramp + t_cruise
     else:
         t_ramp = math.sqrt(distance / a)
         v_peak = a * t_ramp
@@ -152,17 +151,15 @@ def plan(distance: float, limits: MotionLimits = MotionLimits(),
             Segment(t_ramp, sgn * a, 0.0, z_start),
             Segment(t_ramp, -sgn * a, sgn * v_peak, z_start + sgn * distance / 2.0),
         )
-        shape = "triangular"
-        total = 2 * t_ramp
 
-    prof = MotionProfile(segments, total, shape, z_start)
+    prof = MotionProfile(segments, z_start)
     assert abs(abs(prof.z_end_m - z_start) - distance) < _POSITION_ATOL
     return prof
 
 
 def duration(profile: MotionProfile) -> float:
     """Total move time, the sum of segment durations."""
-    return sum((s.duration_s for s in profile.segments), 0.0)
+    return profile.boundary_times()[-1]
 
 
 @dataclass(frozen=True)
@@ -197,9 +194,8 @@ def sample_trajectory(profile: MotionProfile, dt: float) -> Trajectory:
         z0 = profile.z_start_m
         return Trajectory(np.array([0.0]), np.array([z0]),
                           np.array([0.0]), np.array([0.0]))
-    T = profile.total_duration_s
-    grid = np.arange(0.0, T + 0.5 * dt, dt)
-    bounds = profile.boundary_times()
+    bounds = profile.boundary_times()  # ends at duration(profile)
+    grid = np.arange(0.0, bounds[-1] + 0.5 * dt, dt)
     times, zs, vs, accs = [], [], [], []
     for k, seg in enumerate(profile.segments):
         t0, t1 = bounds[k], bounds[k + 1]

@@ -121,9 +121,18 @@ def _jitter(blk, path):
         blk, "jitter_sigma_s", path, mo.JitterModel.sigma_s))
 
 
+def _travel(limits):  # range check of a move length, null or within travel
+    hi = limits.travel_range_m
+    return lambda d: d is None or 0 <= d <= hi, f"must lie in [0, {hi}] m"
+
+
 def _shuttle_params(blk, path, limits):
-    return {"distance_m": _get(blk, "distance_m", path, 1.1627),
-            "velocities": _numbers(blk, "velocities", path, [0.5, 1.0, 1.5, 2.0]),
+    distance = _get(blk, "distance_m", path, 1.1627)
+    _check(distance, _NUM, f"{path}.distance_m", _travel(limits))  # default too
+    return {"distance_m": distance,
+            "velocities": _numbers(blk, "velocities", path, [0.5, 1.0, 1.5, 2.0],
+                                   (lambda v: 0 < v <= limits.v_max,
+                                    f"must lie in (0, {limits.v_max}] m/s")),
             "jitter": _jitter(blk, path),
             "runs": _get(blk, "runs", path, 0, check=_NON_NEGATIVE)}
 
@@ -180,7 +189,8 @@ def _sequence_params(blk, path, limits):
         "B_start_T": _get(blk, "B_start_T", path, 0.008, check=_POSITIVE),
         "B_end_T": _get(blk, "B_end_T", path, 7.0, check=_POSITIVE),
         "shuttle_distance_m": _get(blk, "shuttle_distance_m", path, None,
-                                   types=_NUM + (type(None),)),
+                                   types=_NUM + (type(None),),
+                                   check=_travel(limits)),
         "sequence": _layer(sq.SequenceSpec(), blk, path, ("low_field_max_T",),
                            latencies=latencies, cryo=cryo or None, **timing),
         "jitter": _jitter(blk, path),

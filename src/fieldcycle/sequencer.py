@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecInvalid
-from .motion import JitterModel, MotionProfile, states_at
+from .motion import JitterModel, MotionProfile, duration, states_at
 from .util import csv_text
 
 __all__ = [
@@ -98,7 +98,7 @@ class Timeline:
 
     events: tuple[Event, ...]
     latencies: dict
-    low_field_max_T: float = 0.030
+    low_field_max_T: float
     sample_cold_s: Optional[float] = None
 
     def by_channel(self, channel):
@@ -110,10 +110,6 @@ class Timeline:
                 return e
         raise KeyError(event_id)
 
-    @property
-    def chain_latency_s(self) -> float:
-        return sum(self.latencies.values())
-
 
 def build_timeline(spec: SequenceSpec) -> Timeline:
     """Assemble the canonical DNP field-cycling sequence from a spec."""
@@ -123,7 +119,7 @@ def build_timeline(spec: SequenceSpec) -> Timeline:
         raise SpecInvalid("negative optical pumping time")
     lat = dict(DEFAULT_LATENCIES)
     lat.update(spec.latencies)
-    shuttle_s = spec.shuttle_profile.total_duration_s
+    shuttle_s = duration(spec.shuttle_profile)
 
     events = []
     t_optical = 0.0
@@ -190,18 +186,6 @@ def _overlaps(a: Event, b: Event) -> bool:
     return a.t_start_s < b.t_end_s and b.t_start_s < a.t_end_s
 
 
-def _sample_position(timeline: Timeline, profile: MotionProfile, t):
-    """Sample axial position at time t given the (single) motion event."""
-    motions = timeline.by_channel("actuator_motion")
-    if not motions:
-        return profile.z_start_m
-    m = motions[0]
-    if t < m.t_start_s:
-        return profile.z_start_m
-    z, _, _ = states_at(profile, [t - m.t_start_s])
-    return float(z[0])
-
-
 def validate(timeline: Timeline, motion_profile: MotionProfile,
              fieldmap) -> ValidationReport:
     """Check the timeline invariants; violations are data, not exceptions."""
@@ -225,18 +209,22 @@ def validate(timeline: Timeline, motion_profile: MotionProfile,
                     "acquisition overlaps shuttle motion"))
 
     z_low = fieldmap.position_of_field(timeline.low_field_max_T)
+    # states_at gives z_start_m before the move, and always when there is none
+    motions = timeline.by_channel("actuator_motion")
+    t_move = motions[0].t_start_s if motions else np.inf
     for ev in timeline.events:
         if ev.channel not in ("laser", "mw_sweep"):
             continue
-        for t in np.linspace(ev.t_start_s, ev.t_end_s, 33):
-            z = _sample_position(timeline, motion_profile, float(t))
-            if z < z_low - 1e-12:
-                out.append(Violation(
-                    "optical_outside_shield", (ev.id,),
-                    f"{ev.channel} active at t={t:.6f} s with sample at "
-                    f"z={z:.4f} m, above the low-field region start "
-                    f"z={z_low:.4f} m"))
-                break
+        t = np.linspace(ev.t_start_s, ev.t_end_s, 33)
+        z = states_at(motion_profile, t - t_move)[0]
+        outside = np.flatnonzero(z < z_low - 1e-12)
+        if outside.size:
+            k = outside[0]
+            out.append(Violation(
+                "optical_outside_shield", (ev.id,),
+                f"{ev.channel} active at t={t[k]:.6f} s with sample at "
+                f"z={z[k]:.4f} m, above the low-field region start "
+                f"z={z_low:.4f} m"))
 
     by_id = {e.id: e for e in timeline.events}
     for ev in timeline.events:
@@ -341,10 +329,7 @@ def simulate(timeline: Timeline, jitter: JitterModel, runs: int = 1) -> EventLog
         starts.append(start)
         durations.append(dur)
 
-    meta = {
-        "chain_latency_s": timeline.chain_latency_s,
-        "shuttle_jitter_s": jitter_amount,
-    }
+    meta = {"shuttle_jitter_s": jitter_amount}
     if timeline.sample_cold_s is not None:
         lat = timeline.latencies.get("cryo_eject_valve", 0.0)
         meta["sample_cold_s"] = timeline.sample_cold_s + lat

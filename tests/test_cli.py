@@ -111,6 +111,50 @@ def test_seed_override_changes_outputs(tmp_path):
     assert a != b and a == c
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--spec", "lac.json"],
+    ["validate-sequence", "--spec", "seq.json"],
+    ["simulate-sequence", "--spec", "seq.json", "--runs", "2"],
+    ["dnp-sweep", "--config", "dnp.json"],
+    ["t1-map", "--config", "t1.json"],
+    ["plan-lac", "--target", "0.051"],
+    ["plan-motion", "--distance", "0.2"],
+    ["calibrate-field", "--anchors", "anchors.csv"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_output_path_that_cannot_be_made_is_a_spec_error(
+        tmp_path, monkeypatch, capsys, argv, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("a file, not a directory")
+    for name, kind in (("lac", "lac_plan"), ("seq", "sequence_validation"),
+                       ("dnp", "dnp_sweep"), ("t1", "t1_field_map")):
+        write_spec(tmp_path, {"schema_version": 1, "kind": kind}, f"{name}.json")
+    from fieldcycle.fieldmap import anchors_to_csv, reference_anchors
+    (tmp_path / "anchors.csv").write_text(anchors_to_csv(reference_anchors()))
+    # calibrate-field's --out names the map file, in the directory ``out``
+    suffix = "/map.json" if argv[0] == "calibrate-field" else ""
+    assert main(["--quiet"] + argv + ["--out", out + suffix]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and repr(out) in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "shuttle_characterization", "shuttle": {"runs": 10 ** 16}},
+    {"kind": "t1_field_map", "t1": {"n_waits": 10 ** 16}},
+], ids=["shuttle-runs", "t1-n_waits"])
+def test_impossible_sizes_are_numerical_failures(tmp_path, capsys, doc):
+    # numpy refuses the 71 PiB array before it allocates anything
+    spec = write_spec(tmp_path, {"schema_version": 1, **doc})
+    out = tmp_path / "o"
+    assert main(["run", "--spec", spec, "--out", str(out), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Unable to allocate")
+    if doc["kind"] == "shuttle_characterization":  # fails while running
+        record = json.loads((out / "runrecord.json").read_text())
+        assert record["status"] == "failed"
+        assert record["error"].startswith("MemoryError")
+
+
 ANCHOR_HEADER = "kind,position_m,field_T,gradient_T_per_m,tolerance_rel\n"
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -147,6 +148,24 @@ def test_json_round_trip(ref_map):
     z = np.linspace(0.0, 1.6, 500)
     assert np.array_equal(clone.field_at(z), ref_map.field_at(z))
     assert clone.domain_m == ref_map.domain_m
+
+
+def test_map_files_with_the_old_unread_keys_load_unchanged():
+    # the reference map as written while maps still carried travel_range_m
+    # and center_separation_m: the same map, bit for bit
+    text = Path(fm.__file__).with_name("reference_map.json").read_text()
+    doc = json.loads(text)
+    assert "travel_range_m" not in doc and "center_separation_m" not in doc
+    old_text = json.dumps({**doc, "travel_range_m": 1.6,
+                           "center_separation_m": 0.83}, indent=2, sort_keys=True)
+    assert hashlib.sha256(old_text.encode()).hexdigest() == (
+        "0a44d62f2ee27420169b88844d66a3bd247574a173447515c7b4ba24c3450508")
+    old, new = FieldMap.from_json(old_text), FieldMap.from_json(text)
+    assert old == new and old.to_json() == text
+    z = np.linspace(0.0, 1.6, 2001)
+    assert np.array_equal(old.field_at(z), new.field_at(z))
+    for b in np.geomspace(*new.field_range(), 300):
+        assert old.position_of_field(float(b)) == new.position_of_field(float(b))
 
 
 def test_params_are_read_only(ref_map):

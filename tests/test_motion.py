@@ -133,7 +133,7 @@ def test_velocity_continuous_across_boundaries(limits):
         _, v_after, _ = states_at(prof, np.array([t_edge + 1e-12]))
         assert v_before == pytest.approx(v_after, abs=1e-9)
     assert prof.segments[0].v_start_m_s == 0.0
-    _, v_end, _ = states_at(prof, np.array([prof.total_duration_s]))
+    _, v_end, _ = states_at(prof, np.array([duration(prof)]))
     assert v_end[0] == pytest.approx(0.0, abs=1e-12)
 
 

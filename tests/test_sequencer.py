@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fieldcycle.errors import SpecInvalid
-from fieldcycle.motion import JitterModel, plan
-from fieldcycle.sequencer import (CryoSpec, Event, SequenceSpec, Timeline,
-                                  build_timeline, simulate, validate)
+from fieldcycle.motion import JitterModel, duration, plan
+from fieldcycle.sequencer import (DEFAULT_LATENCIES, CryoSpec, Event,
+                                  SequenceSpec, Timeline, build_timeline,
+                                  simulate, validate)
 from fieldcycle.util import csv_text
 
 
@@ -109,6 +110,17 @@ def test_violation_optical_outside_shield(dnp_timeline, shuttle_profile, ref_map
     assert "optical_outside_shield" in codes
 
 
+def test_optical_events_without_a_move_see_the_start_position(
+        dnp_timeline, shuttle_profile, ref_map):
+    # no motion event: the sample stays at the profile's start, in the shield
+    still = Timeline(
+        tuple(e for e in dnp_timeline.events if e.id != "shuttle")
+        + (Event("pump2", "laser", 45.0, 1.0),),
+        dnp_timeline.latencies, dnp_timeline.low_field_max_T)
+    codes = validate(still, shuttle_profile, ref_map).codes()
+    assert codes == ["missing_dependency"]  # "done" depends on the shuttle
+
+
 def test_simulate_zero_jitter_is_nominal_plus_latency(dnp_timeline):
     log = simulate(dnp_timeline, JitterModel(sigma_s=0.0, seed=0))
     for row in log.rows:
@@ -149,13 +161,23 @@ def test_simulate_deterministic_per_seed(dnp_timeline):
     assert log1.rows == log2.rows
 
 
-def test_chain_latency_in_metadata(shuttle_profile):
+def test_partial_latencies_merge_with_defaults(shuttle_profile):
     lat = {"servo_trigger": 2e-3, "nmr_acquire": 1e-3}
     tl = build_timeline(SequenceSpec(t_pol_s=1.0, shuttle_profile=shuttle_profile,
                                      latencies=lat))
-    log = simulate(tl, JitterModel(sigma_s=0.0, seed=0))
-    assert log.metadata["chain_latency_s"] == pytest.approx(tl.chain_latency_s)
-    assert tl.chain_latency_s == pytest.approx(2e-3 + 1e-3 + 2e-3)  # + valve defaults
+    # the given channels override, the rest (valves 1 ms each) keep defaults
+    assert tl.latencies == {**DEFAULT_LATENCIES, **lat}
+    assert sum(tl.latencies.values()) == pytest.approx(2e-3 + 1e-3 + 2e-3)
+    assert DEFAULT_LATENCIES["servo_trigger"] == 0.0  # not mutated
+
+
+def test_shuttle_event_lasts_the_profile_duration(limits):
+    # the timeline's shuttle duration is the segment sum, bit for bit
+    rng = np.random.default_rng(20261018)
+    for d, v in zip(rng.uniform(0.0, 1.6, 2000), rng.uniform(0.01, 2.0, 2000)):
+        prof = plan(float(d), limits, v_target=float(v))
+        tl = build_timeline(SequenceSpec(t_pol_s=1.0, shuttle_profile=prof))
+        assert tl.find("shuttle").duration_s == duration(prof)
 
 
 def test_causality_under_jitter(dnp_timeline):

@@ -57,6 +57,21 @@ FIXED = [
     ({"kind": "t1_field_map",
       "t1": {"relaxation": {"T1_min_s": 300.0, "T1_max_s": 200.0}}},
      "$.t1.relaxation"),
+    # move lengths and speeds, checked against the motion block's limits
+    ({"kind": "shuttle_characterization", "shuttle": {"distance_m": -1}},
+     "$.shuttle.distance_m"),
+    ({"kind": "shuttle_characterization", "motion": {"travel_range_m": 1.0},
+      "shuttle": {"distance_m": 1.1}}, "$.shuttle.distance_m"),
+    ({"kind": "shuttle_characterization", "motion": {"travel_range_m": 1.0}},
+     "$.shuttle.distance_m"),  # the default distance, 1.1627 m
+    ({"kind": "shuttle_characterization", "shuttle": {"velocities": [1.0, 2.5]}},
+     "$.shuttle.velocities[1]"),
+    ({"kind": "shuttle_characterization", "motion": {"v_max": 1.0},
+      "shuttle": {"velocities": [1.5]}}, "$.shuttle.velocities[0]"),
+    ({"kind": "sequence_validation", "sequence": {"shuttle_distance_m": -0.1}},
+     "$.sequence.shuttle_distance_m"),
+    ({"kind": "sequence_validation", "sequence": {"shuttle_distance_m": 1.7}},
+     "$.sequence.shuttle_distance_m"),
 ]
 # field-map files that cannot be loaded: exit 3 after a run record is opened
 MAP_FIELDS = {"schema": 1, "domain_m": [0.0, 1.6], "travel_range_m": 1.6,

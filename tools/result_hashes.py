@@ -17,8 +17,9 @@ The set covers the five spec kinds through ``run`` and through each typed
 verb, shuttle specs with one run and with a zero-distance move,
 ``plan-lac`` with and without ``--map``, ``plan-motion``,
 ``calibrate-field`` with each model kind, custom map and anchor files,
-cryo and latency sequence specs, a spec with violations (exit 2) and a
-numerical failure (exit 4).  It uses only the standard library.
+cryo and latency sequence specs, a short move validated and simulated, a
+spec with violations (exit 2) and a numerical failure (exit 4).  It uses
+only the standard library.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ kind,position_m,field_T,gradient_T_per_m,tolerance_rel
 field_value,0.0,7.0,,1e-06
 field_value,0.6,0.05,,0.05
 """
+# written with the keys map files carried before they were dropped as
+# unread (travel_range_m, center_separation_m): loading it reads past them
 SOLENOID_MAP = {
     "schema": 1, "model": "finite_solenoid",
     "params": {"b0_T": 7.0, "half_length_m": 0.1, "radius_m": 0.12},
@@ -95,6 +98,8 @@ SPECS = {
     "seq_cryo_default": _spec("sequence_validation", {"cryo": True}),
     "seq_reversed": _spec("sequence_validation",
                           {"B_start_T": 7.0, "B_end_T": 0.008}),
+    "seq_short": _spec("sequence_validation",
+                       {"t_pol_s": 1.0, "shuttle_distance_m": 0.499}),
     "seq_anchors": _spec("sequence_validation",
                          {"t_pol_s": 1.0, "shuttle_distance_m": 1.0},
                          fieldmap={"anchors_file": "reference.csv",
@@ -114,6 +119,11 @@ COMMANDS = [(f"run-{name}", ["run", "--spec", f"{name}.json", "--out", "res"])
                                       "seq_reversed.json", "--out", "res"]),
     ("simulate-sequence", ["simulate-sequence", "--spec", "seq.json",
                            "--runs", "5", "--out", "res"]),
+    ("validate-sequence-short", ["validate-sequence", "--spec",
+                                 "seq_short.json", "--out", "res"]),
+    ("simulate-sequence-short", ["simulate-sequence", "--spec",
+                                 "seq_short.json", "--runs", "3", "--out",
+                                 "res"]),
     ("simulate-sequence-cryo", ["simulate-sequence", "--spec", "seq_cryo.json",
                                 "--runs", "40", "--seed", "9", "--out", "res"]),
     ("plan-lac", ["plan-lac", "--target", "0.051", "--target", "0.102"]),

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _POSITION_ATOL = 1e-12
+_MAX_SAMPLES = np.iinfo(np.intp).max  # largest array length numpy indexes
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,10 @@ def sample_trajectory(profile: MotionProfile, dt: float) -> Trajectory:
         return Trajectory(np.array([0.0]), np.array([z0]),
                           np.array([0.0]), np.array([0.0]))
     bounds = profile.boundary_times()  # ends at duration(profile)
+    n = (bounds[-1] + 0.5 * dt) / dt
+    if not n < _MAX_SAMPLES:  # beyond it np.arange raises ValueError
+        raise MemoryError(f"cannot allocate {n:.3g} trajectory samples "
+                          f"at dt {dt!r} s")
     grid = np.arange(0.0, bounds[-1] + 0.5 * dt, dt)
     times, zs, vs, accs = [], [], [], []
     for k, seg in enumerate(profile.segments):

@@ -423,8 +423,12 @@ def _sequence_parts(spec: ExperimentSpec):
     z_start = fmap.position_of_field(p["B_start_T"])
     z_end = fmap.position_of_field(p["B_end_T"])
     distance = p["shuttle_distance_m"]
-    if distance is None:
+    if distance is None:  # the move between the two fields on the map
         distance = abs(z_start - z_end)
+        hi = spec.limits.travel_range_m
+        _expect(distance <= hi, f"null, and the map puts B_start_T and B_end_T "
+                f"{distance!r} m apart, outside [0, {hi}] m",
+                "$.sequence.shuttle_distance_m")
     direction = 1.0 if z_end > z_start else -1.0
     prof = mo.plan(float(distance), spec.limits, z_start=z_start,
                    direction=direction)

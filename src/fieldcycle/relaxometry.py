@@ -4,8 +4,8 @@ relaxation field, wait, shuttle to 7 T, detect; then fit the decay curves.
 Polarization decays as dP/dt = -P / T1(B(z(t))) along the shuttle
 trajectories and exponentially during the wait.  The T1(B) model is a
 phenomenological saturating knee pinned to the measured anchors (395.7 s
-at 7 T, 10.19 s at 8 mT, knee near 0.5 T); super-exponential low-field
-decays are represented by a stretched exponential when generating data.
+at 7 T, 10.19 s at 8 mT, knee near 0.5 T).  Every decay is generated and
+fitted as a single exponential.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ _MIN_POINTS = 4
 _T1_MIN_S = 1e-9
 _T1_MAX_SPANS = 1e6
 _LOG_FLOAT_MAX = 709.0  # exp() of anything larger overflows a float
+_DT_S = 1e-4  # shuttle trajectory sampling step for the loss integral
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class DecayCurve:
         return csv_text(["T_relax_s", "signal_au"], self.points)
 
 
-def _shuttle_log_loss(z_from, z_to, fmap, limits, model, dt):
+def _shuttle_log_loss(z_from, z_to, fmap, limits, model):
     """Integral of 1/T1 along one shuttle move (trapezoid on the sampled
     trajectory; boundary samples are duplicated so the rule is exact per
     segment)."""
@@ -118,7 +119,7 @@ def _shuttle_log_loss(z_from, z_to, fmap, limits, model, dt):
     if dist == 0.0:
         return 0.0
     prof = plan(dist, limits, z_start=z_from, direction=1.0 if z_to > z_from else -1.0)
-    traj = sample_trajectory(prof, dt)
+    traj = sample_trajectory(prof, _DT_S)
     rate = 1.0 / t1_of_field(fmap.field_at(traj.z), model)
     return float(np.trapezoid(rate, traj.t))
 
@@ -127,9 +128,7 @@ def simulate_protocol(protocol: RelaxometryProtocol, fmap,
                       limits: MotionLimits = MotionLimits(),
                       model: RelaxationModel = RelaxationModel(),
                       seed: Optional[int] = None,
-                      noise_sigma: float = 0.0,
-                      dt: float = 1e-4,
-                      instant_shuttle: bool = False) -> DecayCurve:
+                      noise_sigma: float = 0.0) -> DecayCurve:
     """Detected signal versus wait time for one relaxation field: a
     monoexponential decay at T1(B_relax) whose amplitude carries the
     initial sign and the loss along both shuttle moves."""
@@ -138,27 +137,23 @@ def simulate_protocol(protocol: RelaxometryProtocol, fmap,
     z_det = fmap.position_of_field(protocol.detect_field_T)
     t1_relax = float(t1_of_field(protocol.B_relax_T, model))
 
-    if instant_shuttle:
-        loss = 0.0
-    else:
-        loss = (_shuttle_log_loss(z_pol, z_relax, fmap, limits, model, dt)
-                + _shuttle_log_loss(z_relax, z_det, fmap, limits, model, dt))
+    loss = (_shuttle_log_loss(z_pol, z_relax, fmap, limits, model)
+            + _shuttle_log_loss(z_relax, z_det, fmap, limits, model))
     sign = 1.0 if protocol.initial_polarization_sign == "aligned" else -1.0
     return synthetic_decay(t1_relax, protocol.T_relax_list_s,
                            amplitude=sign * math.exp(-loss),
                            noise_sigma=noise_sigma, seed=seed)
 
 
-def synthetic_decay(T1_s: float, waits: Sequence[float], beta: float = 1.0,
+def synthetic_decay(T1_s: float, waits: Sequence[float],
                     amplitude: float = 1.0, noise_sigma: float = 0.0,
                     seed: Optional[int] = None) -> DecayCurve:
-    """A exp(-(t/T1)^beta) at each wait, plus Gaussian noise of
-    ``noise_sigma`` drawn in wait order; beta > 1 reproduces the
-    super-exponential low-field behavior."""
+    """A exp(-t/T1) at each wait, plus Gaussian noise of ``noise_sigma``
+    drawn in wait order."""
     rng = np.random.default_rng(seed)
     pts = []
     for t in waits:
-        s = amplitude * math.exp(-((t / T1_s) ** beta))
+        s = amplitude * math.exp(-t / T1_s)
         if noise_sigma > 0:
             s += rng.normal(0.0, noise_sigma)
         pts.append((float(t), float(s)))
@@ -167,9 +162,7 @@ def synthetic_decay(T1_s: float, waits: Sequence[float], beta: float = 1.0,
 
 @dataclass(frozen=True)
 class FitResult:
-    model: str  # "monoexponential" | "stretched"
     T1_s: float
-    beta: float
     amplitude: float
     param_stderr: tuple[float, ...]
     residual_rms: float
@@ -177,8 +170,6 @@ class FitResult:
     def __post_init__(self):
         if self.T1_s <= 0:
             raise FitDiverged(f"non-physical T1 {self.T1_s}")
-        if not 0.5 <= self.beta <= 2.5:
-            raise FitDiverged(f"stretch exponent {self.beta} outside [0.5, 2.5]")
 
 
 def _log_linear_init(t, y):
@@ -189,11 +180,6 @@ def _log_linear_init(t, y):
     slope, _ = np.polyfit(t[pos], np.log(y[pos]), 1)
     t1 = -1.0 / slope if slope < 0 else float(t[-1])
     return float(max(t1, _T1_MIN_S))
-
-
-def _t1_cap(t):
-    """Largest T1 a fit may return: _T1_MAX_SPANS wait spans."""
-    return _T1_MAX_SPANS * max(float(np.ptp(t)), _T1_MIN_S)
 
 
 def _fit_mono(t, y, t1_start):
@@ -215,7 +201,7 @@ def _fit_mono(t, y, t1_start):
         return float((e @ yn) * (te @ e) - (te @ yn) * (e @ e))
 
     lo = math.log(_T1_MIN_S)
-    hi = math.log(_t1_cap(t))
+    hi = math.log(_T1_MAX_SPANS * max(float(np.ptp(t)), _T1_MIN_S))
     a = min(max(math.log(t1_start), lo), hi)
     side = 1.0 if slope(a) < 0 else -1.0  # step toward the sign change
     step = 0.5
@@ -249,18 +235,14 @@ def _fit_mono(t, y, t1_start):
     return t1, amplitude, fitted - y, jac
 
 
-def fit_decay(curve: DecayCurve, model: str = "monoexponential") -> FitResult:
-    """Least-squares A exp(-(t/T1)^beta); beta fixed to 1 for the mono fit.
+def fit_decay(curve: DecayCurve) -> FitResult:
+    """Least-squares A exp(-t/T1); anti-aligned curves fit on magnitude.
 
     Initialization is a deterministic log-linear regression, so identical
-    curves give identical fits.  The mono fit is a one-dimensional root
-    (see ``_fit_mono``).  The stretched fit starts from the mono fit, so it
-    rejects the same flat, increasing and overflowing curves, and refines
-    it with scipy's least_squares; a T1 beyond the mono bracket is
+    curves give identical fits.  The fit is a one-dimensional root (see
+    ``_fit_mono``); flat, increasing, unresolved and overflowing decays are
     FitDiverged.
     """
-    if model not in ("monoexponential", "stretched"):
-        raise ValueError(f"unknown decay model {model!r}")
     if len(curve.points) < _MIN_POINTS:
         raise InsufficientPoints(f"need >= {_MIN_POINTS} points, got {len(curve.points)}")
     t = curve.waits
@@ -271,23 +253,6 @@ def fit_decay(curve: DecayCurve, model: str = "monoexponential") -> FitResult:
     if np.median(y) < 0:  # anti-aligned curves fit on magnitude
         sign, y = -1.0, -y
     t1, amplitude, r, jac = _fit_mono(t, y, _log_linear_init(t, y))
-    beta = 1.0
-    if model == "stretched":
-        from scipy.optimize import least_squares
-
-        def resid(p):
-            return p[0] * np.exp(-((t / p[1]) ** p[2])) - y
-        sol = least_squares(resid, [amplitude, t1, beta],
-                            bounds=([0.0, _T1_MIN_S, 0.5], [np.inf, np.inf, 2.5]),
-                            method="trf", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                            max_nfev=2000)
-        if not sol.success or not np.all(np.isfinite(sol.x)):
-            raise FitDiverged(sol.message)
-        amplitude, t1, beta = (float(v) for v in sol.x)
-        if t1 > _t1_cap(t):
-            raise FitDiverged(f"stretched fit T1 {t1:.3g} s exceeds "
-                              f"{_T1_MAX_SPANS:g} wait spans")
-        r, jac = sol.fun, sol.jac
     dof = max(1, len(t) - jac.shape[1])
     try:
         cov = np.linalg.inv(jac.T @ jac) * (r @ r / dof)
@@ -295,9 +260,7 @@ def fit_decay(curve: DecayCurve, model: str = "monoexponential") -> FitResult:
     except np.linalg.LinAlgError:
         stderr = (float("nan"),) * jac.shape[1]
     return FitResult(
-        model=model,
         T1_s=t1,
-        beta=beta,
         amplitude=sign * amplitude,
         param_stderr=stderr,
         residual_rms=float(np.sqrt(np.mean(r ** 2))),
@@ -313,8 +276,10 @@ class T1Map:
         return np.array([f.T1_s for _, f in self.entries])
 
     def to_csv(self) -> str:
+        # beta, the stretch exponent, is 1.0 for every monoexponential fit;
+        # the column stays so result files keep their format
         return csv_text(["B_T", "T1_s", "beta", "residual_rms"],
-                        ((b, f.T1_s, f.beta, f.residual_rms)
+                        ((b, f.T1_s, 1.0, f.residual_rms)
                          for b, f in self.entries))
 
 

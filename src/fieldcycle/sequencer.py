@@ -284,9 +284,10 @@ class EventLog:
         return csv_text(["run_id", "channel", "event", "t_nominal_s",
                          "t_realized_s", "duration_s"], self._table())
 
-    def realized(self, event_id, run_id=0) -> LogRow:
+    def realized(self, event_id) -> LogRow:
+        """Event ``event_id``'s row in the first run."""
         for row in self._table():
-            if row[0] == run_id and row[2] == event_id:
+            if row[2] == event_id:
                 return LogRow(*row)
         raise KeyError(event_id)
 

@@ -45,6 +45,7 @@ GAMMA_N = 10.7084e6  # 13C gyromagnetic ratio (Hz/T)
 D_ZFS = 2.87e9  # NV zero-field splitting (Hz)
 H = 6.62607015e-34  # Planck constant (J s, exact SI)
 K_B = 1.380649e-23  # Boltzmann constant (J/K, exact SI)
+ROOM_T_K = 298.0  # sample temperature of the equivalent-field conversion
 
 GUARD_BAND_HZ = 1.0e6
 POL_TOL = 1e-8  # step-doubling estimate of the polarization error to reach
@@ -105,7 +106,6 @@ class SweepParams:
     n_sweeps: int = 1
     band_center_Hz: Optional[float] = None
     band_width_Hz: float = 400e6
-    reset_fidelity: float = 1.0
 
     def __post_init__(self):
         if self.sweep_rate_Hz_per_s == 0:
@@ -116,8 +116,6 @@ class SweepParams:
             raise ValueError("mw_rabi_Hz must be positive")
         if self.n_sweeps < 1:
             raise ValueError("n_sweeps must be at least 1")
-        if not 0.0 <= self.reset_fidelity <= 1.0:
-            raise ValueError("reset_fidelity must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -304,16 +302,14 @@ def _envelope(x):
     return env
 
 
-def _reset_electron(rho: np.ndarray, fidelity: float) -> np.ndarray:
+def _reset_electron(rho: np.ndarray) -> np.ndarray:
     """Optical repolarization: project the electron back to m_s=0 keeping
-    the nuclear populations; ``fidelity`` < 1 leaves part of the state
-    untouched.  The sweep retrace and repumping take many nuclear Larmor
-    periods, so nuclear coherences dephase between sweeps."""
-    rho_n = rho[:2, :2] + rho[2:, 2:]
+    the nuclear populations.  The sweep retrace and repumping take many
+    nuclear Larmor periods, so nuclear coherences dephase between sweeps."""
     reset = np.zeros_like(rho)
-    reset[0, 0] = rho_n[0, 0]
-    reset[1, 1] = rho_n[1, 1]
-    return fidelity * reset + (1.0 - fidelity) * rho
+    reset[0, 0] = rho[0, 0] + rho[2, 2]
+    reset[1, 1] = rho[1, 1] + rho[3, 3]
+    return reset
 
 
 def _sweeps(u, sweep):
@@ -326,7 +322,7 @@ def _sweeps(u, sweep):
     for _ in range(sweep.n_sweeps):
         rho = u @ rho @ u.conj().T
         worst_drift = max(worst_drift, abs(float(np.trace(rho).real) - 1.0))
-        rho = _reset_electron(rho, sweep.reset_fidelity)
+        rho = _reset_electron(rho)
     return float((rho[0, 0] - rho[1, 1]).real
                  + (rho[2, 2] - rho[3, 3]).real), worst_drift
 
@@ -434,15 +430,15 @@ def boltzmann_polarization(B_T: float, T_K: float) -> float:
     return math.tanh(H * GAMMA_N * B_T / (2.0 * K_B * T_K))
 
 
-def enhancement_to_equivalent_field(epsilon: float, B_ref_T: float,
-                                    T_K: float = 298.0) -> float:
-    """Field whose thermal polarization matches an enhancement ``epsilon``
-    over the reference field; valid only in the linear tanh regime."""
+def enhancement_to_equivalent_field(epsilon: float, B_ref_T: float) -> float:
+    """Field whose thermal polarization at ``ROOM_T_K`` matches an
+    enhancement ``epsilon`` over the reference field; valid only in the
+    linear tanh regime."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     b_eq = epsilon * B_ref_T
     for b in (B_ref_T, b_eq):
-        if H * GAMMA_N * b / (2.0 * K_B * T_K) > 0.1:
+        if H * GAMMA_N * b / (2.0 * K_B * ROOM_T_K) > 0.1:
             raise NonlinearRegime(
                 f"tanh argument at B={b:.3g} T exceeds 0.1; product rule invalid")
     return b_eq

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -155,6 +156,15 @@ def test_impossible_sizes_are_numerical_failures(tmp_path, capsys, doc):
         assert record["error"].startswith("MemoryError")
 
 
+def test_a_trajectory_too_fine_to_index_is_a_numerical_failure(tmp_path, capsys):
+    # 6e299 samples: refused before anything is allocated or written
+    out = tmp_path / "traj"
+    assert main(["plan-motion", "--distance", "1.0", "--dt", "1e-300",
+                 "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
+
+
 ANCHOR_HEADER = "kind,position_m,field_T,gradient_T_per_m,tolerance_rel\n"
 
 
@@ -215,11 +225,29 @@ print("scipy.optimize" in sys.modules)
 """
 
 
+def _scipy_importers(node, where):
+    """(module, function) of every scipy import under ``node``."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [node.module or ""] if isinstance(node, ast.ImportFrom) else [
+            a.name for a in node.names]
+        if any(n.split(".")[0] == "scipy" for n in names):
+            yield where
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = (where[0], node.name)
+    for child in ast.iter_child_nodes(node):
+        yield from _scipy_importers(child, where)
+
+
 def test_only_fits_import_scipy_optimize(tmp_path):
+    # scipy is imported in one place only, lazily in the solenoid fit of
+    # anchor calibration; the T1 decay fit is a Brent root with no scipy path
+    package = Path(fieldcycle.__file__).parent
+    sites = {site for path in package.glob("*.py") for site in _scipy_importers(
+        ast.parse(path.read_text()), (path.stem, None))}
+    assert sites == {("fieldmap", "_fit_solenoid")}
     # a fresh process: no verb on the reference map loads scipy.optimize,
-    # T1 maps included (the decay fit is a Brent root); calibrating a map
-    # from anchors does
-    src = str(Path(fieldcycle.__file__).parent.parent)
+    # T1 maps included; calibrating a map from anchors does
+    src = str(package.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     out = subprocess.run([sys.executable, "-c", _SCIPY_OPTIMIZE_PROBE,

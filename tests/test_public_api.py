@@ -1,6 +1,8 @@
-"""Every public name has a caller: each name in a layer module's ``__all__``
-is read somewhere in the package outside its own definition, or by the
-acceptance suite or the spin oracles."""
+"""Every public name and parameter has a caller: each name in a layer
+module's ``__all__``, and each defaulted parameter of an exported function
+or of a public method of an exported class, is used somewhere in the
+package outside its own definition, or by the acceptance suite or the spin
+oracles."""
 
 import ast
 from pathlib import Path
@@ -56,3 +58,66 @@ def test_every_public_name_has_a_caller():
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
 
+
+def _defaulted(fn, method):
+    """(index, name) of ``fn``'s defaulted parameters, where index is the
+    position a call site passes it at (None for keyword-only)."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    offset = 1 if method else 0  # self
+    out = [(i - offset, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def _public_functions(tree):
+    """(qualified name, def, is a method) of each exported function and each
+    public method of an exported class."""
+    exported = set(_exports(tree))
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in exported:
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and node.name in exported:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item, True
+
+
+def _sets(call, index, name):
+    """True when ``call`` may pass the parameter ``name`` at ``index``."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _calls(tree, name, skip):
+    """Calls of ``name``, bare or as an attribute, outside the node ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """Each defaulted parameter of a public function is passed, by keyword
+    or by position, outside the function's own body: in the package, the
+    acceptance suite or the oracles.  A parameter only other tests set is a
+    setting no user reaches."""
+    trees = {p: _tree(p) for p in MODULES}
+    callers = list(trees.values())
+    callers += [_tree(TESTS / n) for n in ("test_acceptance.py", "oracles.py")]
+    unused = []
+    for path, tree in trees.items():
+        for qual, fn, method in _public_functions(tree):
+            for index, name in _defaulted(fn, method):
+                if not any(_sets(c, index, name)
+                           for t in callers for c in _calls(t, fn.name, fn)):
+                    unused.append(f"{path.stem}.{qual}({name})")
+    assert unused == []

@@ -72,6 +72,8 @@ FIXED = [
      "$.sequence.shuttle_distance_m"),
     ({"kind": "sequence_validation", "sequence": {"shuttle_distance_m": 1.7}},
      "$.sequence.shuttle_distance_m"),
+    ({"kind": "sequence_validation", "motion": {"travel_range_m": 1.0}},
+     "$.sequence.shuttle_distance_m"),  # null: 1.1627 m between the fields
 ]
 # field-map files that cannot be loaded: exit 3 after a run record is opened
 MAP_FIELDS = {"schema": 1, "domain_m": [0.0, 1.6], "travel_range_m": 1.6,

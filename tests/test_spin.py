@@ -167,12 +167,6 @@ def test_band_missing_resonance_gives_zero():
     assert propagate_sweep(s, sweep) == 0.0
 
 
-def test_reset_fidelity_partial():
-    s = SpinSystem(1e6, math.radians(45), 0.010)
-    pol = propagate_sweep(s, SweepParams(reset_fidelity=0.8, n_sweeps=2))
-    assert -1.0 <= pol <= 1.0
-
-
 SLOW = dict(sweep_rate_Hz_per_s=2e9, mw_rabi_Hz=15e3)
 
 

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -150,15 +151,27 @@ def _check_monotone_slopes(z, b, m):
                 )
 
 
+def _hermite(t, h, b0, b1, m0, m1):
+    """Cubic Hermite value at local coordinate t of a segment of width h;
+    the same operations, in the same order, on arrays and on floats."""
+    h00 = (1 + 2 * t) * (1 - t) ** 2
+    h10 = t * (1 - t) ** 2
+    h01 = t * t * (3 - 2 * t)
+    h11 = t * t * (t - 1)
+    return h00 * b0 + h10 * h * m0 + h01 * b1 + h11 * h * m1
+
+
 class _HermiteSpline:
-    """Cubic Hermite evaluation on strictly increasing knots."""
+    """Cubic Hermite evaluation on strictly increasing knots.  The knot
+    arrays are read-only, and ``value`` reads tuple copies of them."""
 
     def __init__(self, z, b, m):
-        self.z = np.asarray(z, float)
+        self.z, self.b, self.m = (np.array(v, float) for v in (z, b, m))
         if len(self.z) < 2 or not np.all(np.diff(self.z) > 0):
             raise ValueError("spline needs two or more strictly increasing knots")
-        self.b = np.asarray(b, float)
-        self.m = np.asarray(m, float)
+        for v in (self.z, self.b, self.m):
+            v.setflags(write=False)
+        self._knots = tuple(tuple(v.tolist()) for v in (self.z, self.b, self.m))
 
     def _segment(self, x):
         """Knot index, segment width and local coordinate t in [0, 1]."""
@@ -169,11 +182,15 @@ class _HermiteSpline:
 
     def __call__(self, x):
         i, h, t = self._segment(x)
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return h00 * self.b[i] + h10 * h * self.m[i] + h01 * self.b[i + 1] + h11 * h * self.m[i + 1]
+        return _hermite(t, h, self.b[i], self.b[i + 1], self.m[i], self.m[i + 1])
+
+    def value(self, x: float) -> float:
+        """``float(self(x))`` for one float, without numpy: the knot index
+        by ``bisect``, then the same arithmetic on Python floats."""
+        z, b, m = self._knots
+        i = min(max(bisect_right(z, x) - 1, 0), len(z) - 2)
+        h = z[i + 1] - z[i]
+        return _hermite((x - z[i]) / h, h, b[i], b[i + 1], m[i], m[i + 1])
 
     def derivative(self, x):
         i, h, t = self._segment(x)
@@ -227,6 +244,12 @@ class FieldMap:
             return _solenoid_field(z, p["b0_T"], p["half_length_m"], p["radius_m"])
         return self._spline(z)
 
+    def _model_value(self, z: float) -> float:
+        """``float(self._model_field(z))`` for one float position."""
+        if self._spline is None:
+            return float(self._model_field(z))
+        return self._spline.value(z)
+
     def _model_gradient(self, z):
         if self.model == "finite_solenoid":
             p = self.params
@@ -257,7 +280,8 @@ class FieldMap:
 
     def field_range(self):
         lo, hi = self.domain_m
-        return float(self.field_at(hi)), float(self.field_at(lo))
+        return tuple(float(np.maximum(self._model_value(z), self.floor_T))
+                     for z in (hi, lo))
 
     def position_of_field(self, b_target):
         """Unique axial position where B equals ``b_target`` (monotonicity).
@@ -280,7 +304,7 @@ class FieldMap:
         lo, hi = self.domain_m
         if b_target <= self.floor_T:
             raise FieldNotReachable(f"B={b_target} T is at or below the shield floor")
-        f = lambda z: self._model_field(z) - b_target
+        f = lambda z: self._model_value(z) - b_target
         if f(lo) <= 0:
             return lo
         if f(hi) >= 0:
@@ -383,7 +407,7 @@ def _anchor_residual(fmap: FieldMap, a: FieldAnchor):
             if a.position_m is None:
                 fmap.position_of_field(a.field_T)  # raises when unreachable
                 return 0.0
-            return (float(fmap._model_field(a.position_m)) - a.field_T) / a.field_T
+            return (fmap._model_value(a.position_m) - a.field_T) / a.field_T
         z = fmap.position_of_field(a.field_T)
         g = float(fmap.gradient_at(z))
         return (abs(g) - abs(a.gradient_T_per_m)) / abs(a.gradient_T_per_m)
@@ -445,15 +469,15 @@ def _spline_from_anchors(anchors, backbone: FieldMap):
 
     for (za, ba, sa), (zb, bb, sb) in zip(placed, placed[1:]):
         add(za, ba, sa)
-        ra = math.log(ba / float(backbone._model_field(za)))
-        rb = math.log(bb / float(backbone._model_field(zb)))
+        ra = math.log(ba / backbone._model_value(za))
+        rb = math.log(bb / backbone._model_value(zb))
         n_fill = max(2, int(_FILL_PER_DECADE * abs(math.log10(ba / bb))))
         for bq in np.geomspace(ba, bb, n_fill + 2)[1:-1]:
             zq = backbone.position_of_field(bq)
             if not (za < zq < zb):
                 zq = za + (zb - za) * (math.log(ba / bq) / math.log(ba / bb))
             w = (zq - za) / (zb - za)
-            bfill = float(backbone._model_field(zq)) * math.exp((1 - w) * ra + w * rb)
+            bfill = backbone._model_value(zq) * math.exp((1 - w) * ra + w * rb)
             if bfill < knot_b[-1] and bfill > bb:
                 add(zq, bfill)
     z_last, b_last, s_last = placed[-1]
@@ -591,6 +615,5 @@ def anchors_from_csv(text: str) -> list[FieldAnchor]:
 
 
 def anchors_to_csv(anchors: Sequence[FieldAnchor]) -> str:
-    return csv_text(_CSV_HEADER, ((a.kind, a.position_m, a.field_T,
-                                   a.gradient_T_per_m, a.tolerance_rel)
-                                  for a in anchors))
+    return csv_text(_CSV_HEADER, [[getattr(a, name) for a in anchors]
+                                  for name in _CSV_HEADER])

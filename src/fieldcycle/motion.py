@@ -176,9 +176,8 @@ class Trajectory:
 
     def to_csv(self, fmap) -> str:
         """Samples with the field ``fmap`` gives at each position."""
-        cols = [self.t, self.z, self.v, self.a, fmap.field_at(self.z)]
         return csv_text(["t_s", "z_m", "v_mps", "a_mps2", "B_T"],
-                        zip(*(c.tolist() for c in cols)))
+                        [self.t, self.z, self.v, self.a, fmap.field_at(self.z)])
 
 
 def _segment_states(seg: Segment, tau: np.ndarray):

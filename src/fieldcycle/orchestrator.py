@@ -15,6 +15,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import zlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -297,6 +298,7 @@ class RunRecord:
     violations: int = 0
     error: Optional[str] = None
     diagnostics: dict = field(default_factory=dict)  # solver details
+    metrics: dict = field(default_factory=dict)  # stage wall times (s)
 
     def to_json(self) -> str:
         doc = dict(self.__dict__)
@@ -318,15 +320,25 @@ def _write_atomic(final: Path, text: str):
 
 
 class _Workspace:
-    """Atomic result writing; only fully written files reach the manifest."""
+    """Atomic result writing; only fully written files reach the manifest.
+    Stage wall times add up in ``record.metrics``, never in a result file."""
 
     def __init__(self, out_dir: Path, record: RunRecord):
         self.out_dir = out_dir
         self.record = record
+        record.metrics.update(fieldmap_s=0.0, write_s=0.0)
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    def timed(self, stage: str, fn, *args):
+        """``fn(*args)``, its wall time added to metric ``stage``."""
+        start = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            self.record.metrics[stage] += time.perf_counter() - start
+
     def write(self, name: str, text: str):
-        _write_atomic(self.out_dir / name, text)
+        self.timed("write_s", _write_atomic, self.out_dir / name, text)
         self.record.manifest.append(name)
 
 
@@ -344,14 +356,14 @@ def _run_shuttle(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
         else:
             rows.append([float(v), nominal, nominal, 0.0])
     header = ["v_mps", "duration_s", "mean_realized_s", "std_realized_s"]
-    ws.write("shuttle_durations.csv", csv_text(header, rows))
+    ws.write("shuttle_durations.csv", csv_text(header, zip(*rows)))
     if not quiet:
         for r in rows:
             print(f"v={r[0]:.3g} m/s  duration={r[1]:.6f} s")
 
 
 def _run_lac(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
-    fmap = spec.fieldmap()
+    fmap = ws.timed("fieldmap_s", spec.fieldmap)
     limits = spec.params["limits"]
     rows = []
     for t in spec.params["targets_T"]:
@@ -365,7 +377,7 @@ def _run_lac(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
                   f"rate={p.max_sweep_rate_T_per_s:.4f} T/s")
     header = ["target_T", "position_m", "gradient_T_per_m", "resolution_T",
               "max_sweep_rate_T_per_s"]
-    ws.write("lac_plan.csv", csv_text(header, rows))
+    ws.write("lac_plan.csv", csv_text(header, zip(*rows)))
 
 
 def _run_dnp(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
@@ -373,7 +385,7 @@ def _run_dnp(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     ensemble = sp.PowderEnsemble.gauss_legendre(p["nodes"])
     result = sp.powder_average(p["system"], p["sweep"], ensemble)
     ws.write("dnp_sweep.csv", csv_text(["theta_rad", "weight", "polarization"],
-                                       result.table))
+                                       zip(*result.table)))
     summary = {
         "mean_polarization": result.mean_polarization,
         "signs_uniform": result.signs_uniform(),
@@ -394,7 +406,7 @@ def _finite(x: float) -> Optional[float]:
 
 def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     p = spec.params
-    fmap = spec.fieldmap()
+    fmap = ws.timed("fieldmap_s", spec.fieldmap)
     base_seed = derive_seed(spec.seed, "relaxometry")
     curves = [rx.simulate_protocol(prot, fmap, spec.limits, p["model"],
                                    seed=base_seed + i,
@@ -414,12 +426,13 @@ def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
         for b, f in t1map.entries:
             print(f"B={b:.4g} T  T1={f.T1_s:.4g} s")
     if t1map.failures:
-        ws.write("t1_failures.csv", csv_text(["B_T", "error"], t1map.failures))
+        ws.write("t1_failures.csv", csv_text(["B_T", "error"],
+                                             zip(*t1map.failures)))
 
 
-def _sequence_parts(spec: ExperimentSpec):
+def _sequence_parts(spec: ExperimentSpec, ws: _Workspace):
     p = spec.params
-    fmap = spec.fieldmap()
+    fmap = ws.timed("fieldmap_s", spec.fieldmap)
     z_start = fmap.position_of_field(p["B_start_T"])
     z_end = fmap.position_of_field(p["B_end_T"])
     distance = p["shuttle_distance_m"]
@@ -437,7 +450,7 @@ def _sequence_parts(spec: ExperimentSpec):
 
 
 def _run_sequence(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
-    timeline, prof, fmap = _sequence_parts(spec)
+    timeline, prof, fmap = _sequence_parts(spec, ws)
     report = sq.validate(timeline, prof, fmap)
     ws.write("validation_report.csv", report.to_csv())
     if not quiet:
@@ -465,6 +478,7 @@ def _now() -> str:
 def _execute(spec: ExperimentSpec, out_dir, body) -> RunRecord:
     """Run ``body(workspace)`` and write the RunRecord atomically, also
     when ``body`` raises; ``body`` returns the violation count."""
+    start = time.perf_counter()
     record = RunRecord(
         spec_hash=spec_hash(spec.doc),
         tool_version=TOOL_VERSION,
@@ -483,6 +497,7 @@ def _execute(spec: ExperimentSpec, out_dir, body) -> RunRecord:
         raise
     finally:
         record.finished_at = _now()
+        record.metrics["total_s"] = time.perf_counter() - start
         _write_atomic(ws.out_dir / "runrecord.json", record.to_json())
     return record
 
@@ -502,7 +517,7 @@ def simulate_sequence(spec: ExperimentSpec, runs: int, out_dir,
     _expect(runs >= 0, "must be non-negative", "--runs")
 
     def body(ws):
-        timeline, _, _ = _sequence_parts(spec)
+        timeline, _, _ = _sequence_parts(spec, ws)
         jm = replace(spec.params["jitter"],
                      seed=derive_seed(spec.seed, "sequencer"))
         log = sq.simulate(timeline, jm, runs)

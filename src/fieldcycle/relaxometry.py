@@ -108,7 +108,7 @@ class DecayCurve:
         return np.array([p[1] for p in self.points])
 
     def to_csv(self) -> str:
-        return csv_text(["T_relax_s", "signal_au"], self.points)
+        return csv_text(["T_relax_s", "signal_au"], zip(*self.points))
 
 
 def _shuttle_log_loss(z_from, z_to, fmap, limits, model):
@@ -279,8 +279,8 @@ class T1Map:
         # beta, the stretch exponent, is 1.0 for every monoexponential fit;
         # the column stays so result files keep their format
         return csv_text(["B_T", "T1_s", "beta", "residual_rms"],
-                        ((b, f.T1_s, 1.0, f.residual_rms)
-                         for b, f in self.entries))
+                        zip(*((b, f.T1_s, 1.0, f.residual_rms)
+                              for b, f in self.entries)))
 
 
 def build_t1_map(fields: Sequence[float], curves: Sequence[DecayCurve]) -> T1Map:

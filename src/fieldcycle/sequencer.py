@@ -178,8 +178,8 @@ class ValidationReport:
 
     def to_csv(self) -> str:
         return csv_text(["code", "event_ids", "detail"],
-                        ((v.code, ";".join(v.event_ids), v.detail)
-                         for v in self.violations))
+                        zip(*((v.code, ";".join(v.event_ids), v.detail)
+                              for v in self.violations)))
 
 
 def _overlaps(a: Event, b: Event) -> bool:
@@ -266,29 +266,33 @@ class EventLog:
     duration_s: tuple
     metadata: dict
 
-    def _table(self):
-        """Rows (run_id, channel, event, nominal, realized, duration), run
-        by run, with Python scalars so floats render as ``repr``."""
-        cols = [(ev, np.broadcast_to(s, self.runs).tolist(),
-                 np.broadcast_to(d, self.runs).tolist())
-                for ev, s, d in zip(self.events, self.t_realized_s,
-                                    self.duration_s)]
-        return ((r, ev.channel, ev.id, ev.t_start_s, s[r], d[r])
-                for r in range(self.runs) for ev, s, d in cols)
-
-    @property
-    def rows(self) -> tuple[LogRow, ...]:
-        return tuple(LogRow(*row) for row in self._table())
-
     def to_csv(self) -> str:
+        """A row per run and event, run by run.  Each event's channel, id
+        and nominal time, and each value that every run shares, is
+        rendered once."""
+        n, k = self.runs, len(self.events)
+
+        def by_run(entries):  # one entry per event -> cells in row order
+            cells = np.empty((n, k), object)
+            for j, x in enumerate(map(np.asarray, entries)):
+                cells[:, j] = (str(x.item()) if x.ndim == 0
+                               else list(map(str, x.tolist())))
+            return cells.ravel().tolist()
+
         return csv_text(["run_id", "channel", "event", "t_nominal_s",
-                         "t_realized_s", "duration_s"], self._table())
+                         "t_realized_s", "duration_s"],
+                        [np.repeat(np.arange(n), k),
+                         by_run([ev.channel for ev in self.events]),
+                         by_run([ev.id for ev in self.events]),
+                         by_run([ev.t_start_s for ev in self.events]),
+                         by_run(self.t_realized_s), by_run(self.duration_s)])
 
     def realized(self, event_id) -> LogRow:
         """Event ``event_id``'s row in the first run."""
-        for row in self._table():
-            if row[2] == event_id:
-                return LogRow(*row)
+        for ev, s, d in zip(self.events, self.t_realized_s, self.duration_s):
+            if ev.id == event_id and self.runs:
+                first = [np.broadcast_to(x, self.runs)[0].item() for x in (s, d)]
+                return LogRow(0, ev.channel, ev.id, ev.t_start_s, *first)
         raise KeyError(event_id)
 
 

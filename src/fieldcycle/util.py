@@ -8,10 +8,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from .errors import NoConvergence
 
 THREADS_ENV = "FIELDCYCLE_THREADS"
 _BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-14, 8.9e-16, 100
+_SPECIAL = ',"\r\n'  # characters csv.writer may quote a cell for
 
 
 def thread_count() -> int:
@@ -36,14 +39,33 @@ def parallel_map(fn, items):
         return list(ex.map(fn, items))
 
 
-def csv_text(header, rows) -> str:
-    """CSV text with "\n" line ends; floats render as ``repr``, so result
-    files round-trip exactly."""
+def _quoted(cell: str) -> str:
+    """``cell`` as csv.writer writes it in a row of two or more fields."""
     out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return out.getvalue()
+    csv.writer(out, lineterminator="\n").writerow((cell, ""))
+    return out.getvalue()[:-2]
+
+
+def _cells(column) -> list[str]:
+    """A column's cells as csv.writer writes them: None empty, text quoted
+    where csv quotes it, anything else as ``str``.  A numpy array renders
+    its values as Python scalars, whose ``str`` is their ``repr``."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr, column.tolist()))
+    cells = ["" if c is None else str(c) for c in column]
+    text = "".join(cells)
+    return list(map(_quoted, cells)) if any(map(text.__contains__, _SPECIAL)) \
+        else cells
+
+
+def csv_text(header, columns) -> str:
+    """CSV text with "\n" line ends, built column by column: the bytes that
+    ``csv.writer`` writes for ``header`` and the rows of ``columns`` (one
+    sequence of cells per header name, two or more), with floats rendered
+    as ``repr`` so that result files round-trip exactly.  Text that needs
+    no quoting passes through, so a caller may hand in cells it rendered."""
+    rows = map(",".join, zip(*map(_cells, columns)))
+    return "\n".join([",".join(_cells(header)), *rows, ""])
 
 
 def _brentq(f, xa, xb):

@@ -13,7 +13,7 @@ from fieldcycle.errors import (FieldNotReachable, NoConvergence,
                                NonMonotonicModel, OutOfDomain)
 from fieldcycle.fieldmap import (FieldAnchor, FieldMap, anchors_from_csv,
                                  anchors_to_csv, calibrate, reference_anchors)
-from fieldcycle.fieldmap import _solenoid_field
+from fieldcycle.fieldmap import _HermiteSpline, _solenoid_field
 from fieldcycle.util import _brentq
 
 
@@ -176,6 +176,12 @@ def test_params_are_read_only(ref_map):
         ref_map.params["knots"] = []
     assert ref_map.to_json() == text
     assert FieldMap.from_json(text).field_at(0.0) == 7.0
+    # the spline's knot arrays, which its float path copies, are read-only too
+    spline = ref_map._spline
+    for knots in (spline.z, spline.b, spline.m):
+        with pytest.raises(ValueError, match="read-only"):
+            knots[0] = 99.0
+    assert ref_map.to_json() == text
 
 
 def test_json_rejects_unknown_schema(ref_map):
@@ -231,6 +237,55 @@ def test_non_monotone_anchors_rejected():
     ]
     with pytest.raises((NonMonotonicModel, NoConvergence)):
         calibrate(anchors, model_kind="monotone_spline")
+
+
+@pytest.mark.parametrize("kind", ["reference", "two-knot", "calibrated"])
+def test_float_spline_value_is_bit_identical_to_the_array_path(kind, ref_map):
+    spline = {"reference": lambda: ref_map._spline,
+              "two-knot": lambda: _HermiteSpline([0.0, 1.6], [7.0, 1e-3],
+                                                 [-20.0, -1e-3]),
+              "calibrated": lambda: calibrate(reference_anchors())._spline}[kind]()
+    rng = np.random.default_rng(2026)
+    lo, hi = ref_map.domain_m
+    x = [*spline.z.tolist(), lo, hi, -0.25, 2.0,
+         *rng.uniform(lo, hi, 20000).tolist()]
+    # point by point: numpy squares a whole array by multiplying but a
+    # scalar by pow, as Python does, so only the scalar call is the oracle
+    assert [spline.value(v) for v in x] == [float(spline(v)) for v in x]
+
+
+def test_inversion_matches_brent_on_the_array_model(ref_map):
+    # the float-only inversion finds the root _brentq finds on the vector
+    # model, and targets at or below the floor still fail
+    knots = [[0.0, 7.0, -20.0], [0.5, 0.05, -0.3], [1.0, 0.002, -0.004],
+             [1.5, 0.0002, -0.0002]]
+    clamped = FieldMap(model="monotone_spline", params={"knots": knots},
+                       domain_m=(0.0, 1.5), floor_T=1e-3)
+    rng = np.random.default_rng(77)
+    for fmap in (FieldMap.from_json(ref_map.to_json()), clamped):
+        lo, hi = fmap.domain_m
+        bmin, bmax = fmap.field_range()
+        assert (bmin, bmax) == (float(fmap.field_at(hi)), float(fmap.field_at(lo)))
+        targets = np.exp(rng.uniform(np.log(bmin), np.log(bmax), 300)).tolist()
+        for b in targets + [bmax]:
+            if b <= fmap.floor_T:
+                continue
+            f = lambda z: fmap._model_field(z) - b  # noqa: E731
+            root = lo if f(lo) <= 0 else hi if f(hi) >= 0 else _brentq(f, lo, hi)
+            assert fmap.position_of_field(b) == root
+        for b in (fmap.floor_T, 0.9 * fmap.floor_T, 0.0, -1.0):
+            with pytest.raises(FieldNotReachable):
+                fmap.position_of_field(b)
+
+
+@pytest.mark.parametrize("knot_field, floor", [
+    (7.0, 1e-3), (7.0, 10.0), (float("nan"), 1e-3), (7.0, float("nan"))])
+def test_field_range_clamps_like_field_at(knot_field, floor):
+    fmap = FieldMap(model="monotone_spline",
+                    params={"knots": [[0.0, knot_field, -1.0], [1.6, 0.5, -0.1]]},
+                    floor_T=floor)
+    expected = [float(fmap.field_at(z)) for z in (1.6, 0.0)]
+    assert np.array_equal(fmap.field_range(), expected, equal_nan=True)
 
 
 def test_floor_clamp_and_shield_flag():

@@ -196,6 +196,7 @@ def test_failed_run_leaves_clean_record(tmp_path):
     record = json.loads((tmp_path / "runrecord.json").read_text())
     assert record["status"] == "failed"
     assert record["error"]
+    assert record["metrics"]["total_s"] >= record["metrics"]["fieldmap_s"] > 0
     for name in record["manifest"]:
         assert (tmp_path / name).exists()
     assert "t1_map.csv" not in record["manifest"]
@@ -238,6 +239,12 @@ def test_run_record_contents(tmp_path):
     assert doc["tool_version"]
     assert doc["started_at"] <= doc["finished_at"]
     assert set(doc["manifest"]) == {"lac_plan.csv"}
+    # stage wall times: the map load, the result writes, the whole run
+    m = doc["metrics"]
+    assert sorted(m) == ["fieldmap_s", "total_s", "write_s"]
+    assert 0 < m["fieldmap_s"] and 0 < m["write_s"]
+    assert m["fieldmap_s"] + m["write_s"] <= m["total_s"]
+    assert record.metrics == m
 
 
 def test_fieldmap_block_from_files(tmp_path):

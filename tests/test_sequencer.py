@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,12 @@ from fieldcycle.motion import JitterModel, duration, plan
 from fieldcycle.sequencer import (DEFAULT_LATENCIES, CryoSpec, Event,
                                   SequenceSpec, Timeline, build_timeline,
                                   simulate, validate)
-from fieldcycle.util import csv_text
+
+
+def _per_run(log, name):
+    """{event id: the event's ``name`` column value in every run}."""
+    return {ev.id: np.broadcast_to(x, log.runs)
+            for ev, x in zip(log.events, getattr(log, name))}
 
 
 @pytest.fixture()
@@ -123,9 +131,11 @@ def test_optical_events_without_a_move_see_the_start_position(
 
 def test_simulate_zero_jitter_is_nominal_plus_latency(dnp_timeline):
     log = simulate(dnp_timeline, JitterModel(sigma_s=0.0, seed=0))
-    for row in log.rows:
-        lat = dnp_timeline.latencies[row.channel]
-        assert row.t_realized_s == pytest.approx(row.t_nominal_s + lat, abs=1e-12)
+    starts = _per_run(log, "t_realized_s")
+    for ev in log.events:
+        lat = dnp_timeline.latencies[ev.channel]
+        for start in starts[ev.id]:
+            assert start == pytest.approx(ev.t_start_s + lat, abs=1e-12)
 
 
 def test_simulate_jitter_shifts_downstream(dnp_timeline):
@@ -146,9 +156,7 @@ def test_simulate_jitter_shifts_downstream(dnp_timeline):
 
 def test_simulate_completion_minus_trigger_statistics(dnp_timeline):
     log = simulate(dnp_timeline, JitterModel(sigma_s=2.6e-3, seed=7), 1400)
-    starts = {}
-    for r in log.rows:
-        starts.setdefault(r.event, []).append(r.t_realized_s)
+    starts = _per_run(log, "t_realized_s")
     diffs = np.subtract(starts["done"], starts["trigger"])
     assert len(diffs) == 1400
     sd = np.std(diffs, ddof=1)
@@ -158,7 +166,11 @@ def test_simulate_completion_minus_trigger_statistics(dnp_timeline):
 def test_simulate_deterministic_per_seed(dnp_timeline):
     log1 = simulate(dnp_timeline, JitterModel(sigma_s=2.6e-3, seed=3))
     log2 = simulate(dnp_timeline, JitterModel(sigma_s=2.6e-3, seed=3))
-    assert log1.rows == log2.rows
+    assert log1.events == log2.events
+    for name in ("t_realized_s", "duration_s"):
+        one, two = _per_run(log1, name), _per_run(log2, name)
+        for ev in log1.events:
+            assert np.array_equal(one[ev.id], two[ev.id])
 
 
 def test_partial_latencies_merge_with_defaults(shuttle_profile):
@@ -182,16 +194,12 @@ def test_shuttle_event_lasts_the_profile_duration(limits):
 
 def test_causality_under_jitter(dnp_timeline):
     log = simulate(dnp_timeline, JitterModel(sigma_s=5e-3, seed=13), 200)
-    by_run = {}
-    for r in log.rows:
-        by_run.setdefault(r.run_id, {})[r.event] = r
-    assert sorted(by_run) == list(range(200))
-    for rows in by_run.values():
-        for ev in dnp_timeline.events:
-            if ev.depends_on:
-                dep = rows[ev.depends_on]
-                assert rows[ev.id].t_realized_s >= \
-                    dep.t_realized_s + dep.duration_s - 1e-12
+    starts, durations = _per_run(log, "t_realized_s"), _per_run(log, "duration_s")
+    assert all(len(s) == 200 for s in starts.values())
+    for ev in dnp_timeline.events:
+        if ev.depends_on:
+            dep = ev.depends_on
+            assert np.all(starts[ev.id] >= starts[dep] + durations[dep] - 1e-12)
 
 
 def test_event_log_csv_shape(dnp_timeline):
@@ -204,8 +212,12 @@ def test_event_log_csv_shape(dnp_timeline):
 
 def _reference_csv(timeline, jitter, runs):
     """event_log.csv of ``runs`` runs realized one at a time with Python
-    scalars: the per-run loop that ``simulate`` vectorizes."""
-    rows = []
+    scalars, the per-run loop that ``simulate`` vectorizes, written row by
+    row with ``csv.writer``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["run_id", "channel", "event", "t_nominal_s", "t_realized_s",
+                   "duration_s"])
     for run_id in range(runs):
         shift, realized = {}, {}
         for ev in timeline.events:
@@ -220,9 +232,8 @@ def _reference_csv(timeline, jitter, runs):
             else:
                 shift[ev.id] = inherited
             realized[ev.id] = start + dur
-            rows.append((run_id, ev.channel, ev.id, ev.t_start_s, start, dur))
-    return csv_text(["run_id", "channel", "event", "t_nominal_s",
-                     "t_realized_s", "duration_s"], rows)
+            writer.writerow((run_id, ev.channel, ev.id, ev.t_start_s, start, dur))
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("case", ["default", "cryo", "latency", "two_moves"])
@@ -256,14 +267,16 @@ def test_simulate_matches_per_run_loop_bytes(shuttle_profile, case, sigma):
     assert log.to_csv() == expected
     assert log.runs == runs and len(log.metadata["shuttle_jitter_s"]) == runs
     if sigma == 0.5:  # draws below minus the move time clamp it to zero
-        assert min(r.duration_s for r in log.rows if r.event == "shuttle") == 0.0
+        assert np.min(_per_run(log, "duration_s")["shuttle"]) == 0.0
 
 
 def test_simulate_runs_do_not_depend_on_run_count(dnp_timeline):
     many = simulate(dnp_timeline, JitterModel(sigma_s=2.6e-3, seed=4), 50)
     one = simulate(dnp_timeline, JitterModel(sigma_s=2.6e-3, seed=4))
-    assert many.rows[:len(dnp_timeline.events)] == one.rows
-    assert [r for r in many.rows if r.run_id == 49 and r.event == "acquire"] \
-        == [many.rows[-1]]
+    for name in ("t_realized_s", "duration_s"):
+        first, only = _per_run(many, name), _per_run(one, name)
+        assert all(first[ev.id][0] == only[ev.id][0] for ev in one.events)
+    # rows run by run: the last row is the last run's last event
+    assert many.to_csv().splitlines()[-1].startswith("49,nmr_acquire,acquire,")
     assert simulate(dnp_timeline, JitterModel(seed=4), 0).to_csv() == \
         "run_id,channel,event,t_nominal_s,t_realized_s,duration_s\n"

@@ -1,0 +1,60 @@
+import csv
+import io
+
+import numpy as np
+import pytest
+
+from fieldcycle.sequencer import Event, EventLog
+from fieldcycle.util import csv_text
+
+HEADER = ["text", "int", "float", "other"]
+ROWS = [
+    ["plain", 1, 0.1, None],
+    ["a,comma", -3, 1e-300, np.float64(2.5)],
+    ['a "quote"', np.int64(7), np.float64(1 / 3), np.array(0.25)],
+    ["two\nlines", np.array(4), float("inf"), ""],
+    ["carriage\rreturn", True, float("nan"), "x,y"],
+    ["", 0, -0.0, 'say "hi",\nthen go'],
+    [None, 10 ** 20, 1e16, np.array(7)],
+]
+
+
+def _writer_text(header, rows):
+    """The oracle: ``csv.writer`` fed row by row."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("rows", [ROWS, ROWS[:1], ROWS[-1:], []],
+                         ids=["all", "plain", "nulls", "empty"])
+def test_csv_text_writes_what_csv_writer_writes(rows):
+    assert csv_text(HEADER, zip(*rows)) == _writer_text(HEADER, rows)
+    columns = [[row[j] for row in rows] for j in range(len(HEADER))]
+    assert csv_text(HEADER, columns) == _writer_text(HEADER, rows)
+    assert csv_text(['a "b"', "c,d"], [[], []]) == '"a ""b""","c,d"\n'
+
+
+def test_csv_text_renders_array_columns_as_repr():
+    rng = np.random.default_rng(11)
+    floats = rng.standard_normal(2000) * 10.0 ** rng.integers(-30, 30, 2000)
+    floats[:4] = [0.0, -0.0, np.inf, np.nan]
+    ints = rng.integers(-10 ** 12, 10 ** 12, 2000)
+    rows = list(zip(floats, ints, floats.tolist()))
+    text = csv_text(["a", "b", "c"], [floats, ints, floats.tolist()])
+    assert text == _writer_text(["a", "b", "c"], rows)
+    parsed = np.array([float(r[0]) for r in csv.reader(io.StringIO(text))
+                       if r[0] != "a"])
+    assert np.array_equal(parsed, floats, equal_nan=True)  # round-trips
+
+
+def test_event_log_of_no_runs_writes_only_the_header():
+    log = EventLog((Event("program", "pulse_gen", 0.0, 0.0),
+                    Event("shuttle", "actuator_motion", 1.0, 0.5)), 0,
+                   (0.0, np.zeros(0)), (0.0, np.zeros(0)), {})
+    assert log.to_csv() == \
+        "run_id,channel,event,t_nominal_s,t_realized_s,duration_s\n"
+    with pytest.raises(KeyError):
+        log.realized("program")

@@ -153,9 +153,12 @@ def _check_monotone_slopes(z, b, m):
 
 def _hermite(t, h, b0, b1, m0, m1):
     """Cubic Hermite value at local coordinate t of a segment of width h;
-    the same operations, in the same order, on arrays and on floats."""
-    h00 = (1 + 2 * t) * (1 - t) ** 2
-    h10 = t * (1 - t) ** 2
+    the same operations, in the same order, on arrays and on floats.  The
+    square is a product: numpy squares arrays by multiplying, but Python
+    and numpy scalars by ``pow``, which differs in the last bit."""
+    u = 1 - t
+    h00 = (1 + 2 * t) * (u * u)
+    h10 = t * (u * u)
     h01 = t * t * (3 - 2 * t)
     h11 = t * t * (t - 1)
     return h00 * b0 + h10 * h * m0 + h01 * b1 + h11 * h * m1

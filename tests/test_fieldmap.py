@@ -249,9 +249,17 @@ def test_float_spline_value_is_bit_identical_to_the_array_path(kind, ref_map):
     lo, hi = ref_map.domain_m
     x = [*spline.z.tolist(), lo, hi, -0.25, 2.0,
          *rng.uniform(lo, hi, 20000).tolist()]
-    # point by point: numpy squares a whole array by multiplying but a
-    # scalar by pow, as Python does, so only the scalar call is the oracle
     assert [spline.value(v) for v in x] == [float(spline(v)) for v in x]
+
+
+def test_field_at_an_array_is_bit_identical_to_point_by_point(ref_map):
+    # a position gets the same field alone as inside an array, so the B_T
+    # column of trajectory.csv agrees with position_of_field's map
+    rng = np.random.default_rng(2026)
+    lo, hi = ref_map.domain_m
+    z = rng.uniform(lo, hi, 20000)
+    assert ref_map.field_at(z).tolist() == [float(ref_map.field_at(v))
+                                            for v in z.tolist()]
 
 
 def test_inversion_matches_brent_on_the_array_model(ref_map):

@@ -42,8 +42,14 @@ DEFAULT_MODEL_KIND = "auto"
 MODEL_KINDS = (DEFAULT_MODEL_KIND, "finite_solenoid", "monotone_spline")
 
 _PARAM_BOUNDS = ([1e-3, 1e-3], [2.0, 2.0])  # half-length, radius (m)
-_MAX_ITER = 500
-_LSQ_TOL = 1e-10
+_DEFAULT_GEOMETRY = (0.12, 0.12)  # m; kept where anchors leave the shape free
+_GRID = 24  # solenoid search: log-spaced geometries per parameter
+_POLISH_STARTS = 3  # lowest grid minima polished at most
+_DOMINANCE = 10.0  # no polish starts this many times costlier than the best
+_POLISH_TOL = 1e-12  # a polish ends on a smaller relative step or cost gain
+_REACH_MARGIN = 1e-10  # relative field a polish aims inside an anchor's reach
+_MAX_STEPS = 100  # cap on inversion and polish iterations
+_FD_STEP = math.sqrt(np.finfo(float).eps)  # forward differences, as scipy's
 _REFERENCE_MAP_FILE = Path(__file__).with_name("reference_map.json")
 _MEMO_SIZE = 1024  # field inversions kept per map
 _FILL_PER_DECADE = 14  # backbone fill knots per decade of field between anchors
@@ -62,6 +68,10 @@ class FieldAnchor:
     def __post_init__(self):
         if self.kind not in ("field_value", "gradient_at_field"):
             raise ValueError(f"unknown anchor kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.field_T, self.position_m,
+                                              self.gradient_T_per_m,
+                                              self.tolerance_rel) if v is not None):
+            raise ValueError("anchor values must be finite")
         if self.field_T <= 0:
             raise ValueError("anchor field_T must be positive")
         if self.kind == "gradient_at_field":
@@ -85,10 +95,10 @@ class LacPlan:
 # ---------------------------------------------------------------------------
 # finite solenoid on-axis profile
 
-def _solenoid_shape(z, half_length, radius):
+def _solenoid_shape(z, half_length, radius, sqrt=np.sqrt):
     zp = half_length + z
     zm = half_length - z
-    return zp / np.sqrt(zp * zp + radius * radius) + zm / np.sqrt(zm * zm + radius * radius)
+    return zp / sqrt(zp * zp + radius * radius) + zm / sqrt(zm * zm + radius * radius)
 
 
 def _solenoid_field(z, b0, half_length, radius):
@@ -105,11 +115,48 @@ def _solenoid_gradient(z, b0, half_length, radius):
     return b0 * fp / _solenoid_shape(0.0, half_length, radius)
 
 
-def _solenoid_invert(target, b0, half_length, radius, z_max):
-    if not (_solenoid_field(z_max, b0, half_length, radius) <= target <= b0):
-        return None
-    return _brentq(lambda z: _solenoid_field(z, b0, half_length, radius) - target,
-                   0.0, z_max)
+def _solenoid_invert(target, b0, h, r, s0, z_max, z, live):
+    """Positions in [0, z_max] where the fields of solenoids (``h``, ``r``,
+    center shape ``s0``) equal ``target``, for arrays that broadcast to the
+    shape of ``z``, where each solve starts (a start outside (0, z_max)
+    means mid-domain).  Newton steps on B**(-1/3), close to linear in the
+    dipole far field, are kept inside a bisection bracket.  A solve ends
+    when its Newton step is below the field's rounding error over the
+    slope, or its bracket is down to adjacent floats; only the ``live``
+    solves, whose targets lie in [B(z_max), b0], are waited for.  Returns
+    the positions and dB/dz at the last Newton point, within rounding of
+    the position."""
+    # the shape sums two terms of magnitude <= 1: its rounding, in tesla
+    noise = 4 * np.finfo(float).eps * b0 / s0
+    r2 = r * r
+    dscale = b0 * r2 / s0
+    lo, hi, step = np.zeros(z.shape), np.full(z.shape, float(z_max)), z_max
+    z = np.where((z > 0) & (z < z_max), z, z_max / 2)
+    # in-place masked copies below: np.where costs several times more per
+    # call on these small arrays, and a polish makes thousands of calls
+    for _ in range(_MAX_STEPS):
+        zp, zm = h + z, h - z
+        ap, am = zp * zp, zm * zm
+        ap += r2
+        am += r2
+        sp, sm = np.sqrt(ap), np.sqrt(am)
+        b = b0 * ((zp / sp + zm / sm) / s0)  # _solenoid_field, op for op
+        # kept below zero where it underflows, so the step leaves the bracket
+        slope = np.minimum(dscale * (1 / (ap * sp) - 1 / (am * sm)), -1e-300)
+        above = b > target
+        np.copyto(lo, z, where=above)
+        np.copyto(hi, z, where=~above)
+        newton = z + 3 * b * (1 - np.cbrt(b / target)) / slope
+        z_next = (lo + hi) / 2
+        move = abs(newton - z)
+        last = move * slope >= -noise
+        # a Newton step must stay inside the bracket and halve the last one
+        np.copyto(z_next, newton, where=last | (
+            (lo < newton) & (newton < hi) & (move + move <= step)))
+        if not (live & ~last & (lo < z_next) & (z_next < hi)).any():
+            break
+        step, z = abs(z_next - z), z_next
+    return z_next, slope
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +273,11 @@ class FieldMap:
                                               repr=False, compare=False)
     _positions: dict = field(init=False, default_factory=dict, repr=False,
                              compare=False)  # position_of_field memo
+    # how ``calibrate`` made the map (None for a map made otherwise): the
+    # model, the lowest-cost solenoid geometry, each anchor's residual in
+    # tolerance units and the fit's evaluation counts; not in ``to_json``
+    calibration: Optional[MappingProxyType] = field(init=False, default=None,
+                                                    repr=False, compare=False)
 
     def __post_init__(self):
         if self.model not in MODEL_KINDS[1:]:
@@ -248,10 +300,17 @@ class FieldMap:
         return self._spline(z)
 
     def _model_value(self, z: float) -> float:
-        """``float(self._model_field(z))`` for one float position."""
-        if self._spline is None:
+        """``float(self._model_field(z))`` for one float position, on Python
+        floats: ``math.sqrt`` rounds as ``np.sqrt`` does."""
+        if self._spline is not None:
+            return self._spline.value(z)
+        p = self.params
+        h, r = p["half_length_m"], p["radius_m"]
+        try:
+            return p["b0_T"] * (_solenoid_shape(z, h, r, math.sqrt)
+                                / _solenoid_shape(0.0, h, r, math.sqrt))
+        except ZeroDivisionError:  # numpy gives NaN or inf there
             return float(self._model_field(z))
-        return self._spline.value(z)
 
     def _model_gradient(self, z):
         if self.model == "finite_solenoid":
@@ -370,38 +429,46 @@ def _center_anchor(anchors):
     raise ValueError("calibration needs a field_value anchor at the magnet center (z=0)")
 
 
-def _initial_geometry(anchors, b0):
-    """Deterministic init: equal half-length and radius from the far-field
-    (dipole) magnitude of the first positioned off-center anchor."""
-    for a in anchors:
-        if a.kind == "field_value" and a.position_m and a.position_m > 0:
-            c = (a.field_T * a.position_m ** 3 / (math.sqrt(2.0) * b0)) ** (1.0 / 3.0)
-            c = min(max(c, 2e-3), 1.5)
-            return c, c
-    return 0.12, 0.12
+@lru_cache(maxsize=16)
+def _anchor_columns(anchors, z_max):
+    """Per-anchor columns of ``_solenoid_residuals``: field, tolerance,
+    |gradient|, where the field is read (its position, else the domain end),
+    and masks of gradient and of unpositioned field anchors."""
+    table = np.array([(a.field_T, a.tolerance_rel, abs(a.gradient_T_per_m or 1.0),
+                       z_max if a.position_m is None else a.position_m,
+                       a.kind == "gradient_at_field",
+                       a.kind == "field_value" and a.position_m is None)
+                      for a in anchors]).T
+    return (*table[:4], table[4] == 1, table[5] == 1)
 
 
-def _solenoid_residuals(params, anchors, b0, z_max):
-    half_length, radius = params
-    res = []
-    for a in anchors:
-        if a.kind == "field_value":
-            if a.position_m is None:
-                # unpositioned field anchors only require reachability
-                lo = _solenoid_field(z_max, b0, half_length, radius)
-                res.append(0.0 if lo <= a.field_T <= b0 else (lo - a.field_T) / a.field_T)
-            else:
-                bz = _solenoid_field(a.position_m, b0, half_length, radius)
-                res.append((bz - a.field_T) / a.field_T / a.tolerance_rel)
-        else:
-            z = _solenoid_invert(a.field_T, b0, half_length, radius, z_max)
-            if z is None:
-                res.append(1e3)
-                continue
-            g = _solenoid_gradient(z, b0, half_length, radius)
-            res.append((abs(g) - abs(a.gradient_T_per_m)) / abs(a.gradient_T_per_m)
-                       / a.tolerance_rel)
-    return res
+def _solenoid_residuals(half_length, radius, anchors, b0, z_max, z=None):
+    """Anchor residuals, one row per anchor, of the solenoids whose
+    geometries are the entries of ``half_length`` and ``radius`` (arrays
+    that broadcast together), and the positions of the gradient anchors'
+    fields, one row per gradient anchor (NaN where out of reach; ``z`` is
+    where their solves start).  Field and gradient misfits are in tolerance
+    units; an unpositioned field out of reach costs a graded penalty, a
+    gradient anchor's field 1e3."""
+    h, r = np.asarray(half_length, float), np.asarray(radius, float)
+    column = (-1,) + (1,) * max(h.ndim, r.ndim)
+    field_T, tol, grad, at, sloped, free = (
+        v.reshape(column) for v in _anchor_columns(tuple(anchors), z_max))
+    s0 = 2 * (h / np.sqrt(h * h + r * r))  # _solenoid_shape(0.0, h, r), op for op
+    b = b0 * (_solenoid_shape(at, h, r) / s0)  # _solenoid_field, op for op
+    rel = (b - field_T) / field_T
+    # a gradient anchor's field is read at z_max too: is it reachable?
+    reach = (b <= field_T) & (field_T <= b0)
+    res = np.where(free, np.where(reach, 0.0, rel), rel / tol)
+    rows = sloped.ravel()
+    live = reach[rows]
+    if not len(live):  # no gradient anchors
+        return res, np.zeros(live.shape)
+    start = np.zeros(live.shape) + (0.0 if z is None else z)  # 0: mid-domain
+    pos, slope = _solenoid_invert(field_T[rows], b0, h, r, s0, z_max, start, live)
+    grad, tol = grad[rows], tol[rows]
+    res[rows] = np.where(live, (np.abs(slope) - grad) / grad / tol, 1e3)
+    return res, np.where(live, pos, np.nan)
 
 
 def _anchor_residual(fmap: FieldMap, a: FieldAnchor):
@@ -418,17 +485,115 @@ def _anchor_residual(fmap: FieldMap, a: FieldAnchor):
         return math.inf
 
 
-def _fit_solenoid(anchors, b0):
-    from scipy.optimize import least_squares
+def _grid_minima(cost):
+    """Flat indices of the grid points no higher than their 8 neighbours,
+    lowest cost first (ties in index order)."""
+    padded = np.pad(cost, 1, constant_values=np.inf)
+    rows, cols = cost.shape
+    low = np.ones(cost.shape, bool)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            low &= cost <= padded[di:di + rows, dj:dj + cols]
+    idx = np.flatnonzero(low)
+    return idx[np.argsort(cost.ravel()[idx], kind="stable")]
 
-    x0 = _initial_geometry(anchors, b0)
-    sol = least_squares(
-        _solenoid_residuals, x0, args=(anchors, b0, FieldMap.domain_m[1]),
-        bounds=_PARAM_BOUNDS, max_nfev=_MAX_ITER,
-        xtol=_LSQ_TOL, ftol=_LSQ_TOL, gtol=_LSQ_TOL,
-    )
-    params = {"b0_T": b0, "half_length_m": float(sol.x[0]), "radius_m": float(sol.x[1])}
-    return FieldMap(model="finite_solenoid", params=params)
+
+class _SolenoidFit:
+    """Solenoid geometries for ``anchors``, lowest weighted cost first, and
+    their residuals.
+
+    The default geometry and a log grid of ``_GRID``**2 geometries inside
+    ``_PARAM_BOUNDS`` are scored in one numpy pass.  Unless the default fits
+    exactly, the lowest grid minima are polished in turn by Levenberg-
+    Marquardt (forward-difference Jacobians, 2x2 solves, steps projected
+    onto the bounds, Nielsen's damping update), up to ``_POLISH_STARTS`` of
+    them and none that starts ``_DOMINANCE`` times costlier than the best
+    polished so far.  ``counts`` holds how many geometries the grid and the
+    polish evaluated."""
+
+    def __init__(self, anchors, b0):
+        self.anchors, self.b0 = anchors, b0
+        self.unpositioned = _anchor_columns(tuple(anchors), FieldMap.domain_m[1])[5]
+        axis = np.geomspace(_PARAM_BOUNDS[0][0], _PARAM_BOUNDS[1][0], _GRID)
+        h, r = (np.append(v.ravel(), d) for v, d in zip(
+            np.meshgrid(axis, axis, indexing="ij"), _DEFAULT_GEOMETRY))
+        grid, _ = _solenoid_residuals(h, r, anchors, b0, FieldMap.domain_m[1])
+        cost = 0.5 * (grid * grid).sum(0)
+        self.counts = {"grid_evaluations": len(cost), "polish_evaluations": 0}
+        if cost[-1] == 0:  # the anchors leave the shape free
+            self.geometries, self.residuals = np.array([_DEFAULT_GEOMETRY]), grid[:, -1:].T
+            return
+        fits = []
+        for i in _grid_minima(cost[:-1].reshape(_GRID, _GRID))[:_POLISH_STARTS]:
+            if fits and cost[i] > _DOMINANCE * min(c for c, _, _ in fits):
+                break
+            fits.append(self._polish(np.array([h[i], r[i]])))
+        fits.sort(key=lambda fit: fit[0])  # stable: ties keep grid order
+        self.geometries = np.array([x for _, x, _ in fits])
+        self.residuals = np.array([res for _, _, res in fits])
+
+    def _linearize(self, x, z):
+        """Residuals, their Jacobian, gradient-anchor positions and theirs, at
+        geometry ``x``.  Forward differences step inward at the upper bound;
+        the position solves start at ``z``."""
+        d = _FD_STEP * np.maximum(1.0, x)
+        d = np.where(x + d > _PARAM_BOUNDS[1], -d, d)
+        points = np.vstack([x, x + np.diag(d)])  # x, then each parameter moved
+        res, pos = _solenoid_residuals(points[:, 0], points[:, 1], self.anchors,
+                                       self.b0, FieldMap.domain_m[1],
+                                       None if z is None else z[:, None])
+        self.counts["polish_evaluations"] += len(points)
+        return (res[:, 0], (res[:, 1:] - res[:, :1]) / d,
+                pos[:, 0], (pos[:, 1:] - pos[:, :1]) / d)
+
+    def _polish(self, x):
+        """(cost, geometry, residuals) of the Levenberg-Marquardt polish that
+        starts at geometry ``x``."""
+        lo, hi = np.array(_PARAM_BOUNDS)
+        res, jac, z, jz = self._linearize(x, None)
+        cost, mu, nu = 0.5 * float(res @ res), 1e-3, 2.0
+        for _ in range(_MAX_STEPS):
+            if not jac.any():
+                break  # stationary
+            # an unpositioned field out of reach is aimed just inside, so a
+            # fit does not stop on the edge of its graded penalty
+            grad = (res + _REACH_MARGIN * (self.unpositioned & (res > 0))) @ jac
+            jtj = jac.T @ jac
+            # a parameter at a bound its descent points past stays there
+            held = np.where(grad > 0, x <= lo, x >= hi)
+            a = jtj + mu * jtj.diagonal().max() * np.eye(2)
+            a[held], a[:, held], grad[held] = 0.0, 0.0, 0.0
+            a[held, held] = 1.0
+            step = np.minimum(np.maximum(x + np.linalg.solve(a, -grad), lo), hi) - x
+            if (abs(step) <= _POLISH_TOL * x).all():
+                break
+            model = -float(step @ (grad + 0.5 * (jtj @ step)))
+            t_res, t_jac, t_z, t_jz = self._linearize(x + step, z + jz @ step)
+            t_cost = 0.5 * float(t_res @ t_res)
+            gain = cost - t_cost
+            if not (gain > 0 and model > 0):
+                mu, nu = mu * nu, 2 * nu
+                continue
+            # Nielsen's update, floored so a rank-one Jacobian stays solvable
+            mu, nu = max(mu * max(1 / 3, 1 - (2 * gain / model - 1) ** 3), 1e-12), 2.0
+            x, res, jac, z, jz = x + step, t_res, t_jac, t_z, t_jz
+            cost, done = t_cost, gain <= _POLISH_TOL * cost
+            if done:
+                break
+        return cost, x, res
+
+    def map(self, i):
+        """Fitted geometry ``i`` (0: the lowest cost) as a solenoid map."""
+        h, r = self.geometries[i].tolist()
+        return FieldMap(model="finite_solenoid", params={
+            "b0_T": self.b0, "half_length_m": h, "radius_m": r})
+
+    def fitting(self):
+        """Maps of the fitted geometries, best first, but those whose
+        residuals certainly miss a tolerance (or an unpositioned field's
+        reach) by more than rounding."""
+        within = (abs(self.residuals) <= 1 + 1e-6).all(1)
+        return (self.map(i) for i in np.flatnonzero(within))
 
 
 def _spline_from_anchors(anchors, backbone: FieldMap):
@@ -532,7 +697,10 @@ def calibrate(anchors: Sequence[FieldAnchor],
 
     ``model_kind`` is "finite_solenoid", "monotone_spline", or "auto" (try the
     solenoid first, fall back to the spline when the anchors over-constrain
-    it).  Deterministic: identical anchors give bit-identical parameters.
+    it).  A solenoid result is the lowest-cost fitted geometry that meets
+    every tolerance; a spline is built on the lowest-cost one, its backbone.
+    The map's ``calibration`` records how it was made.  Deterministic:
+    identical anchors give bit-identical parameters.
     """
     anchors = list(anchors)
     if not anchors:
@@ -540,20 +708,31 @@ def calibrate(anchors: Sequence[FieldAnchor],
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model_kind {model_kind!r}")
     b0 = _center_anchor(anchors).field_T
+    lo, hi = FieldMap.domain_m
+    if not all(lo <= a.position_m <= hi for a in anchors if a.position_m is not None):
+        raise ValueError(f"anchor positions must lie in the map domain [{lo}, {hi}] m")
 
-    solenoid = _fit_solenoid(anchors, b0)
-    if model_kind in ("auto", "finite_solenoid"):
-        error = _misfit(solenoid, anchors, "solenoid")
-        if error is None:
-            return solenoid
-        if model_kind == "finite_solenoid":
+    fit = _SolenoidFit(anchors, b0)
+    fmap = None
+    if model_kind != "monotone_spline":
+        fmap = next((m for m in fit.fitting()
+                     if _misfit(m, anchors, "solenoid") is None), None)
+        if fmap is None and model_kind == "finite_solenoid":
+            raise _misfit(fit.map(0), anchors, "solenoid")
+    if fmap is None:
+        fmap = _spline_from_anchors(anchors, fit.map(0))
+        error = _misfit(fmap, anchors, "spline")
+        if error is not None:
             raise error
-
-    spline = _spline_from_anchors(anchors, solenoid)
-    error = _misfit(spline, anchors, "spline")
-    if error is not None:
-        raise error
-    return spline
+    half_length, radius = fit.geometries[0].tolist()
+    object.__setattr__(fmap, "calibration", MappingProxyType({
+        "model": fmap.model,
+        "anchor_residuals": [_anchor_residual(fmap, a) / a.tolerance_rel
+                             for a in anchors],
+        "backbone": {"half_length_m": half_length, "radius_m": radius,
+                     "anchor_residuals": fit.residuals[0].tolist()},
+        **fit.counts}))
+    return fmap
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,14 @@ class _Workspace:
         finally:
             self.record.metrics[stage] += time.perf_counter() - start
 
+    def fieldmap(self, spec: ExperimentSpec) -> fm.FieldMap:
+        """The spec's field map, its load timed; how a map calibrated from
+        anchors was fitted goes to ``diagnostics.calibration``."""
+        fmap = self.timed("fieldmap_s", spec.fieldmap)
+        if fmap.calibration is not None:
+            self.record.diagnostics["calibration"] = dict(fmap.calibration)
+        return fmap
+
     def write(self, name: str, text: str):
         self.timed("write_s", _write_atomic, self.out_dir / name, text)
         self.record.manifest.append(name)
@@ -363,7 +371,7 @@ def _run_shuttle(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
 
 
 def _run_lac(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
-    fmap = ws.timed("fieldmap_s", spec.fieldmap)
+    fmap = ws.fieldmap(spec)
     limits = spec.params["limits"]
     rows = []
     for t in spec.params["targets_T"]:
@@ -406,7 +414,7 @@ def _finite(x: float) -> Optional[float]:
 
 def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     p = spec.params
-    fmap = ws.timed("fieldmap_s", spec.fieldmap)
+    fmap = ws.fieldmap(spec)
     base_seed = derive_seed(spec.seed, "relaxometry")
     curves = [rx.simulate_protocol(prot, fmap, spec.limits, p["model"],
                                    seed=base_seed + i,
@@ -432,7 +440,7 @@ def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
 
 def _sequence_parts(spec: ExperimentSpec, ws: _Workspace):
     p = spec.params
-    fmap = ws.timed("fieldmap_s", spec.fieldmap)
+    fmap = ws.fieldmap(spec)
     z_start = fmap.position_of_field(p["B_start_T"])
     z_end = fmap.position_of_field(p["B_end_T"])
     distance = p["shuttle_distance_m"]

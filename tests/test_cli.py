@@ -194,17 +194,20 @@ def test_non_spec_verbs_reject_bad_input(tmp_path, monkeypatch, capsys, argv,
     assert not (tmp_path / "traj").exists() and not (tmp_path / "map.json").exists()
 
 
-_SCIPY_OPTIMIZE_PROBE = """
+_SCIPY_PROBE = """
 import json, sys
 from fieldcycle.cli import main
 from fieldcycle.fieldmap import anchors_to_csv, reference_anchors
 
 tmp = sys.argv[1]
-def spec(kind):
+def spec(kind, **top):
     path = f"{tmp}/{kind}.json"
     with open(path, "w") as fh:
-        json.dump({"schema_version": 1, "kind": kind, "seed": 1}, fh)
+        json.dump({"schema_version": 1, "kind": kind, "seed": 1, **top}, fh)
     return path
+
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
 
 for kind in ("lac_plan", "sequence_validation", "shuttle_characterization"):
     assert main(["run", "--spec", spec(kind), "--out", f"{tmp}/{kind}",
@@ -213,15 +216,19 @@ assert main(["dnp-sweep", "--config", spec("dnp_sweep"), "--nodes", "8",
              "--out", f"{tmp}/dnp", "--quiet"]) == 0
 assert main(["plan-motion", "--distance", "0.2", "--out", f"{tmp}/motion",
              "--quiet"]) == 0
-print("scipy.optimize" in sys.modules)
+print(scipy_loaded())
 assert main(["run", "--spec", spec("t1_field_map"), "--out", f"{tmp}/t1",
              "--quiet"]) == 0
-print("scipy.optimize" in sys.modules)
+print(scipy_loaded())
 with open(f"{tmp}/anchors.csv", "w") as fh:
     fh.write(anchors_to_csv(reference_anchors()))
 assert main(["calibrate-field", "--anchors", f"{tmp}/anchors.csv",
              "--out", f"{tmp}/map.json", "--quiet"]) == 0
-print("scipy.optimize" in sys.modules)
+print(scipy_loaded())
+assert main(["run", "--spec", spec("lac_plan", fieldmap={
+    "anchors_file": "anchors.csv"}), "--out", f"{tmp}/lac_anchors",
+             "--quiet"]) == 0
+print(scipy_loaded())
 """
 
 
@@ -239,19 +246,18 @@ def _scipy_importers(node, where):
 
 
 def test_only_fits_import_scipy_optimize(tmp_path):
-    # scipy is imported in one place only, lazily in the solenoid fit of
-    # anchor calibration; the T1 decay fit is a Brent root with no scipy path
+    # the package imports no scipy: the T1 decay fit is a Brent root and
+    # the solenoid fit of anchor calibration a numpy grid search and polish
     package = Path(fieldcycle.__file__).parent
     sites = {site for path in package.glob("*.py") for site in _scipy_importers(
         ast.parse(path.read_text()), (path.stem, None))}
-    assert sites == {("fieldmap", "_fit_solenoid")}
-    # a fresh process: no verb on the reference map loads scipy.optimize,
-    # T1 maps included; calibrating a map from anchors does
+    assert sites == set()
+    # a fresh process: no verb loads any scipy module, T1 maps,
+    # calibrate-field and an anchors-file spec included
     src = str(package.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_OPTIMIZE_PROBE,
-                          str(tmp_path)], env=env, capture_output=True,
-                         text=True, timeout=300)
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False", "True"]
+    assert out.stdout.split() == ["False"] * 4

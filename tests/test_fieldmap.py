@@ -1,11 +1,14 @@
 import hashlib
+import importlib.util
 import json
+import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import brentq, least_squares
 
 import fieldcycle.fieldmap as fm
 
@@ -140,6 +143,56 @@ def test_calibration_deterministic():
     assert m1.params == m2.params
 
 
+def _fuzz_sets(n):
+    """The reference anchors and the first ``n`` random sets of
+    tools/calibration_fuzz.py."""
+    path = Path(__file__).parents[1] / "tools" / "calibration_fuzz.py"
+    spec = importlib.util.spec_from_file_location("calibration_fuzz", path)
+    fuzz = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzz)
+    return fuzz.anchor_sets(fm, n)
+
+
+def test_calibration_is_bit_identical_across_calls():
+    for anchors in _fuzz_sets(30):
+        try:
+            first = calibrate(anchors)
+        except (NoConvergence, NonMonotonicModel, FieldNotReachable) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                calibrate(anchors)
+            continue
+        again = calibrate(anchors)
+        assert again.to_json() == first.to_json()
+        assert again.calibration == first.calibration
+
+
+def _trf_cost(anchors, b0=7.0):
+    """Weighted cost of the solenoid scipy's bounded TRF fits from the
+    far-field (dipole) start and with the tolerances the solenoid fit used
+    before its grid search."""
+    x0 = (0.12, 0.12)
+    for a in anchors:
+        if a.kind == "field_value" and a.position_m and a.position_m > 0:
+            c = (a.field_T * a.position_m ** 3 / (math.sqrt(2.0) * b0)) ** (1 / 3)
+            x0 = (min(max(c, 2e-3), 1.5),) * 2
+            break
+    resid = lambda x: fm._solenoid_residuals(x[0], x[1], anchors, b0, 1.6)[0]  # noqa: E731
+    sol = least_squares(resid, x0, bounds=fm._PARAM_BOUNDS, max_nfev=500,
+                        xtol=1e-10, ftol=1e-10, gtol=1e-10)
+    r = resid(sol.x)
+    return 0.5 * float(r @ r)
+
+
+def test_solenoid_fit_costs_no_more_than_scipy_trf():
+    # the backbone is the lowest-cost geometry: never costlier than TRF's
+    # local fit, but for rounding (an exact fit costs at most 1e-18,
+    # residuals of 1e-9 of the tolerances)
+    for anchors in _fuzz_sets(50):
+        res = fm._SolenoidFit(anchors, 7.0).residuals[0]
+        cost = 0.5 * float(res @ res)
+        assert cost <= max(_trf_cost(anchors) * (1 + 1e-9), 1e-18)
+
+
 def test_json_round_trip(ref_map):
     text = ref_map.to_json()
     doc = json.loads(text)
@@ -159,7 +212,7 @@ def test_map_files_with_the_old_unread_keys_load_unchanged():
     old_text = json.dumps({**doc, "travel_range_m": 1.6,
                            "center_separation_m": 0.83}, indent=2, sort_keys=True)
     assert hashlib.sha256(old_text.encode()).hexdigest() == (
-        "0a44d62f2ee27420169b88844d66a3bd247574a173447515c7b4ba24c3450508")
+        "7fa18ebefbf89c273098c533aa8d720199c88c4c049ec313884c1b448789868e")
     old, new = FieldMap.from_json(old_text), FieldMap.from_json(text)
     assert old == new and old.to_json() == text
     z = np.linspace(0.0, 1.6, 2001)
@@ -227,6 +280,18 @@ def test_anchor_validation():
         FieldAnchor("gradient_at_field", 0.05)  # gradient missing
     with pytest.raises(ValueError):
         FieldAnchor("bogus", 0.05)
+    # an anchor file may spell nan or inf; none reaches the fit
+    for bad in ({"field_T": math.nan}, {"field_T": math.inf},
+                {"position_m": math.nan}, {"gradient_T_per_m": -math.inf},
+                {"tolerance_rel": math.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            FieldAnchor(**{"kind": "gradient_at_field", "field_T": 0.1,
+                           "gradient_T_per_m": -1.0, **bad})
+    # nor does a position off the map (1e300 m overflowed the spline build)
+    for z in (-0.5, 1.7, 1e300):
+        with pytest.raises(ValueError, match="domain"):
+            calibrate([FieldAnchor("field_value", 7.0, position_m=0.0),
+                       FieldAnchor("field_value", 0.1, position_m=z)])
 
 
 def test_non_monotone_anchors_rejected():
@@ -262,6 +327,18 @@ def test_field_at_an_array_is_bit_identical_to_point_by_point(ref_map):
                                             for v in z.tolist()]
 
 
+def test_float_solenoid_value_is_bit_identical_to_the_array_path():
+    # math.sqrt and np.sqrt both round correctly, so the float path that
+    # inverts solenoid maps gives the array path's bits
+    rng = np.random.default_rng(2027)
+    for h, r in np.exp(rng.uniform(np.log(1e-3), np.log(2.0), (40, 2))).tolist():
+        fmap = FieldMap(model="finite_solenoid",
+                        params=known_solenoid(half_length=h, radius=r))
+        z = [0.0, 1.6, h, *rng.uniform(0.0, 1.6, 500).tolist()]
+        assert [fmap._model_value(v) for v in z] == [
+            float(fmap._model_field(v)) for v in z]
+
+
 def test_inversion_matches_brent_on_the_array_model(ref_map):
     # the float-only inversion finds the root _brentq finds on the vector
     # model, and targets at or below the floor still fail
@@ -269,8 +346,9 @@ def test_inversion_matches_brent_on_the_array_model(ref_map):
              [1.5, 0.0002, -0.0002]]
     clamped = FieldMap(model="monotone_spline", params={"knots": knots},
                        domain_m=(0.0, 1.5), floor_T=1e-3)
+    solenoid = FieldMap(model="finite_solenoid", params=known_solenoid())
     rng = np.random.default_rng(77)
-    for fmap in (FieldMap.from_json(ref_map.to_json()), clamped):
+    for fmap in (FieldMap.from_json(ref_map.to_json()), clamped, solenoid):
         lo, hi = fmap.domain_m
         bmin, bmax = fmap.field_range()
         assert (bmin, bmax) == (float(fmap.field_at(hi)), float(fmap.field_at(lo)))
@@ -321,7 +399,7 @@ def test_spline_rejects_bad_knots_before_evaluating(knots):
 
 def test_frozen_reference_map_matches_calibration():
     # the shipped map is the calibration of the reference anchors, byte for
-    # byte: regenerate it when the anchors, the fit or scipy change
+    # byte: regenerate it when the anchors or the fit change
     frozen = Path(fm.__file__).with_name("reference_map.json").read_text()
     assert frozen == calibrate(reference_anchors()).to_json()
 

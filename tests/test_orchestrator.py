@@ -260,6 +260,38 @@ def test_fieldmap_block_from_files(tmp_path):
         parse_spec(minimal("lac_plan", fieldmap={})).fieldmap()
 
 
+def test_anchor_calibration_is_recorded(tmp_path):
+    from fieldcycle.fieldmap import FieldAnchor, anchors_to_csv, reference_anchors
+    solenoid = [FieldAnchor("field_value", 7.0, position_m=0.0, tolerance_rel=1e-6),
+                FieldAnchor("field_value", 0.05, position_m=0.6)]
+    for name, anchors, model in (("ref", reference_anchors(), "monotone_spline"),
+                                 ("sol", solenoid, "finite_solenoid")):
+        (tmp_path / f"{name}.csv").write_text(anchors_to_csv(anchors))
+        spec = parse_spec(minimal("lac_plan", lac={"targets_T": [0.051]},
+                                  fieldmap={"anchors_file": f"{name}.csv"}),
+                          base_dir=tmp_path)
+        run(spec, out_dir=tmp_path / name, quiet=True)
+        doc = json.loads((tmp_path / name / "runrecord.json").read_text())
+        cal = doc["diagnostics"]["calibration"]
+        assert cal["model"] == model
+        assert len(cal["anchor_residuals"]) == len(anchors)
+        assert all(abs(r) <= 1 for r in cal["anchor_residuals"])
+        backbone = cal["backbone"]
+        assert sorted(backbone) == ["anchor_residuals", "half_length_m", "radius_m"]
+        assert len(backbone["anchor_residuals"]) == len(anchors)
+        assert cal["grid_evaluations"] == 24 * 24 + 1
+        assert cal["polish_evaluations"] > 0
+    # the solenoid the reference anchors over-constrain misses three of them
+    assert doc["diagnostics"]["calibration"]["model"] == "finite_solenoid"
+    ref = json.loads((tmp_path / "ref" / "runrecord.json").read_text())
+    misses = ref["diagnostics"]["calibration"]["backbone"]["anchor_residuals"]
+    assert sum(abs(r) > 1 for r in misses) == 3
+    # maps not calibrated here record nothing
+    run(parse_spec(minimal("lac_plan")), out_dir=tmp_path / "plain", quiet=True)
+    doc = json.loads((tmp_path / "plain" / "runrecord.json").read_text())
+    assert "calibration" not in doc["diagnostics"]
+
+
 def test_thread_cap_env(monkeypatch):
     from fieldcycle.util import parallel_map, thread_count
     monkeypatch.setenv("FIELDCYCLE_THREADS", "2")

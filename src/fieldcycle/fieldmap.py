@@ -95,68 +95,79 @@ class LacPlan:
 # ---------------------------------------------------------------------------
 # finite solenoid on-axis profile
 
-def _solenoid_shape(z, half_length, radius, sqrt=np.sqrt):
-    zp = half_length + z
-    zm = half_length - z
-    return zp / sqrt(zp * zp + radius * radius) + zm / sqrt(zm * zm + radius * radius)
+class _Solenoid:
+    """Finite-solenoid on-axis field B(z) = b0 shape(z) / shape(0), the
+    ratio taken first so that B(0) == b0 exactly.  The half-length ``h``
+    and radius ``r`` are floats, or arrays of geometries that broadcast
+    against the positions."""
 
+    def __init__(self, b0, h, r):
+        self.b0, self.h, self.r = b0, h, r
+        # shape(0): its two terms are equal there
+        self.s0 = 2 * (h / np.sqrt(h * h + r * r))
 
-def _solenoid_field(z, b0, half_length, radius):
-    # ratio first so B(0) == b0 exactly
-    return b0 * (_solenoid_shape(z, half_length, radius)
-                 / _solenoid_shape(0.0, half_length, radius))
+    def _shape(self, z, sqrt=np.sqrt):
+        zp, zm, r2 = self.h + z, self.h - z, self.r * self.r
+        return zp / sqrt(zp * zp + r2) + zm / sqrt(zm * zm + r2)
 
+    def __call__(self, z):
+        return self.b0 * (self._shape(z) / self.s0)
 
-def _solenoid_gradient(z, b0, half_length, radius):
-    zp = half_length + z
-    zm = half_length - z
-    r2 = radius * radius
-    fp = r2 * ((zp * zp + r2) ** -1.5 - (zm * zm + r2) ** -1.5)
-    return b0 * fp / _solenoid_shape(0.0, half_length, radius)
+    def value(self, z: float) -> float:
+        """``float(self(z))`` for one float position, on Python floats:
+        ``math.sqrt`` rounds as ``np.sqrt`` does."""
+        try:
+            return self.b0 * (self._shape(z, math.sqrt) / float(self.s0))
+        except ZeroDivisionError:  # numpy gives NaN or inf there
+            return float(self(z))
 
+    def derivative(self, z):
+        zp, zm, r2 = self.h + z, self.h - z, self.r * self.r
+        fp = r2 * ((zp * zp + r2) ** -1.5 - (zm * zm + r2) ** -1.5)
+        return self.b0 * fp / self.s0
 
-def _solenoid_invert(target, b0, h, r, s0, z_max, z, live):
-    """Positions in [0, z_max] where the fields of solenoids (``h``, ``r``,
-    center shape ``s0``) equal ``target``, for arrays that broadcast to the
-    shape of ``z``, where each solve starts (a start outside (0, z_max)
-    means mid-domain).  Newton steps on B**(-1/3), close to linear in the
-    dipole far field, are kept inside a bisection bracket.  A solve ends
-    when its Newton step is below the field's rounding error over the
-    slope, or its bracket is down to adjacent floats; only the ``live``
-    solves, whose targets lie in [B(z_max), b0], are waited for.  Returns
-    the positions and dB/dz at the last Newton point, within rounding of
-    the position."""
-    # the shape sums two terms of magnitude <= 1: its rounding, in tesla
-    noise = 4 * np.finfo(float).eps * b0 / s0
-    r2 = r * r
-    dscale = b0 * r2 / s0
-    lo, hi, step = np.zeros(z.shape), np.full(z.shape, float(z_max)), z_max
-    z = np.where((z > 0) & (z < z_max), z, z_max / 2)
-    # in-place masked copies below: np.where costs several times more per
-    # call on these small arrays, and a polish makes thousands of calls
-    for _ in range(_MAX_STEPS):
-        zp, zm = h + z, h - z
-        ap, am = zp * zp, zm * zm
-        ap += r2
-        am += r2
-        sp, sm = np.sqrt(ap), np.sqrt(am)
-        b = b0 * ((zp / sp + zm / sm) / s0)  # _solenoid_field, op for op
-        # kept below zero where it underflows, so the step leaves the bracket
-        slope = np.minimum(dscale * (1 / (ap * sp) - 1 / (am * sm)), -1e-300)
-        above = b > target
-        np.copyto(lo, z, where=above)
-        np.copyto(hi, z, where=~above)
-        newton = z + 3 * b * (1 - np.cbrt(b / target)) / slope
-        z_next = (lo + hi) / 2
-        move = abs(newton - z)
-        last = move * slope >= -noise
-        # a Newton step must stay inside the bracket and halve the last one
-        np.copyto(z_next, newton, where=last | (
-            (lo < newton) & (newton < hi) & (move + move <= step)))
-        if not (live & ~last & (lo < z_next) & (z_next < hi)).any():
-            break
-        step, z = abs(z_next - z), z_next
-    return z_next, slope
+    def invert(self, target, z_max, z, live):
+        """Positions in [0, z_max] where the fields equal ``target``, for
+        arrays that broadcast to the shape of ``z``, where each solve starts
+        (a start outside (0, z_max) means mid-domain).  Newton steps on
+        B**(-1/3), close to linear in the dipole far field, are kept inside
+        a bisection bracket.  A solve ends when its Newton step is below the
+        field's rounding error over the slope, or its bracket is down to
+        adjacent floats; only the ``live`` solves, whose targets lie in
+        [B(z_max), b0], are waited for.  Returns the positions and dB/dz at
+        the last Newton point, within rounding of the position."""
+        b0, h, s0 = self.b0, self.h, self.s0
+        # the shape sums two terms of magnitude <= 1: its rounding, in tesla
+        noise = 4 * np.finfo(float).eps * b0 / s0
+        r2 = self.r * self.r
+        dscale = b0 * r2 / s0
+        lo, hi, step = np.zeros(z.shape), np.full(z.shape, float(z_max)), z_max
+        z = np.where((z > 0) & (z < z_max), z, z_max / 2)
+        # in-place masked copies below: np.where costs several times more per
+        # call on these small arrays, and a polish makes thousands of calls
+        for _ in range(_MAX_STEPS):
+            zp, zm = h + z, h - z
+            ap, am = zp * zp, zm * zm
+            ap += r2
+            am += r2
+            sp, sm = np.sqrt(ap), np.sqrt(am)
+            b = b0 * ((zp / sp + zm / sm) / s0)  # self(z), op for op
+            # kept below zero where it underflows, so the step leaves the bracket
+            slope = np.minimum(dscale * (1 / (ap * sp) - 1 / (am * sm)), -1e-300)
+            above = b > target
+            np.copyto(lo, z, where=above)
+            np.copyto(hi, z, where=~above)
+            newton = z + 3 * b * (1 - np.cbrt(b / target)) / slope
+            z_next = (lo + hi) / 2
+            move = abs(newton - z)
+            last = move * slope >= -noise
+            # a Newton step must stay inside the bracket and halve the last one
+            np.copyto(z_next, newton, where=last | (
+                (lo < newton) & (newton < hi) & (move + move <= step)))
+            if not (live & ~last & (lo < z_next) & (z_next < hi)).any():
+                break
+            step, z = abs(z_next - z), z_next
+        return z_next, slope
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +279,9 @@ class FieldMap:
     domain_m: tuple[float, float] = (0.0, MotionLimits.travel_range_m)
     floor_T: float = 1.0e-3
     # per-instance derived state; not init fields, so dataclasses.replace
-    # rebuilds the spline from the new params and starts an empty memo
-    _spline: Optional[_HermiteSpline] = field(init=False, default=None,
-                                              repr=False, compare=False)
+    # rebuilds the model from the new params and starts an empty memo
+    _model: _Solenoid | _HermiteSpline = field(init=False, default=None,
+                                               repr=False, compare=False)
     _positions: dict = field(init=False, default_factory=dict, repr=False,
                              compare=False)  # position_of_field memo
     # how ``calibrate`` made the map (None for a map made otherwise): the
@@ -285,38 +296,12 @@ class FieldMap:
         object.__setattr__(self, "params", MappingProxyType({
             k: tuple(map(tuple, v)) if isinstance(v, list) else v
             for k, v in self.params.items()}))
-        if self.model == "monotone_spline":
-            knots = self.params["knots"]
-            z = np.array([k[0] for k in knots])
-            b = np.array([k[1] for k in knots])
-            m = np.array([k[2] for k in knots])
-            object.__setattr__(self, "_spline", _HermiteSpline(z, b, m))
-
-    # --- raw model value, no floor clamp
-    def _model_field(self, z):
-        if self.model == "finite_solenoid":
-            p = self.params
-            return _solenoid_field(z, p["b0_T"], p["half_length_m"], p["radius_m"])
-        return self._spline(z)
-
-    def _model_value(self, z: float) -> float:
-        """``float(self._model_field(z))`` for one float position, on Python
-        floats: ``math.sqrt`` rounds as ``np.sqrt`` does."""
-        if self._spline is not None:
-            return self._spline.value(z)
         p = self.params
-        h, r = p["half_length_m"], p["radius_m"]
-        try:
-            return p["b0_T"] * (_solenoid_shape(z, h, r, math.sqrt)
-                                / _solenoid_shape(0.0, h, r, math.sqrt))
-        except ZeroDivisionError:  # numpy gives NaN or inf there
-            return float(self._model_field(z))
-
-    def _model_gradient(self, z):
-        if self.model == "finite_solenoid":
-            p = self.params
-            return _solenoid_gradient(z, p["b0_T"], p["half_length_m"], p["radius_m"])
-        return self._spline.derivative(z)
+        if self.model == "monotone_spline":
+            model = _HermiteSpline(*([k[i] for k in p["knots"]] for i in range(3)))
+        else:
+            model = _Solenoid(p["b0_T"], p["half_length_m"], p["radius_m"])
+        object.__setattr__(self, "_model", model)
 
     _DOMAIN_ATOL = 1e-9  # meters; well below the actuator precision
 
@@ -332,17 +317,17 @@ class FieldMap:
     def field_at(self, z):
         """Longitudinal field (T) at axial position z (m)."""
         z = self._check_domain(z)
-        return np.maximum(self._model_field(z), self.floor_T)
+        return np.maximum(self._model(z), self.floor_T)
 
     def gradient_at(self, z):
         """dB/dz (T/m); zero inside the clamped shield region."""
         z = self._check_domain(z)
-        g = self._model_gradient(z)
-        return np.where(self._model_field(z) <= self.floor_T, 0.0, g)[()]
+        g = self._model.derivative(z)
+        return np.where(self._model(z) <= self.floor_T, 0.0, g)[()]
 
     def field_range(self):
         lo, hi = self.domain_m
-        return tuple(float(np.maximum(self._model_value(z), self.floor_T))
+        return tuple(float(np.maximum(self._model.value(z), self.floor_T))
                      for z in (hi, lo))
 
     def position_of_field(self, b_target):
@@ -366,12 +351,7 @@ class FieldMap:
         lo, hi = self.domain_m
         if b_target <= self.floor_T:
             raise FieldNotReachable(f"B={b_target} T is at or below the shield floor")
-        f = lambda z: self._model_value(z) - b_target
-        if f(lo) <= 0:
-            return lo
-        if f(hi) >= 0:
-            return hi
-        return _brentq(f, lo, hi)
+        return _brentq(lambda z: self._model.value(z) - b_target, lo, hi)
 
     def plan_lac_access(self, target_field_T, precision_m=MotionLimits.precision_m,
                         v_max=MotionLimits.v_max):
@@ -429,55 +409,13 @@ def _center_anchor(anchors):
     raise ValueError("calibration needs a field_value anchor at the magnet center (z=0)")
 
 
-@lru_cache(maxsize=16)
-def _anchor_columns(anchors, z_max):
-    """Per-anchor columns of ``_solenoid_residuals``: field, tolerance,
-    |gradient|, where the field is read (its position, else the domain end),
-    and masks of gradient and of unpositioned field anchors."""
-    table = np.array([(a.field_T, a.tolerance_rel, abs(a.gradient_T_per_m or 1.0),
-                       z_max if a.position_m is None else a.position_m,
-                       a.kind == "gradient_at_field",
-                       a.kind == "field_value" and a.position_m is None)
-                      for a in anchors]).T
-    return (*table[:4], table[4] == 1, table[5] == 1)
-
-
-def _solenoid_residuals(half_length, radius, anchors, b0, z_max, z=None):
-    """Anchor residuals, one row per anchor, of the solenoids whose
-    geometries are the entries of ``half_length`` and ``radius`` (arrays
-    that broadcast together), and the positions of the gradient anchors'
-    fields, one row per gradient anchor (NaN where out of reach; ``z`` is
-    where their solves start).  Field and gradient misfits are in tolerance
-    units; an unpositioned field out of reach costs a graded penalty, a
-    gradient anchor's field 1e3."""
-    h, r = np.asarray(half_length, float), np.asarray(radius, float)
-    column = (-1,) + (1,) * max(h.ndim, r.ndim)
-    field_T, tol, grad, at, sloped, free = (
-        v.reshape(column) for v in _anchor_columns(tuple(anchors), z_max))
-    s0 = 2 * (h / np.sqrt(h * h + r * r))  # _solenoid_shape(0.0, h, r), op for op
-    b = b0 * (_solenoid_shape(at, h, r) / s0)  # _solenoid_field, op for op
-    rel = (b - field_T) / field_T
-    # a gradient anchor's field is read at z_max too: is it reachable?
-    reach = (b <= field_T) & (field_T <= b0)
-    res = np.where(free, np.where(reach, 0.0, rel), rel / tol)
-    rows = sloped.ravel()
-    live = reach[rows]
-    if not len(live):  # no gradient anchors
-        return res, np.zeros(live.shape)
-    start = np.zeros(live.shape) + (0.0 if z is None else z)  # 0: mid-domain
-    pos, slope = _solenoid_invert(field_T[rows], b0, h, r, s0, z_max, start, live)
-    grad, tol = grad[rows], tol[rows]
-    res[rows] = np.where(live, (np.abs(slope) - grad) / grad / tol, 1e3)
-    return res, np.where(live, pos, np.nan)
-
-
 def _anchor_residual(fmap: FieldMap, a: FieldAnchor):
     try:
         if a.kind == "field_value":
             if a.position_m is None:
                 fmap.position_of_field(a.field_T)  # raises when unreachable
                 return 0.0
-            return (fmap._model_value(a.position_m) - a.field_T) / a.field_T
+            return (fmap._model.value(a.position_m) - a.field_T) / a.field_T
         z = fmap.position_of_field(a.field_T)
         g = float(fmap.gradient_at(z))
         return (abs(g) - abs(a.gradient_T_per_m)) / abs(a.gradient_T_per_m)
@@ -513,11 +451,20 @@ class _SolenoidFit:
 
     def __init__(self, anchors, b0):
         self.anchors, self.b0 = anchors, b0
-        self.unpositioned = _anchor_columns(tuple(anchors), FieldMap.domain_m[1])[5]
+        # per-anchor columns: field, tolerance, |gradient|, where the field is
+        # read (its position, else the domain end), and masks of gradient and
+        # of unpositioned field anchors
+        table = np.array([(a.field_T, a.tolerance_rel, abs(a.gradient_T_per_m or 1.0),
+                           FieldMap.domain_m[1] if a.position_m is None else a.position_m,
+                           a.kind == "gradient_at_field",
+                           a.kind == "field_value" and a.position_m is None)
+                          for a in anchors]).T
+        self.columns = (*table[:4], table[4] == 1, table[5] == 1)
+        self.unpositioned = self.columns[5]
         axis = np.geomspace(_PARAM_BOUNDS[0][0], _PARAM_BOUNDS[1][0], _GRID)
         h, r = (np.append(v.ravel(), d) for v, d in zip(
             np.meshgrid(axis, axis, indexing="ij"), _DEFAULT_GEOMETRY))
-        grid, _ = _solenoid_residuals(h, r, anchors, b0, FieldMap.domain_m[1])
+        grid, _ = self._residuals(h, r)
         cost = 0.5 * (grid * grid).sum(0)
         self.counts = {"grid_evaluations": len(cost), "polish_evaluations": 0}
         if cost[-1] == 0:  # the anchors leave the shape free
@@ -532,6 +479,33 @@ class _SolenoidFit:
         self.geometries = np.array([x for _, x, _ in fits])
         self.residuals = np.array([res for _, _, res in fits])
 
+    def _residuals(self, half_length, radius, z=None):
+        """Anchor residuals, one row per anchor, of the solenoids whose
+        geometries are the entries of ``half_length`` and ``radius`` (arrays
+        that broadcast together), and the positions of the gradient anchors'
+        fields, one row per gradient anchor (NaN where out of reach; ``z`` is
+        where their solves start).  Field and gradient misfits are in
+        tolerance units; an unpositioned field out of reach costs a graded
+        penalty, a gradient anchor's field 1e3."""
+        h, r = np.asarray(half_length, float), np.asarray(radius, float)
+        column = (-1,) + (1,) * max(h.ndim, r.ndim)
+        field_T, tol, grad, at, sloped, free = (v.reshape(column) for v in self.columns)
+        solenoid = _Solenoid(self.b0, h, r)
+        b = solenoid(at)
+        rel = (b - field_T) / field_T
+        # a gradient anchor's field is read at z_max too: is it reachable?
+        reach = (b <= field_T) & (field_T <= self.b0)
+        res = np.where(free, np.where(reach, 0.0, rel), rel / tol)
+        rows = sloped.ravel()
+        live = reach[rows]
+        if not len(live):  # no gradient anchors
+            return res, np.zeros(live.shape)
+        start = np.zeros(live.shape) + (0.0 if z is None else z)  # 0: mid-domain
+        pos, slope = solenoid.invert(field_T[rows], FieldMap.domain_m[1], start, live)
+        grad, tol = grad[rows], tol[rows]
+        res[rows] = np.where(live, (np.abs(slope) - grad) / grad / tol, 1e3)
+        return res, np.where(live, pos, np.nan)
+
     def _linearize(self, x, z):
         """Residuals, their Jacobian, gradient-anchor positions and theirs, at
         geometry ``x``.  Forward differences step inward at the upper bound;
@@ -539,9 +513,8 @@ class _SolenoidFit:
         d = _FD_STEP * np.maximum(1.0, x)
         d = np.where(x + d > _PARAM_BOUNDS[1], -d, d)
         points = np.vstack([x, x + np.diag(d)])  # x, then each parameter moved
-        res, pos = _solenoid_residuals(points[:, 0], points[:, 1], self.anchors,
-                                       self.b0, FieldMap.domain_m[1],
-                                       None if z is None else z[:, None])
+        res, pos = self._residuals(points[:, 0], points[:, 1],
+                                   None if z is None else z[:, None])
         self.counts["polish_evaluations"] += len(points)
         return (res[:, 0], (res[:, 1:] - res[:, :1]) / d,
                 pos[:, 0], (pos[:, 1:] - pos[:, :1]) / d)
@@ -637,15 +610,15 @@ def _spline_from_anchors(anchors, backbone: FieldMap):
 
     for (za, ba, sa), (zb, bb, sb) in zip(placed, placed[1:]):
         add(za, ba, sa)
-        ra = math.log(ba / backbone._model_value(za))
-        rb = math.log(bb / backbone._model_value(zb))
+        ra = math.log(ba / backbone._model.value(za))
+        rb = math.log(bb / backbone._model.value(zb))
         n_fill = max(2, int(_FILL_PER_DECADE * abs(math.log10(ba / bb))))
         for bq in np.geomspace(ba, bb, n_fill + 2)[1:-1]:
             zq = backbone.position_of_field(bq)
             if not (za < zq < zb):
                 zq = za + (zb - za) * (math.log(ba / bq) / math.log(ba / bb))
             w = (zq - za) / (zb - za)
-            bfill = backbone._model_value(zq) * math.exp((1 - w) * ra + w * rb)
+            bfill = backbone._model.value(zq) * math.exp((1 - w) * ra + w * rb)
             if bfill < knot_b[-1] and bfill > bb:
                 add(zq, bfill)
     z_last, b_last, s_last = placed[-1]
@@ -658,7 +631,7 @@ def _spline_from_anchors(anchors, backbone: FieldMap):
             z_prev, b_prev, _ = placed[-2]
             lam = (z_last - z_prev) / math.log(b_prev / b_last)
         else:
-            lam = -b_last / float(backbone._model_gradient(z_last))
+            lam = -b_last / float(backbone._model.derivative(z_last))
         z_floor = z_last + lam * math.log(b_last / backbone.floor_T)
         z_stop = min(z_end, z_floor)
         for zq in np.linspace(z_last, z_stop, 12)[1:]:

@@ -16,7 +16,7 @@ from fieldcycle.errors import (FieldNotReachable, NoConvergence,
                                NonMonotonicModel, OutOfDomain)
 from fieldcycle.fieldmap import (FieldAnchor, FieldMap, anchors_from_csv,
                                  anchors_to_csv, calibrate, reference_anchors)
-from fieldcycle.fieldmap import _HermiteSpline, _solenoid_field
+from fieldcycle.fieldmap import _HermiteSpline, _Solenoid
 from fieldcycle.util import _brentq
 
 
@@ -28,8 +28,8 @@ def test_calibrate_round_trip_recovers_solenoid_params():
     # oracle: generate anchors from a known model, refit, compare parameters
     p = known_solenoid()
     anchors = [
-        FieldAnchor("field_value", _solenoid_field(z, **{
-            "b0": p["b0_T"], "half_length": p["half_length_m"], "radius": p["radius_m"]}),
+        FieldAnchor("field_value", _Solenoid(
+            p["b0_T"], p["half_length_m"], p["radius_m"])(z),
             position_m=z, tolerance_rel=1e-5)
         for z in (0.0, 0.2, 0.4, 0.6, 0.8)
     ]
@@ -166,17 +166,18 @@ def test_calibration_is_bit_identical_across_calls():
         assert again.calibration == first.calibration
 
 
-def _trf_cost(anchors, b0=7.0):
+def _trf_cost(fit):
     """Weighted cost of the solenoid scipy's bounded TRF fits from the
     far-field (dipole) start and with the tolerances the solenoid fit used
     before its grid search."""
+    anchors, b0 = fit.anchors, fit.b0
     x0 = (0.12, 0.12)
     for a in anchors:
         if a.kind == "field_value" and a.position_m and a.position_m > 0:
             c = (a.field_T * a.position_m ** 3 / (math.sqrt(2.0) * b0)) ** (1 / 3)
             x0 = (min(max(c, 2e-3), 1.5),) * 2
             break
-    resid = lambda x: fm._solenoid_residuals(x[0], x[1], anchors, b0, 1.6)[0]  # noqa: E731
+    resid = lambda x: fit._residuals(x[0], x[1])[0]  # noqa: E731
     sol = least_squares(resid, x0, bounds=fm._PARAM_BOUNDS, max_nfev=500,
                         xtol=1e-10, ftol=1e-10, gtol=1e-10)
     r = resid(sol.x)
@@ -188,9 +189,10 @@ def test_solenoid_fit_costs_no_more_than_scipy_trf():
     # local fit, but for rounding (an exact fit costs at most 1e-18,
     # residuals of 1e-9 of the tolerances)
     for anchors in _fuzz_sets(50):
-        res = fm._SolenoidFit(anchors, 7.0).residuals[0]
+        fit = fm._SolenoidFit(anchors, 7.0)
+        res = fit.residuals[0]
         cost = 0.5 * float(res @ res)
-        assert cost <= max(_trf_cost(anchors) * (1 + 1e-9), 1e-18)
+        assert cost <= max(_trf_cost(fit) * (1 + 1e-9), 1e-18)
 
 
 def test_json_round_trip(ref_map):
@@ -230,7 +232,7 @@ def test_params_are_read_only(ref_map):
     assert ref_map.to_json() == text
     assert FieldMap.from_json(text).field_at(0.0) == 7.0
     # the spline's knot arrays, which its float path copies, are read-only too
-    spline = ref_map._spline
+    spline = ref_map._model
     for knots in (spline.z, spline.b, spline.m):
         with pytest.raises(ValueError, match="read-only"):
             knots[0] = 99.0
@@ -306,10 +308,10 @@ def test_non_monotone_anchors_rejected():
 
 @pytest.mark.parametrize("kind", ["reference", "two-knot", "calibrated"])
 def test_float_spline_value_is_bit_identical_to_the_array_path(kind, ref_map):
-    spline = {"reference": lambda: ref_map._spline,
+    spline = {"reference": lambda: ref_map._model,
               "two-knot": lambda: _HermiteSpline([0.0, 1.6], [7.0, 1e-3],
                                                  [-20.0, -1e-3]),
-              "calibrated": lambda: calibrate(reference_anchors())._spline}[kind]()
+              "calibrated": lambda: calibrate(reference_anchors())._model}[kind]()
     rng = np.random.default_rng(2026)
     lo, hi = ref_map.domain_m
     x = [*spline.z.tolist(), lo, hi, -0.25, 2.0,
@@ -335,8 +337,8 @@ def test_float_solenoid_value_is_bit_identical_to_the_array_path():
         fmap = FieldMap(model="finite_solenoid",
                         params=known_solenoid(half_length=h, radius=r))
         z = [0.0, 1.6, h, *rng.uniform(0.0, 1.6, 500).tolist()]
-        assert [fmap._model_value(v) for v in z] == [
-            float(fmap._model_field(v)) for v in z]
+        assert [fmap._model.value(v) for v in z] == [
+            float(fmap._model(v)) for v in z]
 
 
 def test_inversion_matches_brent_on_the_array_model(ref_map):
@@ -356,7 +358,7 @@ def test_inversion_matches_brent_on_the_array_model(ref_map):
         for b in targets + [bmax]:
             if b <= fmap.floor_T:
                 continue
-            f = lambda z: fmap._model_field(z) - b  # noqa: E731
+            f = lambda z: fmap._model(z) - b  # noqa: E731
             root = lo if f(lo) <= 0 else hi if f(hi) >= 0 else _brentq(f, lo, hi)
             assert fmap.position_of_field(b) == root
         for b in (fmap.floor_T, 0.9 * fmap.floor_T, 0.0, -1.0):
@@ -422,10 +424,10 @@ def test_reference_map_rejects_a_frozen_map_that_misses_anchors(monkeypatch,
 def test_brentq_port_is_bit_identical_to_scipy(ref_map):
     rng = np.random.default_rng(5)
     bmin, bmax = ref_map.field_range()
-    lo = float(_solenoid_field(1.6, 7.0, 0.3, 0.12))
-    cases = [(lambda z, b=float(b): ref_map._model_field(z) - b)
+    lo = float(_Solenoid(7.0, 0.3, 0.12)(1.6))
+    cases = [(lambda z, b=float(b): ref_map._model(z) - b)
              for b in np.exp(rng.uniform(np.log(bmin), np.log(bmax), 600))]
-    cases += [(lambda z, b=float(b): _solenoid_field(z, 7.0, 0.3, 0.12) - b)
+    cases += [(lambda z, b=float(b): _Solenoid(7.0, 0.3, 0.12)(z) - b)
               for b in np.exp(rng.uniform(np.log(lo), np.log(7.0), 600))]
     for f in cases:
         assert _brentq(f, 0.0, 1.6) == brentq(f, 0.0, 1.6, xtol=1e-14, rtol=8.9e-16)
@@ -443,7 +445,7 @@ def test_replaced_map_evaluates_its_own_knots(ref_map):
     doubled = replace(ref_map, params={
         "knots": [[z, 2 * b, 2 * m] for z, b, m in ref_map.params["knots"]]})
     assert doubled._positions == {}
-    assert doubled._spline is not ref_map._spline
+    assert doubled._model is not ref_map._model
     assert float(doubled.field_at(0.5)) == 2 * float(ref_map.field_at(0.5))
     # the doubled field crosses 0.102 T where the reference crosses 0.051 T
     assert doubled.position_of_field(0.102) == ref_map.position_of_field(0.051)

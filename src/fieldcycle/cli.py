@@ -16,6 +16,7 @@ from . import motion as mo
 from . import orchestrator as orc
 from .errors import (FieldCycleError, SchemaViolation, SpecInvalid,
                      UnknownKind, UnsupportedVersion)
+from .util import write_atomic
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 2
@@ -82,7 +83,7 @@ def _cmd_plan_motion(args):
         traj = mo.sample_trajectory(prof, args.dt)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         path = Path(args.out) / "trajectory.csv"
-        path.write_text(traj.to_csv(fm.reference_map()))
+        write_atomic(path, traj.to_csv(fm.reference_map()))
         if not args.quiet:
             print(f"wrote {path}")
     return EXIT_OK
@@ -97,7 +98,7 @@ def _cmd_calibrate_field(args):
                               f"{exc})", "--anchors") from None
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(fmap.to_json())
+    write_atomic(out, fmap.to_json())
     if not args.quiet:
         print(f"calibrated {fmap.model} map -> {out}")
     return EXIT_OK

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FieldNotReachable, NoConvergence, NonMonotonicModel, OutOfDomain
+from .errors import (FieldCycleError, FieldNotReachable, NoConvergence,
+                     NonMonotonicModel, OutOfDomain)
 from .motion import MotionLimits
 from .util import _brentq, csv_text
 
@@ -103,8 +104,7 @@ class _Solenoid:
 
     def __init__(self, b0, h, r):
         self.b0, self.h, self.r = b0, h, r
-        # shape(0): its two terms are equal there
-        self.s0 = 2 * (h / np.sqrt(h * h + r * r))
+        self.s0 = 2 * (h / np.sqrt(h * h + r * r))  # shape(0): equal terms
 
     def _shape(self, z, sqrt=np.sqrt):
         zp, zm, r2 = self.h + z, self.h - z, self.r * self.r
@@ -123,8 +123,7 @@ class _Solenoid:
 
     def derivative(self, z):
         zp, zm, r2 = self.h + z, self.h - z, self.r * self.r
-        fp = r2 * ((zp * zp + r2) ** -1.5 - (zm * zm + r2) ** -1.5)
-        return self.b0 * fp / self.s0
+        return self.b0 * (r2 * ((zp * zp + r2) ** -1.5 - (zm * zm + r2) ** -1.5)) / self.s0
 
     def invert(self, target, z_max, z, live):
         """Positions in [0, z_max] where the fields equal ``target``, for
@@ -285,7 +284,7 @@ class FieldMap:
     _positions: dict = field(init=False, default_factory=dict, repr=False,
                              compare=False)  # position_of_field memo
     # how ``calibrate`` made the map (None for a map made otherwise): the
-    # model, the lowest-cost solenoid geometry, each anchor's residual in
+    # model, the solenoid geometry it was built from, each anchor's residual in
     # tolerance units and the fit's evaluation counts; not in ``to_json``
     calibration: Optional[MappingProxyType] = field(init=False, default=None,
                                                     repr=False, compare=False)
@@ -451,21 +450,20 @@ class _SolenoidFit:
 
     def __init__(self, anchors, b0):
         self.anchors, self.b0 = anchors, b0
-        # per-anchor columns: field, tolerance, |gradient|, where the field is
-        # read (its position, else the domain end), and masks of gradient and
-        # of unpositioned field anchors
+        # per-anchor columns: field, tolerance, |gradient|, where the field is read
+        # (its position, else the domain end), masks of gradient and free anchors
         table = np.array([(a.field_T, a.tolerance_rel, abs(a.gradient_T_per_m or 1.0),
                            FieldMap.domain_m[1] if a.position_m is None else a.position_m,
                            a.kind == "gradient_at_field",
                            a.kind == "field_value" and a.position_m is None)
                           for a in anchors]).T
         self.columns = (*table[:4], table[4] == 1, table[5] == 1)
-        self.unpositioned = self.columns[5]
         axis = np.geomspace(_PARAM_BOUNDS[0][0], _PARAM_BOUNDS[1][0], _GRID)
         h, r = (np.append(v.ravel(), d) for v, d in zip(
             np.meshgrid(axis, axis, indexing="ij"), _DEFAULT_GEOMETRY))
         grid, _ = self._residuals(h, r)
-        cost = 0.5 * (grid * grid).sum(0)
+        with np.errstate(over="ignore"):  # a cost past the float range is inf
+            cost = 0.5 * (grid * grid).sum(0)
         self.counts = {"grid_evaluations": len(cost), "polish_evaluations": 0}
         if cost[-1] == 0:  # the anchors leave the shape free
             self.geometries, self.residuals = np.array([_DEFAULT_GEOMETRY]), grid[:, -1:].T
@@ -507,30 +505,32 @@ class _SolenoidFit:
         return res, np.where(live, pos, np.nan)
 
     def _linearize(self, x, z):
-        """Residuals, their Jacobian, gradient-anchor positions and theirs, at
-        geometry ``x``.  Forward differences step inward at the upper bound;
-        the position solves start at ``z``."""
+        """Cost, residuals, their Jacobian, gradient-anchor positions and
+        theirs, at geometry ``x``.  Forward differences step inward at the
+        upper bound; the position solves start at ``z``."""
         d = _FD_STEP * np.maximum(1.0, x)
         d = np.where(x + d > _PARAM_BOUNDS[1], -d, d)
         points = np.vstack([x, x + np.diag(d)])  # x, then each parameter moved
         res, pos = self._residuals(points[:, 0], points[:, 1],
                                    None if z is None else z[:, None])
         self.counts["polish_evaluations"] += len(points)
-        return (res[:, 0], (res[:, 1:] - res[:, :1]) / d,
+        with np.errstate(over="ignore"):  # a cost past the float range is inf
+            cost = 0.5 * float(res[:, 0] @ res[:, 0])
+        return (cost, res[:, 0], (res[:, 1:] - res[:, :1]) / d,
                 pos[:, 0], (pos[:, 1:] - pos[:, :1]) / d)
 
     def _polish(self, x):
         """(cost, geometry, residuals) of the Levenberg-Marquardt polish that
         starts at geometry ``x``."""
         lo, hi = np.array(_PARAM_BOUNDS)
-        res, jac, z, jz = self._linearize(x, None)
-        cost, mu, nu = 0.5 * float(res @ res), 1e-3, 2.0
+        cost, res, jac, z, jz = self._linearize(x, None)
+        mu, nu = 1e-3, 2.0
         for _ in range(_MAX_STEPS):
-            if not jac.any():
-                break  # stationary
+            if not (jac.any() and math.isfinite(cost)):
+                break  # stationary, or no step can lower an overflowed cost
             # an unpositioned field out of reach is aimed just inside, so a
             # fit does not stop on the edge of its graded penalty
-            grad = (res + _REACH_MARGIN * (self.unpositioned & (res > 0))) @ jac
+            grad = (res + _REACH_MARGIN * (self.columns[5] & (res > 0))) @ jac
             jtj = jac.T @ jac
             # a parameter at a bound its descent points past stays there
             held = np.where(grad > 0, x <= lo, x >= hi)
@@ -541,8 +541,7 @@ class _SolenoidFit:
             if (abs(step) <= _POLISH_TOL * x).all():
                 break
             model = -float(step @ (grad + 0.5 * (jtj @ step)))
-            t_res, t_jac, t_z, t_jz = self._linearize(x + step, z + jz @ step)
-            t_cost = 0.5 * float(t_res @ t_res)
+            t_cost, t_res, t_jac, t_z, t_jz = self._linearize(x + step, z + jz @ step)
             gain = cost - t_cost
             if not (gain > 0 and model > 0):
                 mu, nu = mu * nu, 2 * nu
@@ -562,11 +561,11 @@ class _SolenoidFit:
             "b0_T": self.b0, "half_length_m": h, "radius_m": r})
 
     def fitting(self):
-        """Maps of the fitted geometries, best first, but those whose
+        """(index, map) of the fitted geometries, best first, but those whose
         residuals certainly miss a tolerance (or an unpositioned field's
         reach) by more than rounding."""
         within = (abs(self.residuals) <= 1 + 1e-6).all(1)
-        return (self.map(i) for i in np.flatnonzero(within))
+        return ((i, self.map(i)) for i in np.flatnonzero(within))
 
 
 def _spline_from_anchors(anchors, backbone: FieldMap):
@@ -578,7 +577,6 @@ def _spline_from_anchors(anchors, backbone: FieldMap):
     profile continues as an exponential with the decay length set by the
     last anchor pair (shield attenuation region).
     """
-    b0 = _center_anchor(anchors).field_T
     placed = []  # (z, B, slope or None)
     for a in anchors:
         if a.position_m is not None:
@@ -654,6 +652,21 @@ def _spline_from_anchors(anchors, backbone: FieldMap):
     return FieldMap(model="monotone_spline", params=params)
 
 
+def _spline_on_backbones(anchors, fit: _SolenoidFit):
+    """(index, spline) of the first fitted geometry, in cost order, whose
+    spline meets every tolerance; else the lowest-cost one's error."""
+    errors = []
+    for i in range(len(fit.geometries)):
+        try:
+            fmap = _spline_from_anchors(anchors, fit.map(i))
+            errors.append(_misfit(fmap, anchors, "spline"))
+        except FieldCycleError as exc:
+            errors.append(exc)
+        if errors[-1] is None:
+            return i, fmap
+    raise errors[0]
+
+
 def _misfit(fmap: FieldMap, anchors, fit: str) -> Optional[NoConvergence]:
     """The error naming the anchors ``fmap`` misses, or None when it fits."""
     residuals = [abs(_anchor_residual(fmap, a)) for a in anchors]
@@ -671,13 +684,11 @@ def calibrate(anchors: Sequence[FieldAnchor],
     ``model_kind`` is "finite_solenoid", "monotone_spline", or "auto" (try the
     solenoid first, fall back to the spline when the anchors over-constrain
     it).  A solenoid result is the lowest-cost fitted geometry that meets
-    every tolerance; a spline is built on the lowest-cost one, its backbone.
-    The map's ``calibration`` records how it was made.  Deterministic:
-    identical anchors give bit-identical parameters.
+    every tolerance; a spline is built on the lowest-cost one on which it
+    meets every tolerance, its backbone.  The map's ``calibration`` records
+    how it was made.  Identical anchors give bit-identical parameters.
     """
     anchors = list(anchors)
-    if not anchors:
-        raise ValueError("need at least one anchor")
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model_kind {model_kind!r}")
     b0 = _center_anchor(anchors).field_T
@@ -686,24 +697,20 @@ def calibrate(anchors: Sequence[FieldAnchor],
         raise ValueError(f"anchor positions must lie in the map domain [{lo}, {hi}] m")
 
     fit = _SolenoidFit(anchors, b0)
-    fmap = None
+    used = None  # (geometry index, map)
     if model_kind != "monotone_spline":
-        fmap = next((m for m in fit.fitting()
+        used = next(((i, m) for i, m in fit.fitting()
                      if _misfit(m, anchors, "solenoid") is None), None)
-        if fmap is None and model_kind == "finite_solenoid":
+        if used is None and model_kind == "finite_solenoid":
             raise _misfit(fit.map(0), anchors, "solenoid")
-    if fmap is None:
-        fmap = _spline_from_anchors(anchors, fit.map(0))
-        error = _misfit(fmap, anchors, "spline")
-        if error is not None:
-            raise error
-    half_length, radius = fit.geometries[0].tolist()
+    i, fmap = used or _spline_on_backbones(anchors, fit)
+    half_length, radius = fit.geometries[i].tolist()
     object.__setattr__(fmap, "calibration", MappingProxyType({
         "model": fmap.model,
         "anchor_residuals": [_anchor_residual(fmap, a) / a.tolerance_rel
                              for a in anchors],
         "backbone": {"half_length_m": half_length, "radius_m": radius,
-                     "anchor_residuals": fit.residuals[0].tolist()},
+                     "anchor_residuals": fit.residuals[i].tolist()},
         **fit.counts}))
     return fmap
 

@@ -13,8 +13,6 @@ import datetime as _dt
 import hashlib
 import json
 import math
-import os
-import tempfile
 import time
 import zlib
 from dataclasses import dataclass, field, fields, replace
@@ -29,7 +27,7 @@ from . import relaxometry as rx
 from . import sequencer as sq
 from . import spin as sp
 from .errors import SchemaViolation, UnknownKind, UnsupportedVersion
-from .util import csv_text
+from .util import csv_text, write_atomic
 
 __all__ = ["ExperimentSpec", "RunRecord", "parse_spec", "run",
            "simulate_sequence", "derive_seed"]
@@ -306,19 +304,6 @@ class RunRecord:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _write_atomic(final: Path, text: str):
-    """Write via a temp file and rename, so ``final`` is never partial."""
-    fd, tmp = tempfile.mkstemp(dir=final.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, final)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 class _Workspace:
     """Atomic result writing; only fully written files reach the manifest.
     Stage wall times add up in ``record.metrics``, never in a result file."""
@@ -346,7 +331,7 @@ class _Workspace:
         return fmap
 
     def write(self, name: str, text: str):
-        self.timed("write_s", _write_atomic, self.out_dir / name, text)
+        self.timed("write_s", write_atomic, self.out_dir / name, text)
         self.record.manifest.append(name)
 
 
@@ -506,7 +491,7 @@ def _execute(spec: ExperimentSpec, out_dir, body) -> RunRecord:
     finally:
         record.finished_at = _now()
         record.metrics["total_s"] = time.perf_counter() - start
-        _write_atomic(ws.out_dir / "runrecord.json", record.to_json())
+        write_atomic(ws.out_dir / "runrecord.json", record.to_json())
     return record
 
 

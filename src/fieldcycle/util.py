@@ -6,6 +6,7 @@ import csv
 import io
 import math
 import os
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -66,6 +67,19 @@ def csv_text(header, columns) -> str:
     no quoting passes through, so a caller may hand in cells it rendered."""
     rows = map(",".join, zip(*map(_cells, columns)))
     return "\n".join([",".join(_cells(header)), *rows, ""])
+
+
+def write_atomic(final, text: str):
+    """Write via a temp file and rename, so the Path ``final`` is never partial."""
+    fd, tmp = tempfile.mkstemp(dir=final.parent, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, final)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _brentq(f, xa, xb):

@@ -194,6 +194,45 @@ def test_non_spec_verbs_reject_bad_input(tmp_path, monkeypatch, capsys, argv,
     assert not (tmp_path / "traj").exists() and not (tmp_path / "map.json").exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["plan-motion", "--distance", "0.2", "--out", "out"], "trajectory.csv"),
+    (["calibrate-field", "--anchors", "anchors.csv", "--out", "out/map.json"],
+     "map.json"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_a_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys,
+                                               argv, name):
+    monkeypatch.chdir(tmp_path)
+    from fieldcycle.fieldmap import anchors_to_csv, reference_anchors
+    (tmp_path / "anchors.csv").write_text(anchors_to_csv(reference_anchors()))
+
+    def crash(src, dst):
+        raise OSError(f"cannot rename to {dst}")
+
+    monkeypatch.setattr(os, "replace", crash)
+    assert main(["--quiet"] + argv) == 3
+    assert name in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_an_overflowing_calibration_cost_prints_no_warning(tmp_path):
+    # a tolerance of 1e-300 squares residuals past the float range: the
+    # cost is inf, and the exact spline is written without a numpy warning
+    anchors = tmp_path / "anchors.csv"
+    anchors.write_text(ANCHOR_HEADER + "field_value,0.0,7.0,,1e-06\n"
+                       "field_value,0.5,0.1,,1e-300\n")
+    src = str(Path(fieldcycle.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run(
+        [sys.executable, "-m", "fieldcycle.cli", "calibrate-field", "--quiet",
+         "--anchors", str(anchors), "--out", str(tmp_path / "map.json")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert (out.returncode, out.stderr) == (0, "")
+    from fieldcycle.fieldmap import FieldMap
+    fmap = FieldMap.from_json((tmp_path / "map.json").read_text())
+    assert fmap.model == "monotone_spline" and fmap.field_at(0.5) == 0.1
+
+
 _SCIPY_PROBE = """
 import json, sys
 from fieldcycle.cli import main

@@ -195,6 +195,49 @@ def test_solenoid_fit_costs_no_more_than_scipy_trf():
         assert cost <= max(_trf_cost(fit) * (1 + 1e-9), 1e-18)
 
 
+def test_fit_and_map_evaluate_one_solenoid():
+    # the fit scores a geometry by the map it becomes: positioned field
+    # residuals bit for bit, and gradient anchors' positions within the
+    # inversion's stopping tolerance (the field's rounding over the slope)
+    # plus _brentq's absolute tolerance
+    rows = 0
+    for anchors in _fuzz_sets(100):
+        fit = fm._SolenoidFit(anchors, 7.0)
+        sloped = [a for a in anchors if a.kind == "gradient_at_field"]
+        for i, (h, r) in enumerate(fit.geometries.tolist()):
+            fmap = fit.map(i)
+            for a, row in zip(anchors, fit.residuals[i].tolist()):
+                if a.kind == "field_value" and a.position_m is not None:
+                    assert row == fm._anchor_residual(fmap, a) / a.tolerance_rel
+                    rows += 1
+            _, pos = fit._residuals(np.array([h]), np.array([r]))
+            noise = 4 * np.finfo(float).eps * 7.0 / fmap._model.s0
+            for a, z in zip(sloped, pos[:, 0].tolist()):
+                if math.isnan(z):  # out of the solenoid's reach
+                    continue
+                expected = fmap.position_of_field(a.field_T)
+                slope = abs(float(fmap._model.derivative(expected)))
+                assert abs(z - expected) <= noise / slope + 1e-14
+    assert rows > 200
+
+
+@pytest.mark.parametrize("index, backbone", [(331, 2), (782, 1)])
+def test_spline_falls_back_to_a_costlier_backbone(index, backbone):
+    # the lowest-cost solenoid places these anchors out of order; the
+    # spline is built on the first fitted geometry that meets every anchor
+    anchors = _fuzz_sets(800)[index]
+    fit = fm._SolenoidFit(anchors, 7.0)
+    with pytest.raises(NonMonotonicModel):
+        fm._spline_from_anchors(anchors, fit.map(0))
+    fmap = calibrate(anchors)
+    assert fmap.model == "monotone_spline"
+    assert fm._misfit(fmap, anchors, "spline") is None
+    used = fmap.calibration["backbone"]
+    assert [used["half_length_m"], used["radius_m"]] == \
+        fit.geometries[backbone].tolist()
+    assert used["anchor_residuals"] == fit.residuals[backbone].tolist()
+
+
 def test_json_round_trip(ref_map):
     text = ref_map.to_json()
     doc = json.loads(text)

@@ -10,11 +10,12 @@ anchor plus 1-4 anchors with fields log-uniform in 4 mT-3 T, strictly
 decreasing along z, each a positioned field value, an unpositioned field
 value or a gradient, with a tolerance of 0.01, 0.05 or 0.2.
 
-Prints one line per set, ``<index> <model> <params repr>`` or
-``<index> error <exception class>``, then the median calibration time over
-the 801 sets and over 21 calls on the reference anchors (after one warm-up
-call).  Run it on two source trees and diff the outputs to see which
-outcomes a change moves:
+Prints one line per set to stdout, ``<index> <model> <params repr>`` or
+``<index> error <exception class>``, and two ``median_ms`` lines to stderr:
+the median calibration time over the 801 sets and over 21 calls on the
+reference anchors (after one warm-up call).  Run it on two source trees and
+diff the outputs: the diff is empty exactly when every outcome is
+bit-identical, and otherwise shows which outcomes a change moves.
 
     python3 tools/calibration_fuzz.py old/src > old.txt
     python3 tools/calibration_fuzz.py src > new.txt
@@ -90,8 +91,9 @@ def main(argv) -> int:
         start = time.perf_counter()
         fm.calibrate(fm.reference_anchors())
         reference.append(time.perf_counter() - start)
-    print(f"median_ms fuzz {statistics.median(times) * 1e3:.2f}")
-    print(f"median_ms reference {statistics.median(reference) * 1e3:.2f}")
+    print(f"median_ms fuzz {statistics.median(times) * 1e3:.2f}", file=sys.stderr)
+    print(f"median_ms reference {statistics.median(reference) * 1e3:.2f}",
+          file=sys.stderr)
     return 0
 
 

@@ -49,6 +49,10 @@ class StepTooCoarse(FieldCycleError):
         self.estimate = estimate
 
 
+class NonFiniteHamiltonian(FieldCycleError):
+    """Sweep Hamiltonian has a NaN or infinite entry."""
+
+
 class NonlinearRegime(FieldCycleError):
     """Polarization is outside the linear (small tanh argument) regime."""
 

@@ -299,6 +299,10 @@ class FieldMap:
         if self.model == "monotone_spline":
             model = _HermiteSpline(*([k[i] for k in p["knots"]] for i in range(3)))
         else:
+            for key in ("half_length_m", "radius_m"):
+                if not (math.isfinite(p[key]) and p[key] > 0):
+                    raise ValueError(f"finite_solenoid {key} must be finite "
+                                     f"and > 0, got {p[key]!r}")
             model = _Solenoid(p["b0_T"], p["half_length_m"], p["radius_m"])
         object.__setattr__(self, "_model", model)
 

@@ -387,6 +387,9 @@ def _run_dnp(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
         "max_error_estimate": max(e for _, e in result.diagnostics),
     }
     ws.write("dnp_summary.json", json.dumps(summary, indent=2, sort_keys=True))
+    ws.record.diagnostics["dnp_nodes"] = [
+        {"theta_rad": t, "n_steps": n, "error_estimate": e}
+        for (t, _, _), (n, e) in zip(result.table, result.diagnostics)]
     if not quiet:
         print(f"powder mean polarization {result.mean_polarization:+.6f} "
               f"({len(result.table)} nodes)")

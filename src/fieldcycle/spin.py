@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NearDivergence, NonlinearRegime, StepTooCoarse
+from .errors import (NearDivergence, NonFiniteHamiltonian, NonlinearRegime,
+                     StepTooCoarse)
 from .util import parallel_map
 
 __all__ = [
@@ -57,7 +58,7 @@ CAP_HDT = 1e-2  # step cap: all passes together stay within the exponentials
                 # of fixed steps of this |H| * dt
 EDGE_FRACTION = 0.12  # cos^2 drive apodization at the window edges
 
-_CHUNK_STEPS = 16384  # steps per batched eigh (32,768 exponentials)
+_CHUNK_STEPS = 4096  # steps per batch (8192 exponentials, 1 MB per array)
 _SEGMENTS = ((0.0, EDGE_FRACTION), (EDGE_FRACTION, 1.0 - EDGE_FRACTION),
              (1.0 - EDGE_FRACTION, 1.0))
 # CF4: Gauss nodes c of a step, and the weights of H(c_0), H(c_1) in its
@@ -224,9 +225,10 @@ def _detuning_window(sys, sweep):
 
 class _Chirp:
     """One chirp over the detuning window, integrated by the fourth-order
-    commutator-free Magnus scheme (CF4: two exact exponentials per step, at
-    the Gauss nodes).  The step grid breaks at the drive-envelope kinks, so
-    no step straddles the switch from the cos^2 ramps to the flat top."""
+    commutator-free Magnus scheme (CF4: two exponentials per step, at the
+    Gauss nodes, each a cos/sin pair from ``_cos_sin``, unitary to
+    rounding).  The step grid breaks at the drive-envelope kinks, so no
+    step straddles the switch from the cos^2 ramps to the flat top."""
 
     def __init__(self, sys, sweep):
         h_g, h_e = manifold_blocks(sys)
@@ -261,7 +263,7 @@ class _Chirp:
                 continue
             n_total += n
             h = (b - a) / n
-            dt = self.total_t * h
+            phase = 2.0 * np.pi * self.total_t * h  # 2 pi dt
             for s0 in range(0, n, _CHUNK_STEPS):
                 steps = np.arange(s0, min(s0 + _CHUNK_STEPS, n))
                 x = a + h * (steps[:, None] + _CF4_C)
@@ -277,19 +279,73 @@ class _Chirp:
                 hb[:, 3, 3] += det
                 hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = \
                     0.5 * self.omega * env
-                w, q = np.linalg.eigh(hb)
-                ub = np.matmul(q * np.exp(-2j * np.pi * dt * w)[:, None, :],
-                               q.transpose(0, 2, 1))
-                while ub.shape[0] > 1:
-                    m = ub.shape[0]
-                    if m % 2:
-                        tail = ub[-1]
-                        ub = np.matmul(ub[1:m:2], ub[0:m - 1:2])
-                        ub = np.concatenate([ub, tail[None]])
-                    else:
-                        ub = np.matmul(ub[1::2], ub[0::2])
-                u_total = ub[0] @ u_total
+                hb *= phase
+                # exp(-i hb) = cos - i sin: the pairwise tree product of
+                # (cos, sin) pairs, in real arithmetic
+                cs = _cos_sin(hb)
+                while cs.shape[1] > 1:
+                    even = cs.shape[1] // 2 * 2
+                    prod = _times(cs[:, 1:even:2], cs[:, 0:even:2])
+                    cs = (np.concatenate([prod, cs[:, even:]], axis=1)
+                          if even < cs.shape[1] else prod)
+                u_total = (cs[0, 0] - 1j * cs[1, 0]) @ u_total
         return u_total, n_total
+
+
+# cos x = sum_k (-1)^k y^k / (2k)! and sin x = x sum_k (-1)^k y^k / (2k+1)!
+# in y = x^2, through x^16 and x^17, grouped for Paterson-Stockmeyer in
+# y^3: _PS[f, j, i] multiplies y^i in block j of function f (0 cos, 1 sin)
+_PS = np.array([[[(-1) ** k / math.factorial(2 * k + f) for k in range(j, j + 3)]
+                 for j in (0, 3, 6)] for f in (0, 1)])
+
+
+def _cos_sin(x):
+    """cos x and sin x, stacked on a new first axis, of a batch of real
+    symmetric 4x4 matrices: exp(-i x) = cos x - i sin x.
+
+    Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003)): x is
+    scaled by 2**-s so that its largest 1-norm is at most 1, where the
+    Taylor series above are within 1/18! of cos and sin.  Each series is
+    B_0 + y^3 (B_1 + y^3 B_2) with B_j a combination of I, y and y^2
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)).  s double-angle
+    steps undo the scaling.  A NaN or infinite entry raises
+    NonFiniteHamiltonian.
+    """
+    norm = float(np.abs(x).sum(axis=1).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise NonFiniteHamiltonian(f"sweep exponent 1-norm is {norm}")
+    s = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    if s:
+        x = x * 2.0 ** -s
+    n = len(x)
+    y = np.empty((2, n, 4, 4))  # y, y^2
+    np.matmul(x, x, out=y[0])
+    np.matmul(y[0], y[0], out=y[1])
+    y3 = y[1] @ y[0]
+
+    def block(j):
+        """B_j of cos and sin: one BLAS product for the y, y^2 terms."""
+        b = (_PS[:, j, 1:] @ y.reshape(2, -1)).reshape(2, n, 4, 4)
+        b.reshape(2, n, 16)[..., ::5] += _PS[:, j, :1, None]  # the I term
+        return b
+
+    cs = block(2)
+    for j in (1, 0):
+        cs = y3 @ cs
+        cs += block(j)
+    cs[1] = x @ cs[1]
+    for _ in range(s):  # cos 2x, sin 2x as exp(-2ix) = exp(-ix)^2
+        cs = _times(cs, cs)
+    return cs
+
+
+def _times(left, right):
+    """(cos, sin) pairs of the products (lc - i ls)(rc - i rs)."""
+    p = left[:, None] @ right[None, :]  # p[i, j] = left[i] right[j]
+    out = np.empty(p.shape[1:])
+    np.subtract(p[0, 0], p[1, 1], out=out[0])
+    np.add(p[0, 1], p[1, 0], out=out[1])
+    return out
 
 
 def _envelope(x):
@@ -330,7 +386,7 @@ def _sweeps(u, sweep):
 @dataclass(frozen=True)
 class SweepResult:
     polarization: float
-    norm_drift: float      # diagnostic: every step is unitary by construction
+    norm_drift: float      # diagnostic: every step is unitary to rounding
     n_steps: int           # integrator steps of every pass, coarse ones included
     error_estimate: float  # step-doubling estimate of the polarization error
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fieldcycle
@@ -91,6 +92,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert main(["run", "--spec", spec, "--out", str(tmp_path / "o"),
                  "--quiet"]) == 4
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_a_non_finite_sweep_hamiltonian_is_a_numerical_failure(
+        tmp_path, monkeypatch, capsys):
+    from fieldcycle import spin
+    monkeypatch.setattr(spin, "_envelope", lambda x: np.full_like(x, np.nan))
+    spec = write_spec(tmp_path, {"schema_version": 1, "kind": "dnp_sweep",
+                                 "seed": 1, "dnp": {"nodes": 8}})
+    assert main(["run", "--spec", spec, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 4
+    assert "numerical failure: sweep exponent 1-norm is nan" in \
+        capsys.readouterr().err
 
 
 def test_run_kind_mismatch_for_typed_verbs(tmp_path):
@@ -231,6 +244,27 @@ def test_an_overflowing_calibration_cost_prints_no_warning(tmp_path):
     from fieldcycle.fieldmap import FieldMap
     fmap = FieldMap.from_json((tmp_path / "map.json").read_text())
     assert fmap.model == "monotone_spline" and fmap.field_at(0.5) == 0.1
+
+
+def test_a_degenerate_solenoid_map_is_rejected_without_a_warning(tmp_path):
+    # half-length and radius 0 made the solenoid formula divide 0 by 0
+    (tmp_path / "map.json").write_text(json.dumps({
+        "schema": 1, "model": "finite_solenoid",
+        "params": {"b0_T": 7.0, "half_length_m": 0.0, "radius_m": 0.0},
+        "domain_m": [0.0, 1.6], "floor_T": 0.001}))
+    spec = write_spec(tmp_path, {"schema_version": 1, "kind": "lac_plan",
+                                 "seed": 1, "fieldmap": {"file": "map.json"}})
+    src = str(Path(fieldcycle.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run(
+        [sys.executable, "-m", "fieldcycle.cli", "run", "--quiet", "--spec",
+         spec, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 3
+    assert out.stderr.splitlines() == [
+        "spec error: $.fieldmap.file: cannot load map.json (ValueError: "
+        "finite_solenoid half_length_m must be finite and > 0, got 0.0)"]
 
 
 _SCIPY_PROBE = """

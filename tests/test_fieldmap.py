@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -382,6 +383,16 @@ def test_float_solenoid_value_is_bit_identical_to_the_array_path():
         z = [0.0, 1.6, h, *rng.uniform(0.0, 1.6, 500).tolist()]
         assert [fmap._model.value(v) for v in z] == [
             float(fmap._model(v)) for v in z]
+
+
+@pytest.mark.parametrize("key", ["half_length_m", "radius_m"])
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+def test_a_degenerate_solenoid_geometry_is_rejected_by_key(key, bad):
+    params = {**known_solenoid(), key: bad}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        with pytest.raises(ValueError, match=f"finite_solenoid {key} must"):
+            FieldMap(model="finite_solenoid", params=params)
 
 
 def test_inversion_matches_brent_on_the_array_model(ref_map):

@@ -320,3 +320,19 @@ def test_dnp_sweep_run(tmp_path):
     weights = [float(r.split(",")[1]) for r in rows]
     assert sum(w * p for w, p in zip(weights, pols)) == \
         pytest.approx(summary["mean_polarization"], rel=1e-9)
+
+
+def test_dnp_run_records_per_node_diagnostics(tmp_path):
+    spec = parse_spec(minimal("dnp_sweep", dnp={
+        "nodes": 9, "sweep_rate_Hz_per_s": 3e10}))
+    assert run(spec, out_dir=tmp_path, quiet=True).status == "ok"
+    nodes = json.loads((tmp_path / "runrecord.json").read_text())[
+        "diagnostics"]["dnp_nodes"]
+    summary = json.loads((tmp_path / "dnp_summary.json").read_text())
+    rows = (tmp_path / "dnp_sweep.csv").read_text().strip().split("\n")[1:]
+    assert len(nodes) == summary["nodes"] == 9
+    assert [d["theta_rad"] for d in nodes] == [float(r.split(",")[0])
+                                               for r in rows]
+    assert sum(d["n_steps"] for d in nodes) == summary["integrator_steps"]
+    assert max(d["error_estimate"] for d in nodes) == \
+        summary["max_error_estimate"]

@@ -9,7 +9,8 @@ from scipy import constants as const
 from oracles import ladder_band, lz_composition
 
 from fieldcycle import spin
-from fieldcycle.errors import NearDivergence, NonlinearRegime, StepTooCoarse
+from fieldcycle.errors import (NearDivergence, NonFiniteHamiltonian,
+                              NonlinearRegime, StepTooCoarse)
 from fieldcycle.spin import (D_ZFS, GAMMA_E, GAMMA_N, PowderEnsemble,
                              SpinSystem, SweepParams, boltzmann_polarization,
                              electron_gap, enhancement_to_equivalent_field,
@@ -223,6 +224,51 @@ def test_sweep_params_validation():
         SweepParams(band_width_Hz=-1.0)
     with pytest.raises(ValueError):
         SweepParams(n_sweeps=0)
+
+
+# ---------------------------------------------------------------------------
+# CF4 exponentials: exp(-i x) = cos x - i sin x in real arithmetic
+
+def kernel_batch(max_norm):
+    """Seeded real symmetric 4x4s: the zero matrix, then 1-norms log-spaced
+    from 1e-3 to ``max_norm``, with distinct, doubly and fourfold repeated
+    eigenvalues."""
+    rng = np.random.default_rng(20261018)
+    out = [np.zeros((4, 4))]
+    for i, target in enumerate(np.geomspace(1e-3, max_norm, 60)):
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        w = rng.uniform(-1.0, 1.0, 4)
+        w = (w, w[[0, 0, 1, 1]], w[[0, 0, 0, 0]])[i % 3]
+        x = (q * w) @ q.T
+        x = 0.5 * (x + x.T)
+        out.append(x * (target / np.abs(x).sum(axis=0).max()))
+    return np.array(out)
+
+
+def eigh_cos_sin(x):
+    w, q = np.linalg.eigh(x)
+    qt = q.transpose(0, 2, 1)
+    return (q * np.cos(w)[:, None, :]) @ qt, (q * np.sin(w)[:, None, :]) @ qt
+
+
+@pytest.mark.parametrize("max_norm", [1.0, 2.0], ids=["unscaled", "one-halving"])
+def test_cos_sin_matches_eigh_and_is_unitary(max_norm):
+    x = kernel_batch(max_norm)
+    c, s = spin._cos_sin(x)
+    c_ref, s_ref = eigh_cos_sin(x)
+    assert np.abs(c - c_ref).max() <= 1e-14
+    assert np.abs(s - s_ref).max() <= 1e-14
+    assert np.array_equal(c[0], np.eye(4)) and not s[0].any()  # x = 0
+    u = c - 1j * s
+    assert np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(4)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cos_sin_rejects_a_non_finite_exponent(bad):
+    x = kernel_batch(1.0)
+    x[3, 1, 2] = x[3, 2, 1] = bad
+    with pytest.raises(NonFiniteHamiltonian):
+        spin._cos_sin(x)
 
 
 # ---------------------------------------------------------------------------

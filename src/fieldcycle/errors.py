@@ -50,7 +50,7 @@ class StepTooCoarse(FieldCycleError):
 
 
 class NonFiniteHamiltonian(FieldCycleError):
-    """Sweep Hamiltonian has a NaN or infinite entry."""
+    """Sweep Hamiltonian, or its |H| T sum over the chirp, is NaN or infinite."""
 
 
 class NonlinearRegime(FieldCycleError):

@@ -231,18 +231,25 @@ class _Chirp:
     step straddles the switch from the cos^2 ramps to the flat top."""
 
     def __init__(self, sys, sweep):
-        h_g, h_e = manifold_blocks(sys)
-        self.d_hi, d_lo = _detuning_window(sys, sweep)
+        with np.errstate(invalid="ignore"):  # a NaN fails the check below
+            h_g, h_e = manifold_blocks(sys)
+            self.d_hi, d_lo = _detuning_window(sys, sweep)
         self.span = self.d_hi - d_lo
         self.omega = sweep.mw_rabi_Hz
         self.total_t = abs(self.span / sweep.sweep_rate_Hz_per_s)
         self.h_base = np.zeros((4, 4))
         self.h_base[:2, :2] = h_g
         self.h_base[2:, 2:] = h_e
+        # 1-norm of the exponents' constant part, 0.5 h_base
+        self.base_norm = float(np.abs(0.5 * self.h_base).sum(axis=0).max())
         hmax_t = self.total_t * (  # |H| dt summed over the chirp
             max(abs(self.d_hi), abs(d_lo)) + self.omega
             + float(abs(np.linalg.eigvalsh(h_g)).max())
             + float(abs(np.linalg.eigvalsh(h_e)).max()))
+        if not math.isfinite(hmax_t):
+            raise NonFiniteHamiltonian(
+                f"|H| T summed over the chirp is {hmax_t}: the spin system or "
+                "sweep values overflow double precision")
         if self.span * sweep.sweep_rate_Hz_per_s <= 0:  # band misses the ladder
             self.n0 = [0] * len(_SEGMENTS)
         else:
@@ -252,44 +259,60 @@ class _Chirp:
         # of |H| dt = CAP_HDT; the first two passes always run
         self.max_steps = max(math.ceil(hmax_t / CAP_HDT) // 2, 3 * sum(self.n0))
 
+    def chunks(self, level):
+        """The exponents of a pass whose segments each take their first-pass
+        step count doubled ``level`` times, in time order (exponent 2j of
+        step j first), ``_CHUNK_STEPS`` steps per chunk: (hb, norm) with
+        hb the (2m, 4, 4) batch x = 2 pi dt H and norm a bound on its
+        largest 1-norm."""
+        n = np.array([n0 << level for n0 in self.n0])
+        ends = np.cumsum(n)
+        total = int(ends[-1])
+        lo = np.array([a for a, _ in _SEGMENTS])
+        width = np.array([b - a for a, b in _SEGMENTS]) / np.maximum(n, 1)
+        phase = 2.0 * np.pi * self.total_t * width  # 2 pi dt per segment
+        for s0 in range(0, total, _CHUNK_STEPS):
+            k = np.arange(s0, min(s0 + _CHUNK_STEPS, total))  # pass step
+            seg = np.searchsorted(ends, k, side="right")
+            x = lo[seg, None] + width[seg, None] * (
+                (k - (ends - n)[seg])[:, None] + _CF4_C)
+            # x[j] holds the Gauss nodes of step j.  H is affine in the
+            # detuning and the envelope, so exponents 2j and 2j + 1 take
+            # them weighted by rows 0 and 1 of _CF4_W; each row sums to
+            # 1/2, the weight of h_base
+            det = ((self.d_hi - self.span * x) @ _CF4_W.T).ravel()
+            env = (_envelope(x) @ _CF4_W.T).ravel()
+            dt2pi = np.repeat(phase[seg], 2)
+            hb = np.empty((len(det), 4, 4))
+            hb[:] = 0.5 * self.h_base
+            hb[:, 2, 2] += det
+            hb[:, 3, 3] += det
+            hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = \
+                0.5 * self.omega * env
+            hb *= dt2pi[:, None, None]
+            # each column of hb sums to at most this in absolute value
+            # (|env|, since a CF4 weight is negative), up to the rounding
+            # of the sums, which the factor covers
+            norm = float((dt2pi * (self.base_norm + np.abs(det)
+                                   + 0.5 * self.omega * np.abs(env))).max()
+                         * (1.0 + 1e-12))
+            yield hb, norm
+
     def unitary(self, level):
         """Total unitary and step count with every segment's first-pass
         step count doubled ``level`` times."""
         u_total = np.eye(4, dtype=complex)
-        n_total = 0
-        for (a, b), n0 in zip(_SEGMENTS, self.n0):
-            n = n0 << level
-            if n == 0:  # empty window
-                continue
-            n_total += n
-            h = (b - a) / n
-            phase = 2.0 * np.pi * self.total_t * h  # 2 pi dt
-            for s0 in range(0, n, _CHUNK_STEPS):
-                steps = np.arange(s0, min(s0 + _CHUNK_STEPS, n))
-                x = a + h * (steps[:, None] + _CF4_C)
-                # x[j] holds the Gauss nodes of step j.  H is affine in the
-                # detuning and the envelope, so exponents 2j (applied first)
-                # and 2j + 1 take them weighted by rows 0 and 1 of _CF4_W;
-                # each row sums to 1/2, the weight of h_base
-                det = ((self.d_hi - self.span * x) @ _CF4_W.T).ravel()
-                env = (_envelope(x) @ _CF4_W.T).ravel()
-                hb = np.empty((len(det), 4, 4))
-                hb[:] = 0.5 * self.h_base
-                hb[:, 2, 2] += det
-                hb[:, 3, 3] += det
-                hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = \
-                    0.5 * self.omega * env
-                hb *= phase
-                # exp(-i hb) = cos - i sin: the pairwise tree product of
-                # (cos, sin) pairs, in real arithmetic
-                cs = _cos_sin(hb)
-                while cs.shape[1] > 1:
-                    even = cs.shape[1] // 2 * 2
-                    prod = _times(cs[:, 1:even:2], cs[:, 0:even:2])
-                    cs = (np.concatenate([prod, cs[:, even:]], axis=1)
-                          if even < cs.shape[1] else prod)
-                u_total = (cs[0, 0] - 1j * cs[1, 0]) @ u_total
-        return u_total, n_total
+        for hb, norm in self.chunks(level):
+            # exp(-i hb) = cos - i sin: the pairwise tree product of
+            # (cos, sin) pairs, in real arithmetic
+            cs = _cos_sin(hb, norm)
+            while cs.shape[1] > 1:
+                even = cs.shape[1] // 2 * 2
+                prod = _times(cs[:, 1:even:2], cs[:, 0:even:2])
+                cs = (np.concatenate([prod, cs[:, even:]], axis=1)
+                      if even < cs.shape[1] else prod)
+            u_total = (cs[0, 0] - 1j * cs[1, 0]) @ u_total
+        return u_total, sum(self.n0) << level
 
 
 # cos x = sum_k (-1)^k y^k / (2k)! and sin x = x sum_k (-1)^k y^k / (2k+1)!
@@ -299,27 +322,26 @@ _PS = np.array([[[(-1) ** k / math.factorial(2 * k + f) for k in range(j, j + 3)
                  for j in (0, 3, 6)] for f in (0, 1)])
 
 
-def _cos_sin(x):
+def _cos_sin(x, norm):
     """cos x and sin x, stacked on a new first axis, of a batch of real
-    symmetric 4x4 matrices: exp(-i x) = cos x - i sin x.
+    symmetric 4x4 matrices whose largest 1-norm is at most ``norm``:
+    exp(-i x) = cos x - i sin x.
 
     Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003)): x is
-    scaled by 2**-s so that its largest 1-norm is at most 1, where the
-    Taylor series above are within 1/18! of cos and sin.  Each series is
+    scaled by 2**-s so that ``norm`` is at most 1, where the Taylor series
+    above are within 1/18! of cos and sin.  Each series is
     B_0 + y^3 (B_1 + y^3 B_2) with B_j a combination of I, y and y^2
     (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)).  s double-angle
-    steps undo the scaling.  A NaN or infinite entry raises
-    NonFiniteHamiltonian.
+    steps, cos 2x = 2 cos^2 x - I and sin 2x = 2 sin x cos x, undo the
+    scaling.  A NaN or infinite ``norm`` raises NonFiniteHamiltonian.
     """
-    norm = float(np.abs(x).sum(axis=1).max(initial=0.0))
     if not math.isfinite(norm):
         raise NonFiniteHamiltonian(f"sweep exponent 1-norm is {norm}")
     s = math.ceil(math.log2(norm)) if norm > 1.0 else 0
-    if s:
-        x = x * 2.0 ** -s
     n = len(x)
-    y = np.empty((2, n, 4, 4))  # y, y^2
+    y = np.empty((2, n, 4, 4))  # y, y^2 of the scaled 2**-s x
     np.matmul(x, x, out=y[0])
+    y[0] *= 4.0 ** -s  # a power of two scales exactly: no scaled copy of x
     np.matmul(y[0], y[0], out=y[1])
     y3 = y[1] @ y[0]
 
@@ -334,8 +356,11 @@ def _cos_sin(x):
         cs = y3 @ cs
         cs += block(j)
     cs[1] = x @ cs[1]
-    for _ in range(s):  # cos 2x, sin 2x as exp(-2ix) = exp(-ix)^2
-        cs = _times(cs, cs)
+    cs[1] *= 2.0 ** -s
+    for _ in range(s):  # cos and sin commute: one product gives C^2 and SC
+        cs = cs @ cs[0]
+        cs *= 2.0
+        cs[0].reshape(n, 16)[:, ::5] -= 1.0
     return cs
 
 

@@ -16,6 +16,9 @@ from .errors import NoConvergence
 THREADS_ENV = "FIELDCYCLE_THREADS"
 _BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-14, 8.9e-16, 100
 _SPECIAL = ',"\r\n'  # characters csv.writer may quote a cell for
+# read once: os.umask can only be read by setting it, for the whole process
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 
 def thread_count() -> int:
@@ -70,11 +73,13 @@ def csv_text(header, columns) -> str:
 
 
 def write_atomic(final, text: str):
-    """Write via a temp file and rename, so the Path ``final`` is never partial."""
+    """Write via a temp file and rename, so the Path ``final`` is never
+    partial; it gets the mode ``open`` would give it, 0o666 less the umask."""
     fd, tmp = tempfile.mkstemp(dir=final.parent, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, final)
     except BaseException:
         if os.path.exists(tmp):

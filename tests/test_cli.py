@@ -106,6 +106,29 @@ def test_a_non_finite_sweep_hamiltonian_is_a_numerical_failure(
         capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mw_rabi_Hz", 1e300), ("hyperfine_Hz", 1e300), ("B_pol_T", 1e300),
+    ("sweep_rate_Hz_per_s", 1e-300)])
+def test_extreme_dnp_values_are_numerical_failures(tmp_path, key, value):
+    # finite values whose |H| T sum over the chirp overflows to inf or NaN
+    spec = write_spec(tmp_path, {"schema_version": 1, "kind": "dnp_sweep",
+                                 "seed": 1, "dnp": {"nodes": 8, key: value}})
+    src = str(Path(fieldcycle.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run(
+        [sys.executable, "-m", "fieldcycle.cli", "run", "--quiet", "--spec",
+         spec, "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 4
+    assert "Traceback" not in out.stderr
+    [line] = out.stderr.splitlines()  # no numpy warning either
+    assert line.startswith("numerical failure: |H| T summed over the chirp is")
+    record = json.loads((tmp_path / "o" / "runrecord.json").read_text())
+    assert record["status"] == "failed"
+    assert record["error"].startswith("NonFiniteHamiltonian")
+
+
 def test_run_kind_mismatch_for_typed_verbs(tmp_path):
     spec = write_spec(tmp_path, {"schema_version": 1, "kind": "lac_plan", "seed": 1})
     assert main(["dnp-sweep", "--config", spec]) == 3

@@ -239,12 +239,24 @@ def test_run_record_contents(tmp_path):
     assert doc["tool_version"]
     assert doc["started_at"] <= doc["finished_at"]
     assert set(doc["manifest"]) == {"lac_plan.csv"}
-    # stage wall times: the map load, the result writes, the whole run
+    # stage wall times: the map load, the result writes, the rest of the
+    # runner, the whole run
     m = doc["metrics"]
-    assert sorted(m) == ["fieldmap_s", "total_s", "write_s"]
-    assert 0 < m["fieldmap_s"] and 0 < m["write_s"]
-    assert m["fieldmap_s"] + m["write_s"] <= m["total_s"]
+    assert sorted(m) == ["fieldmap_s", "kernel_s", "total_s", "write_s"]
+    assert 0 < m["fieldmap_s"] and 0 < m["write_s"] and 0 < m["kernel_s"]
+    assert m["fieldmap_s"] + m["kernel_s"] + m["write_s"] <= m["total_s"]
     assert record.metrics == m
+
+
+@pytest.mark.parametrize("kind, block", [
+    ("shuttle_characterization", {}), ("lac_plan", {}),
+    ("dnp_sweep", {"dnp": {"nodes": 8, "sweep_rate_Hz_per_s": 3e10}}),
+    ("t1_field_map", {}), ("sequence_validation", {})])
+def test_stage_times_fit_in_the_total(tmp_path, kind, block):
+    run(parse_spec(minimal(kind, **block)), out_dir=tmp_path, quiet=True)
+    m = json.loads((tmp_path / "runrecord.json").read_text())["metrics"]
+    assert min(m.values()) >= 0 and m["kernel_s"] > 0
+    assert m["fieldmap_s"] + m["kernel_s"] + m["write_s"] <= m["total_s"]
 
 
 def test_fieldmap_block_from_files(tmp_path):

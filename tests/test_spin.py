@@ -251,10 +251,13 @@ def eigh_cos_sin(x):
     return (q * np.cos(w)[:, None, :]) @ qt, (q * np.sin(w)[:, None, :]) @ qt
 
 
-@pytest.mark.parametrize("max_norm", [1.0, 2.0], ids=["unscaled", "one-halving"])
+@pytest.mark.parametrize("max_norm", [1.0, 2.0, 4.0],
+                         ids=["unscaled", "one-halving", "two-halvings"])
 def test_cos_sin_matches_eigh_and_is_unitary(max_norm):
     x = kernel_batch(max_norm)
-    c, s = spin._cos_sin(x)
+    norm = np.abs(x).sum(axis=1).max()
+    assert math.ceil(math.log2(norm)) == math.log2(max_norm)  # the halvings
+    c, s = spin._cos_sin(x, norm)
     c_ref, s_ref = eigh_cos_sin(x)
     assert np.abs(c - c_ref).max() <= 1e-14
     assert np.abs(s - s_ref).max() <= 1e-14
@@ -268,7 +271,64 @@ def test_cos_sin_rejects_a_non_finite_exponent(bad):
     x = kernel_batch(1.0)
     x[3, 1, 2] = x[3, 2, 1] = bad
     with pytest.raises(NonFiniteHamiltonian):
-        spin._cos_sin(x)
+        spin._cos_sin(x, np.abs(x).sum(axis=1).max())
+
+
+def chirps():
+    """The default, slow and band-limited sweeps of one system."""
+    s = SpinSystem(1e6, math.radians(45), 0.010)
+    band = SweepParams(band_center_Hz=electron_gap(s), band_width_Hz=2e6)
+    return [spin._Chirp(s, sweep)
+            for sweep in (SweepParams(), SweepParams(**SLOW), band)]
+
+
+@pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
+def test_chunk_norm_bound_holds_on_every_chunk(chirp):
+    for level in range(3):
+        for x, norm in chirp.chunks(level):
+            assert norm >= np.abs(x).sum(axis=1).max()
+
+
+def segment_unitary(chirp, level):
+    """Oracle: each envelope segment's CF4 exponentials on their own, from
+    ``_cos_sin`` at the exact norm, multiplied one by one in time order."""
+    u = np.eye(4, dtype=complex)
+    for (a, b), n0 in zip(spin._SEGMENTS, chirp.n0):
+        n = n0 << level
+        h = (b - a) / n
+        x = a + h * (np.arange(n)[:, None] + spin._CF4_C)
+        det = ((chirp.d_hi - chirp.span * x) @ spin._CF4_W.T).ravel()
+        env = (spin._envelope(x) @ spin._CF4_W.T).ravel()
+        hb = np.zeros((2 * n, 4, 4))
+        hb[:] = 0.5 * chirp.h_base
+        hb[:, 2, 2] += det
+        hb[:, 3, 3] += det
+        hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = \
+            0.5 * chirp.omega * env
+        hb *= 2.0 * np.pi * chirp.total_t * h
+        c, s = spin._cos_sin(hb, np.abs(hb).sum(axis=1).max())
+        for ck, sk in zip(c, s):
+            u = (ck - 1j * sk) @ u
+    return u
+
+
+@pytest.mark.parametrize("chunk", [spin._CHUNK_STEPS, 97])
+@pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
+def test_fused_pass_equals_the_per_segment_product(monkeypatch, chirp, chunk):
+    # 97 steps per chunk: chunks straddle the segment boundaries
+    monkeypatch.setattr(spin, "_CHUNK_STEPS", chunk)
+    for level in (0, 1):
+        u, n = chirp.unitary(level)
+        assert n == sum(chirp.n0) << level
+        assert np.abs(u - segment_unitary(chirp, level)).max() <= 1e-13
+
+
+def test_an_empty_window_gives_the_identity():
+    s = SpinSystem(1e6, math.radians(45), 0.010)
+    chirp = spin._Chirp(s, SweepParams(band_center_Hz=electron_gap(s) + 1e9,
+                                       band_width_Hz=100e6))
+    u, n = chirp.unitary(0)
+    assert n == 0 and np.array_equal(u, np.eye(4))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import csv
 import io
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fieldcycle
 from fieldcycle.sequencer import Event, EventLog
 from fieldcycle.util import csv_text
 
@@ -58,3 +64,18 @@ def test_event_log_of_no_runs_writes_only_the_header():
         "run_id,channel,event,t_nominal_s,t_realized_s,duration_s\n"
     with pytest.raises(KeyError):
         log.realized("program")
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_write_atomic_gives_the_mode_open_would(tmp_path, umask, mode):
+    # the umask is read when fieldcycle.util is imported: a fresh process
+    probe = (f"import os, pathlib; os.umask({umask})\n"
+             "from fieldcycle.util import write_atomic\n"
+             f"write_atomic(pathlib.Path({str(tmp_path / 'out.txt')!r}), 'x')")
+    src = str(Path(fieldcycle.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                   timeout=300)
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+    assert (tmp_path / "out.txt").read_text() == "x"

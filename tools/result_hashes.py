@@ -18,8 +18,9 @@ verb, shuttle specs with one run and with a zero-distance move,
 ``plan-lac`` with and without ``--map``, ``plan-motion``,
 ``calibrate-field`` with each model kind, custom map and anchor files,
 cryo and latency sequence specs, a short move validated and simulated, a
-spec with violations (exit 2) and a numerical failure (exit 4).  It uses
-only the standard library.
+spec with violations (exit 2), and two numerical failures (exit 4): a T1
+field below the map floor and a DNP Rabi frequency of 1e300 Hz, whose
+|H| T sum overflows.  It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ SPECS = {
         "anchors_file": "solenoid.csv", "model_kind": "finite_solenoid"}),
     "dnp": _spec("dnp_sweep"),
     "dnp_fast": _spec("dnp_sweep", dict(FAST_DNP, n_sweeps=2)),
+    "dnp_extreme": _spec("dnp_sweep", {"nodes": 8, "mw_rabi_Hz": 1e300}),
     "t1": _spec("t1_field_map"),
     "t1_noise": _spec("t1_field_map", {"fields_T": [0.02, 0.5, 3.0],
                                        "n_waits": 8, "noise_sigma": 0.02},

@@ -10,13 +10,14 @@ latency elements; timing is the modeled contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby, repeat
 from typing import Optional
 
 import numpy as np
 
 from .errors import SpecInvalid
 from .motion import JitterModel, MotionProfile, duration, states_at
-from .util import csv_text
+from .util import _cells, csv_text
 
 __all__ = [
     "CHANNELS",
@@ -267,25 +268,26 @@ class EventLog:
     metadata: dict
 
     def to_csv(self) -> str:
-        """A row per run and event, run by run.  Each event's channel, id
-        and nominal time, and each value that every run shares, is
-        rendered once."""
+        """A row per run and event, run by run, as ``csv.writer`` writes
+        them.  Each event's channel, id and nominal time, and each value
+        that every run shares, is rendered once; a run adds its id and its
+        own values, whose ``str`` needs no quoting."""
         n, k = self.runs, len(self.events)
-
-        def by_run(entries):  # one entry per event -> cells in row order
-            cells = np.empty((n, k), object)
-            for j, x in enumerate(map(np.asarray, entries)):
-                cells[:, j] = (str(x.item()) if x.ndim == 0
-                               else list(map(str, x.tolist())))
-            return cells.ravel().tolist()
-
-        return csv_text(["run_id", "channel", "event", "t_nominal_s",
-                         "t_realized_s", "duration_s"],
-                        [np.repeat(np.arange(n), k),
-                         by_run([ev.channel for ev in self.events]),
-                         by_run([ev.id for ev in self.events]),
-                         by_run([ev.t_start_s for ev in self.events]),
-                         by_run(self.t_realized_s), by_run(self.duration_s)])
+        run_ids = list(map(str, range(n)))
+        rows = [""] * (n * k)
+        for j, ev in enumerate(self.events):
+            cols = [run_ids]
+            cells = (ev.channel, ev.id, ev.t_start_s, self.t_realized_s[j],
+                     self.duration_s[j])
+            for shared, group in groupby(map(np.asarray, cells),
+                                         key=lambda x: x.ndim == 0):
+                if shared:  # Python scalars: an integer stays an integer
+                    cols.append(repeat(",".join(_cells([x.item() for x in group]))))
+                else:
+                    cols.extend(map(str, x.tolist()) for x in group)
+            rows[j::k] = map(",".join, zip(*cols))
+        header = "run_id,channel,event,t_nominal_s,t_realized_s,duration_s"
+        return "\n".join([header, *rows, ""])
 
     def realized(self, event_id) -> LogRow:
         """Event ``event_id``'s row in the first run."""

@@ -57,6 +57,8 @@ MIN_SEGMENT_STEPS = 32  # first-pass floor per segment: fewer steps can sit
 CAP_HDT = 1e-2  # step cap: all passes together stay within the exponentials
                 # of fixed steps of this |H| * dt
 EDGE_FRACTION = 0.12  # cos^2 drive apodization at the window edges
+MAX_FIRST_PASS_STEPS = 10_000_000  # per chirp: 1,700x the acceptance suite's
+                                   # heaviest first pass, 9,900x fcbench's
 
 _CHUNK_STEPS = 4096  # steps per batch (8192 exponentials, 1 MB per array)
 _SEGMENTS = ((0.0, EDGE_FRACTION), (EDGE_FRACTION, 1.0 - EDGE_FRACTION),
@@ -255,6 +257,11 @@ class _Chirp:
         else:
             self.n0 = [max(MIN_SEGMENT_STEPS, math.ceil((b - a) * hmax_t / START_HDT))
                        for a, b in _SEGMENTS]
+        if sum(self.n0) > MAX_FIRST_PASS_STEPS:  # Python ints: no overflow
+            raise StepTooCoarse(
+                f"the first pass needs {sum(self.n0)} steps, above the "
+                f"{MAX_FIRST_PASS_STEPS}-step cap: lower mw_rabi_Hz or "
+                "hyperfine_Hz, or raise sweep_rate_Hz_per_s", math.inf)
         # all passes together cost at most the exponentials of fixed steps
         # of |H| dt = CAP_HDT; the first two passes always run
         self.max_steps = max(math.ceil(hmax_t / CAP_HDT) // 2, 3 * sum(self.n0))

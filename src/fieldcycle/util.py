@@ -6,7 +6,6 @@ import csv
 import io
 import math
 import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,9 +15,6 @@ from .errors import NoConvergence
 THREADS_ENV = "FIELDCYCLE_THREADS"
 _BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-14, 8.9e-16, 100
 _SPECIAL = ',"\r\n'  # characters csv.writer may quote a cell for
-# read once: os.umask can only be read by setting it, for the whole process
-_UMASK = os.umask(0o022)
-os.umask(_UMASK)
 
 
 def thread_count() -> int:
@@ -74,12 +70,18 @@ def csv_text(header, columns) -> str:
 
 def write_atomic(final, text: str):
     """Write via a temp file and rename, so the Path ``final`` is never
-    partial; it gets the mode ``open`` would give it, 0o666 less the umask."""
-    fd, tmp = tempfile.mkstemp(dir=final.parent, prefix=".tmp-")
+    partial.  The temp file is created as ``open`` creates a file, so the
+    result gets mode 0o666 less the umask at the time of the write."""
+    while True:
+        tmp = final.parent / f".tmp-{os.urandom(6).hex()}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # a name clash: draw another name
+            continue
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
-        os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, final)
     except BaseException:
         if os.path.exists(tmp):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import fieldcycle
 from fieldcycle.cli import main
+from fieldcycle.spin import MAX_FIRST_PASS_STEPS
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -127,6 +129,27 @@ def test_extreme_dnp_values_are_numerical_failures(tmp_path, key, value):
     record = json.loads((tmp_path / "o" / "runrecord.json").read_text())
     assert record["status"] == "failed"
     assert record["error"].startswith("NonFiniteHamiltonian")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mw_rabi_Hz", 1e14), ("mw_rabi_Hz", 1e20), ("sweep_rate_Hz_per_s", 1e5)])
+def test_sweeps_past_the_first_pass_cap_fail_at_once(tmp_path, capsys, key,
+                                                     value):
+    # first passes of 2.4e20, 2.4e32 and 3.8e7 steps per node
+    spec = write_spec(tmp_path, {"schema_version": 1, "kind": "dnp_sweep",
+                                 "seed": 1, "dnp": {"nodes": 8, key: value}})
+    start = time.monotonic()
+    assert main(["run", "--quiet", "--spec", spec, "--out",
+                 str(tmp_path / "o")]) == 4
+    assert time.monotonic() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the first pass needs ")
+    assert all(k in err for k in (f"{MAX_FIRST_PASS_STEPS}-step cap",
+                                  "mw_rabi_Hz", "hyperfine_Hz",
+                                  "sweep_rate_Hz_per_s"))
+    record = json.loads((tmp_path / "o" / "runrecord.json").read_text())
+    assert record["status"] == "failed"
+    assert record["error"].startswith("StepTooCoarse")
 
 
 def test_run_kind_mismatch_for_typed_verbs(tmp_path):
@@ -293,6 +316,7 @@ def test_a_degenerate_solenoid_map_is_rejected_without_a_warning(tmp_path):
 _SCIPY_PROBE = """
 import json, sys
 from fieldcycle.cli import main
+from fieldcycle.spin import MAX_FIRST_PASS_STEPS
 from fieldcycle.fieldmap import anchors_to_csv, reference_anchors
 
 tmp = sys.argv[1]

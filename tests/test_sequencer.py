@@ -236,9 +236,15 @@ def _reference_csv(timeline, jitter, runs):
     return out.getvalue()
 
 
-@pytest.mark.parametrize("case", ["default", "cryo", "latency", "two_moves"])
-@pytest.mark.parametrize("sigma", [0.0, 2.6e-3, 0.5])
-def test_simulate_matches_per_run_loop_bytes(shuttle_profile, case, sigma):
+CASES = ["default", "cryo", "latency", "two_moves", "quoted"]
+
+
+# ids without a run count are the 300-run cases
+@pytest.mark.parametrize("case, sigma, runs", [
+    pytest.param(case, sigma, runs, id=f"{sigma}-{case}" + (
+        "" if runs == 300 else f"-{runs}runs"))
+    for sigma in (0.0, 2.6e-3, 0.5) for case in CASES for runs in (300, 1, 2)])
+def test_simulate_matches_per_run_loop_bytes(shuttle_profile, case, sigma, runs):
     spec = {"default": SequenceSpec(shuttle_profile=shuttle_profile),
             # integer cryo durations must stay integers in the CSV
             "cryo": SequenceSpec(t_pol_s=10.0, shuttle_profile=shuttle_profile,
@@ -259,15 +265,24 @@ def test_simulate_matches_per_run_loop_bytes(shuttle_profile, case, sigma):
             Event("late", "nmr_acquire", shuttle.t_end_s + 5.5, 0.1,
                   depends_on="back")),
             tl.latencies, tl.low_field_max_T)
+    elif case == "quoted":  # ids that csv.writer quotes, shared and per run
+        move = duration(shuttle_profile)
+        timeline = Timeline((
+            Event('pro,gram', "pulse_gen", 0.0, 0.0),
+            Event('move "up"', "actuator_motion", 0.01, move,
+                  depends_on="pro,gram"),
+            Event("acq\nuire", "nmr_acquire", move + 0.02, 1.0,
+                  depends_on='move "up"'),
+            Event("", "laser", 0.0, 2)), DEFAULT_LATENCIES, 0.03)
     else:
         timeline = build_timeline(spec[case])
-    runs = 300
     log = simulate(timeline, JitterModel(sigma_s=sigma, seed=21), runs)
     expected = _reference_csv(timeline, JitterModel(sigma_s=sigma, seed=21), runs)
     assert log.to_csv() == expected
     assert log.runs == runs and len(log.metadata["shuttle_jitter_s"]) == runs
-    if sigma == 0.5:  # draws below minus the move time clamp it to zero
-        assert np.min(_per_run(log, "duration_s")["shuttle"]) == 0.0
+    if sigma == 0.5 and runs == 300:  # draws below minus the move time clamp it
+        move_id = timeline.by_channel("actuator_motion")[0].id
+        assert np.min(_per_run(log, "duration_s")[move_id]) == 0.0
 
 
 def test_simulate_runs_do_not_depend_on_run_count(dnp_timeline):

@@ -208,6 +208,20 @@ def test_step_cap_raises_with_estimate(monkeypatch):
     assert 1e-16 < exc.value.estimate < 1e-8
 
 
+def test_first_pass_cap_is_checked_before_any_step(monkeypatch):
+    s = SpinSystem(1e6, math.radians(45), 0.010)
+    first = spin._Chirp(s, SweepParams())
+    monkeypatch.setattr(spin, "MAX_FIRST_PASS_STEPS", sum(first.n0))
+    propagate_sweep(s, SweepParams())  # a first pass at the cap runs
+    monkeypatch.setattr(spin, "MAX_FIRST_PASS_STEPS", sum(first.n0) - 1)
+    monkeypatch.setattr(spin._Chirp, "unitary", None)  # never reached
+    with pytest.raises(StepTooCoarse, match=f"needs {sum(first.n0)} steps"):
+        propagate_sweep(s, SweepParams())
+    with pytest.raises(StepTooCoarse) as exc:  # 2.4e32 steps: no int64 left
+        propagate_sweep(s, SweepParams(mw_rabi_Hz=1e20))
+    assert exc.value.estimate == math.inf
+
+
 def test_step_count_includes_coarse_passes(monkeypatch):
     s = SpinSystem(1e6, math.radians(45), 0.010)
     res = propagate_sweep(s, SweepParams(), details=True)

@@ -11,7 +11,7 @@ import pytest
 
 import fieldcycle
 from fieldcycle.sequencer import Event, EventLog
-from fieldcycle.util import csv_text
+from fieldcycle.util import csv_text, write_atomic
 
 HEADER = ["text", "int", "float", "other"]
 ROWS = [
@@ -68,14 +68,31 @@ def test_event_log_of_no_runs_writes_only_the_header():
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_write_atomic_gives_the_mode_open_would(tmp_path, umask, mode):
-    # the umask is read when fieldcycle.util is imported: a fresh process
+    # a fresh process: the umask set before the import, then one set after
     probe = (f"import os, pathlib; os.umask({umask})\n"
              "from fieldcycle.util import write_atomic\n"
-             f"write_atomic(pathlib.Path({str(tmp_path / 'out.txt')!r}), 'x')")
+             f"assert os.umask(0o002) == {umask}\n"
+             f"folder = pathlib.Path({str(tmp_path)!r})\n"
+             "write_atomic(folder / 'out.txt', 'x')\n"
+             f"os.umask({umask})\n"
+             "write_atomic(folder / 'again.txt', 'y')")
     src = str(Path(fieldcycle.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                    timeout=300)
-    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == 0o664
+    assert stat.S_IMODE((tmp_path / "again.txt").stat().st_mode) == mode
     assert (tmp_path / "out.txt").read_text() == "x"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.txt", "out.txt"]
+
+
+def test_write_atomic_draws_another_name_on_a_clash(tmp_path, monkeypatch):
+    names = iter([b"\0" * 6, b"\0" * 6, b"\1" * 6])
+    monkeypatch.setattr(os, "urandom", lambda n: next(names))
+    write_atomic(tmp_path / "a.txt", "a")
+    (tmp_path / ".tmp-000000000000").write_text("taken")
+    write_atomic(tmp_path / "b.txt", "b")
+    assert (tmp_path / "b.txt").read_text() == "b"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".tmp-000000000000", "a.txt", "b.txt"]

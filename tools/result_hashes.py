@@ -17,10 +17,12 @@ The set covers the five spec kinds through ``run`` and through each typed
 verb, shuttle specs with one run and with a zero-distance move,
 ``plan-lac`` with and without ``--map``, ``plan-motion``,
 ``calibrate-field`` with each model kind, custom map and anchor files,
-cryo and latency sequence specs, a short move validated and simulated, a
-spec with violations (exit 2), and two numerical failures (exit 4): a T1
-field below the map floor and a DNP Rabi frequency of 1e300 Hz, whose
-|H| T sum overflows.  It uses only the standard library.
+cryo and latency sequence specs, simulations of one and of 1400 runs of
+the default and the cryo sequence, a short move validated and simulated, a
+spec with violations (exit 2), and three numerical failures (exit 4): a T1
+field below the map floor, a DNP Rabi frequency of 1e300 Hz, whose |H| T
+sum overflows, and one of 1e14 Hz, whose first pass exceeds the step cap.
+It uses only the standard library.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ SPECS = {
     "dnp": _spec("dnp_sweep"),
     "dnp_fast": _spec("dnp_sweep", dict(FAST_DNP, n_sweeps=2)),
     "dnp_extreme": _spec("dnp_sweep", {"nodes": 8, "mw_rabi_Hz": 1e300}),
+    "dnp_capped": _spec("dnp_sweep", {"nodes": 8, "mw_rabi_Hz": 1e14}),
     "t1": _spec("t1_field_map"),
     "t1_noise": _spec("t1_field_map", {"fields_T": [0.02, 0.5, 3.0],
                                        "n_waits": 8, "noise_sigma": 0.02},
@@ -121,6 +124,10 @@ COMMANDS = [(f"run-{name}", ["run", "--spec", f"{name}.json", "--out", "res"])
                                       "seq_reversed.json", "--out", "res"]),
     ("simulate-sequence", ["simulate-sequence", "--spec", "seq.json",
                            "--runs", "5", "--out", "res"]),
+] + [(f"simulate-sequence-{name}-{runs}", ["simulate-sequence", "--spec",
+                                          f"{name}.json", "--runs", str(runs),
+                                          "--out", "res"])
+     for name in ("seq", "seq_cryo") for runs in (1, 1400)] + [
     ("validate-sequence-short", ["validate-sequence", "--spec",
                                  "seq_short.json", "--out", "res"]),
     ("simulate-sequence-short", ["simulate-sequence", "--spec",

@@ -298,6 +298,9 @@ class FieldMap:
         p = self.params
         if self.model == "monotone_spline":
             model = _HermiteSpline(*([k[i] for k in p["knots"]] for i in range(3)))
+            # NaN knots pass here; from_json rejects a non-finite range
+            if np.any(np.diff(model.b) >= 0) or np.any(model.m > 0):
+                raise ValueError("spline knot fields must strictly decrease, slopes not rise")
         else:
             for key in ("half_length_m", "radius_m"):
                 if not (math.isfinite(p[key]) and p[key] > 0):

@@ -83,11 +83,12 @@ class MotionProfile:
 
 @dataclass
 class JitterModel:
-    """Gaussian timing jitter; draws advance a seed-determined stream."""
+    """Gaussian timing jitter; draws advance a stream set by the seed alone."""
 
     sigma_s: float = 2.6e-3
     seed: int = 0
-    _rng: Optional[np.random.Generator] = field(default=None, repr=False, compare=False)
+    _rng: Optional[np.random.Generator] = field(init=False, default=None,
+                                                repr=False, compare=False)
 
     def __post_init__(self):
         if self.sigma_s < 0:

@@ -53,7 +53,7 @@ def spec_hash(doc: dict) -> str:
 _REQUIRED = object()
 _NUM = (int, float)
 _TYPES = {float: _NUM, int: (int,), str: (str,), list: (list,), dict: (dict,)}
-_POSITIVE = (lambda v: v > 0, "must be positive")
+_POSITIVE = (lambda v: v is None or v > 0, "must be positive")  # None: nullable keys
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 
 
@@ -186,7 +186,8 @@ def _sequence_params(blk, path, limits):
               for k in ("t_pol_s", "trigger_pulse_s", "acquire_duration_s")}
     return {
         "B_start_T": _get(blk, "B_start_T", path, 0.008, check=_POSITIVE),
-        "B_end_T": _get(blk, "B_end_T", path, 7.0, check=_POSITIVE),
+        "B_end_T": _get(blk, "B_end_T", path, None, types=_NUM + (type(None),),
+                        check=_POSITIVE),  # null: the magnet centre
         "shuttle_distance_m": _get(blk, "shuttle_distance_m", path, None,
                                    types=_NUM + (type(None),),
                                    check=_travel(limits)),
@@ -430,7 +431,8 @@ def _sequence_parts(spec: ExperimentSpec, ws: _Workspace):
     p = spec.params
     fmap = ws.fieldmap(spec)
     z_start = fmap.position_of_field(p["B_start_T"])
-    z_end = fmap.position_of_field(p["B_end_T"])
+    z_end = (fmap.domain_m[0] if p["B_end_T"] is None  # the magnet centre
+             else fmap.position_of_field(p["B_end_T"]))
     distance = p["shuttle_distance_m"]
     if distance is None:  # the move between the two fields on the map
         distance = abs(z_start - z_end)

@@ -1,5 +1,5 @@
 """Field-cycled T1 measurement: hyperpolarize at low field, shuttle to a
-relaxation field, wait, shuttle to 7 T, detect; then fit the decay curves.
+relaxation field, wait, shuttle to the magnet centre, detect; fit the decays.
 
 Polarization decays as dP/dt = -P / T1(B(z(t))) along the shuttle
 trajectories and exponentially during the wait.  The T1(B) model is a
@@ -82,12 +82,8 @@ class RelaxometryProtocol:
     B_pol_T: float = 0.008
     B_relax_T: float = 0.008
     T_relax_list_s: tuple[float, ...] = (5.0, 10.0, 20.0, 40.0)
-    detect_field_T: float = 7.0
-    initial_polarization_sign: str = "anti_aligned"  # or "aligned"
 
     def __post_init__(self):
-        if self.initial_polarization_sign not in ("aligned", "anti_aligned"):
-            raise ValueError("initial_polarization_sign must be aligned|anti_aligned")
         waits = self.T_relax_list_s
         if any(b <= a for a, b in zip(waits, waits[1:])):
             raise ValueError("wait times must be strictly increasing")
@@ -129,19 +125,17 @@ def simulate_protocol(protocol: RelaxometryProtocol, fmap,
                       model: RelaxationModel = RelaxationModel(),
                       seed: Optional[int] = None,
                       noise_sigma: float = 0.0) -> DecayCurve:
-    """Detected signal versus wait time for one relaxation field: a
-    monoexponential decay at T1(B_relax) whose amplitude carries the
-    initial sign and the loss along both shuttle moves."""
+    """Detected signal versus wait time for one relaxation field, detected at
+    the magnet centre: a monoexponential decay at T1(B_relax) whose amplitude
+    carries the anti-aligned start and the loss along both shuttle moves."""
     z_pol = fmap.position_of_field(protocol.B_pol_T)
     z_relax = fmap.position_of_field(protocol.B_relax_T)
-    z_det = fmap.position_of_field(protocol.detect_field_T)
     t1_relax = float(t1_of_field(protocol.B_relax_T, model))
 
     loss = (_shuttle_log_loss(z_pol, z_relax, fmap, limits, model)
-            + _shuttle_log_loss(z_relax, z_det, fmap, limits, model))
-    sign = 1.0 if protocol.initial_polarization_sign == "aligned" else -1.0
+            + _shuttle_log_loss(z_relax, fmap.domain_m[0], fmap, limits, model))
     return synthetic_decay(t1_relax, protocol.T_relax_list_s,
-                           amplitude=sign * math.exp(-loss),
+                           amplitude=-math.exp(-loss),
                            noise_sigma=noise_sigma, seed=seed)
 
 

@@ -313,6 +313,50 @@ def test_a_degenerate_solenoid_map_is_rejected_without_a_warning(tmp_path):
         "finite_solenoid half_length_m must be finite and > 0, got 0.0)"]
 
 
+def test_a_rising_spline_map_is_a_spec_error(tmp_path, capsys):
+    # the field rises from 0.05 T at 0.5 m to 0.2 T at 1.0 m, so 0.1 T is
+    # reached three times
+    (tmp_path / "map.json").write_text(json.dumps({
+        "schema": 1, "model": "monotone_spline",
+        "params": {"knots": [[0.0, 7.0, 0.0], [0.5, 0.05, -1.0],
+                             [1.0, 0.2, 5.0], [1.6, 0.001, 0.0]]},
+        "domain_m": [0.0, 1.6], "floor_T": 0.001}))
+    spec = write_spec(tmp_path, {"schema_version": 1, "kind": "lac_plan",
+                                 "seed": 1, "fieldmap": {"file": "map.json"},
+                                 "lac": {"targets_T": [0.1]}})
+    assert main(["run", "--quiet", "--spec", spec, "--out",
+                 str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "spec error: $.fieldmap.file: cannot load map.json (ValueError: ")
+    record = json.loads((tmp_path / "o" / "runrecord.json").read_text())
+    assert record["status"] == "failed"
+    assert "$.fieldmap.file" in record["error"]
+    assert not (tmp_path / "o" / "lac_plan.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "t1_field_map", "t1": {"fields_T": [0.01, 0.1, 1.0]}},
+    {"kind": "sequence_validation"},
+], ids=["t1", "sequence"])
+def test_specs_detect_at_the_centre_of_a_5T_map(tmp_path, doc):
+    # the map's high-field end is 5 T: detection and the sequence's end
+    # move go there, where a 7 T target was unreachable
+    (tmp_path / "anchors.csv").write_text(
+        ANCHOR_HEADER + "field_value,0.0,5.0,,1e-06\n"
+        "field_value,1.1627,0.008,,0.1\n")
+    spec = write_spec(tmp_path, {"schema_version": 1, "seed": 1, **doc,
+                                 "fieldmap": {"anchors_file": "anchors.csv"}})
+    out = tmp_path / "o"
+    assert main(["run", "--quiet", "--spec", spec, "--out", str(out)]) == 0
+    assert json.loads((out / "runrecord.json").read_text())["status"] == "ok"
+    if doc["kind"] == "t1_field_map":
+        rows = (out / "t1_map.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["0.01", "0.1", "1.0"]
+    else:
+        assert (out / "validation_report.csv").read_text().splitlines() == [
+            "code,event_ids,detail"]
+
+
 _SCIPY_PROBE = """
 import json, sys
 from fieldcycle.cli import main

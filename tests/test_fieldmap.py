@@ -453,6 +453,20 @@ def test_spline_rejects_bad_knots_before_evaluating(knots):
         FieldMap(model="monotone_spline", params={"knots": knots})
 
 
+@pytest.mark.parametrize("knots", [
+    [[0.0, 7.0, 0.0], [0.5, 0.05, -1.0], [1.0, 0.2, 5.0], [1.6, 0.001, 0.0]],
+    [[0.0, 7.0, -1.0], [0.8, 7.0, -1.0], [1.6, 0.5, -0.1]],
+    [[0.0, 7.0, -1.0], [0.8, 1.0, 0.5], [1.6, 0.5, -0.1]],
+], ids=["rising-field", "flat-field", "rising-slope"])
+def test_spline_rejects_knots_that_are_not_decreasing(knots):
+    with pytest.raises(ValueError, match="strictly decrease"):
+        FieldMap(model="monotone_spline", params={"knots": knots})
+    doc = {"schema": 1, "model": "monotone_spline", "params": {"knots": knots},
+           "domain_m": [0.0, 1.6], "floor_T": 1e-3}
+    with pytest.raises(ValueError, match="strictly decrease"):
+        FieldMap.from_json(json.dumps(doc))
+
+
 def test_frozen_reference_map_matches_calibration():
     # the shipped map is the calibration of the reference anchors, byte for
     # byte: regenerate it when the anchors or the fit change

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,3 +251,14 @@ def test_zero_sigma_draws_zeros_and_consumes_nothing():
     assert apply_jitter(np.full(3, 0.648), jm).tolist() == [0.648] * 3
     assert jm._rng.bit_generator.state == \
         np.random.default_rng(3).bit_generator.state
+
+
+def test_replace_with_a_new_seed_starts_that_seed_stream():
+    a = JitterModel(sigma_s=2.6e-3, seed=1)
+    a.draw(3)
+    b = replace(a, seed=2)
+    assert b.draw(3).tolist() == JitterModel(sigma_s=2.6e-3, seed=2).draw(3).tolist()
+    assert b._rng is not a._rng
+    fresh = JitterModel(sigma_s=2.6e-3, seed=1)
+    fresh.draw(3)
+    assert a.draw(3).tolist() == fresh.draw(3).tolist()  # a's stream did not move

@@ -121,3 +121,72 @@ def test_every_defaulted_parameter_has_a_caller():
                            for t in callers for c in _calls(t, fn.name, fn)):
                     unused.append(f"{path.stem}.{qual}({name})")
     assert unused == []
+
+
+def _is_frozen_dataclass(node):
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", False)
+                       for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def _init_fields(cls):
+    """(name, has a default) of the init fields of a dataclass body."""
+    for item in cls.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            value = item.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                kw = {k.arg: k.value for k in value.keywords}
+                if getattr(kw.get("init"), "value", True) is False:
+                    continue
+                yield item.target.id, "default" in kw or "default_factory" in kw
+            else:
+                yield item.target.id, value is not None
+
+
+def _field_setters(tree, cls_name, names):
+    """The fields among ``names`` that ``tree`` sets: passed to ``cls_name``
+    or by keyword to ``replace``, named as a string, or all of them when an
+    instance is ``_layer``'s base without ``keys``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in names:
+            found.add(node.value)
+        if not isinstance(node, ast.Call):
+            continue
+        func = getattr(node.func, "id", getattr(node.func, "attr", None))
+        keywords = {k.arg for k in node.keywords}
+        if func == cls_name:
+            found |= keywords | set(names[:len(node.args)])
+        elif func == "replace":
+            found |= keywords
+        if (func == "_layer" and node.args and len(node.args) < 4
+                and "keys" not in keywords and isinstance(node.args[0], ast.Call)
+                and cls_name in (getattr(node.args[0].func, "id", None),
+                                 getattr(node.args[0].func, "attr", None))):
+            found |= set(names)
+    return found & set(names)
+
+
+def test_every_defaulted_field_has_a_setter():
+    """Each defaulted init field of an exported frozen dataclass is set in
+    the package, the acceptance suite or the oracles: by keyword or position
+    to the class or to ``dataclasses.replace``, as a string key, or through
+    ``orchestrator._layer`` reading every field from the spec.  A field only
+    other tests set is a setting no user reaches."""
+    trees = {p: _tree(p) for p in MODULES}
+    callers = list(trees.values())
+    callers += [_tree(TESTS / n) for n in ("test_acceptance.py", "oracles.py")]
+    unset = []
+    for path, tree in trees.items():
+        exported = set(_exports(tree))
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported
+                    and _is_frozen_dataclass(cls)):
+                continue
+            fields = list(_init_fields(cls))
+            names = [n for n, _ in fields]
+            set_ = set().union(*(_field_setters(t, cls.name, names) for t in callers))
+            unset += [f"{path.stem}.{cls.name}.{n}" for n, has_default in fields
+                      if has_default and n not in set_]
+    assert unset == []

@@ -86,11 +86,12 @@ def test_integrator_convergence_on_dt(ref_map, monkeypatch):
 
 
 def test_polarization_positive_and_decaying(ref_map):
-    prot = RelaxometryProtocol(B_relax_T=0.1, initial_polarization_sign="aligned",
+    """An aligned start reads as the negated anti-aligned curve."""
+    prot = RelaxometryProtocol(B_relax_T=0.1,
                                T_relax_list_s=tuple(np.linspace(1, 60, 12)))
-    curve = simulate_protocol(prot, ref_map)
-    assert np.all(curve.signals > 0)
-    assert np.all(np.diff(curve.signals) < 0)
+    aligned = -simulate_protocol(prot, ref_map).signals
+    assert np.all(aligned > 0)
+    assert np.all(np.diff(aligned) < 0)
 
 
 def test_anti_aligned_sign_flag(ref_map):
@@ -102,24 +103,23 @@ def test_anti_aligned_sign_flag(ref_map):
     assert fit.T1_s > 0
 
 
-@pytest.mark.parametrize("sign", ["aligned", "anti_aligned"])
-def test_protocol_curve_equals_the_per_wait_loop(ref_map, sign):
+def test_protocol_curve_equals_the_per_wait_loop(ref_map):
     """Bit for bit against the loop simulate_protocol ran before it called
-    synthetic_decay: sign * (exp(-loss) * exp(-wait / T1)), then one noise
-    draw per wait."""
-    prot = RelaxometryProtocol(B_relax_T=0.1, initial_polarization_sign=sign,
+    synthetic_decay: -(exp(-loss) * exp(-wait / T1)), then one noise draw
+    per wait.  The loop detects at the 7 T point, so this also checks that
+    the map centre, where simulate_protocol detects, is that point."""
+    prot = RelaxometryProtocol(B_relax_T=0.1,
                                T_relax_list_s=tuple(np.linspace(1, 60, 12)))
     curve = simulate_protocol(prot, ref_map, seed=3, noise_sigma=0.01)
     z_pol, z_relax, z_det = (ref_map.position_of_field(b) for b in (
-        prot.B_pol_T, prot.B_relax_T, prot.detect_field_T))
+        prot.B_pol_T, prot.B_relax_T, 7.0))
     loss = sum(_shuttle_log_loss(a, b, ref_map, MotionLimits(), MODEL)
                for a, b in ((z_pol, z_relax), (z_relax, z_det)))
     t1 = float(t1_of_field(prot.B_relax_T, MODEL))
     rng = np.random.default_rng(3)
     expected = []
     for wait in prot.T_relax_list_s:
-        signal = (1.0 if sign == "aligned" else -1.0) * (
-            math.exp(-loss) * math.exp(-wait / t1))
+        signal = -(math.exp(-loss) * math.exp(-wait / t1))
         expected.append((float(wait), float(signal + rng.normal(0.0, 0.01))))
     assert curve.points == tuple(expected)
 
@@ -178,7 +178,8 @@ def _trf_mono_fit(curve):
 
 def _oracle_curves():
     """304 seeded curves: noiseless grids, SNR-20 trials and reference-map
-    protocol curves of both signs, half of them noisy."""
+    protocol curves of both signs (odd-indexed ones negated to read as an
+    aligned start), half of them noisy."""
     curves = [synthetic_decay(t1, tuple(np.linspace(0.2 * t1, 2.0 * t1, 24)))
               for t1 in (5.0, 20.0, 120.0, 500.0)]
     curves += [synthetic_decay(50.0, tuple(np.linspace(10.0, 100.0, 200)),
@@ -190,11 +191,10 @@ def _oracle_curves():
         b = float(10 ** rng.uniform(math.log10(0.008), math.log10(7.0)))
         t1b = float(t1_of_field(b, MODEL))
         waits = tuple(np.linspace(0.2 * t1b, 2.0 * t1b, int(rng.integers(4, 25))))
-        prot = RelaxometryProtocol(
-            B_relax_T=b, T_relax_list_s=waits,
-            initial_polarization_sign=("aligned", "anti_aligned")[i % 2])
-        curves.append(simulate_protocol(prot, fmap, seed=i,
-                                        noise_sigma=0.01 if i % 4 < 2 else 0.0))
+        curve = simulate_protocol(RelaxometryProtocol(B_relax_T=b, T_relax_list_s=waits),
+                                  fmap, seed=i, noise_sigma=0.01 if i % 4 < 2 else 0.0)
+        curves.append(DecayCurve(tuple((t, -y) for t, y in curve.points))
+                      if i % 2 else curve)
     return curves
 
 
@@ -278,7 +278,7 @@ def test_protocol_validation():
     with pytest.raises(ValueError):
         RelaxometryProtocol(T_relax_list_s=(5.0, 4.0))
     with pytest.raises(ValueError):
-        RelaxometryProtocol(initial_polarization_sign="sideways")
+        RelaxometryProtocol(T_relax_list_s=(-1.0, 4.0))
 
 
 def test_t1_map_round_trip_and_knee(ref_map):

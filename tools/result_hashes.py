@@ -19,9 +19,11 @@ verb, shuttle specs with one run and with a zero-distance move,
 ``calibrate-field`` with each model kind, custom map and anchor files,
 cryo and latency sequence specs, simulations of one and of 1400 runs of
 the default and the cryo sequence, a short move validated and simulated, a
-spec with violations (exit 2), and three numerical failures (exit 4): a T1
+spec with violations (exit 2), three numerical failures (exit 4: a T1
 field below the map floor, a DNP Rabi frequency of 1e300 Hz, whose |H| T
-sum overflows, and one of 1e14 Hz, whose first pass exceeds the step cap.
+sum overflows, and one of 1e14 Hz, whose first pass exceeds the step cap),
+a T1 map and the default sequence on a map whose centre is 5 T, and a
+spline map file whose knot fields rise (exit 3).
 It uses only the standard library.
 """
 
@@ -55,6 +57,20 @@ SOLENOID_MAP = {
     "params": {"b0_T": 7.0, "half_length_m": 0.1, "radius_m": 0.12},
     "domain_m": [0.0, 1.6], "travel_range_m": 1.6,
     "center_separation_m": 0.83, "floor_T": 0.001,
+}
+# a magnet whose centre is 5 T: detection and the sequence's end move
+# target the centre, not a 7 T point the map does not reach
+CENTRE_5T_ANCHORS = """\
+kind,position_m,field_T,gradient_T_per_m,tolerance_rel
+field_value,0.0,5.0,,1e-06
+field_value,1.1627,0.008,,0.1
+"""
+# knot fields rise from 0.05 T to 0.2 T: not a map, so a spec error
+RISING_MAP = {
+    "schema": 1, "model": "monotone_spline",
+    "params": {"knots": [[0.0, 7.0, 0.0], [0.5, 0.05, -1.0],
+                         [1.0, 0.2, 5.0], [1.6, 0.001, 0.0]]},
+    "domain_m": [0.0, 1.6], "floor_T": 0.001,
 }
 
 
@@ -109,6 +125,12 @@ SPECS = {
                          {"t_pol_s": 1.0, "shuttle_distance_m": 1.0},
                          fieldmap={"anchors_file": "reference.csv",
                                    "model_kind": "monotone_spline"}),
+    "t1_centre_5T": _spec("t1_field_map", {"fields_T": [0.01, 0.1, 1.0]},
+                          fieldmap={"anchors_file": "centre_5T.csv"}),
+    "seq_centre_5T": _spec("sequence_validation",
+                           fieldmap={"anchors_file": "centre_5T.csv"}),
+    "lac_rising_map": _spec("lac_plan", {"targets_T": [0.1]},
+                            fieldmap={"file": "rising_map.json"}),
 }
 
 # (name, arguments); input file names resolve against the input directory
@@ -158,6 +180,8 @@ def _write_inputs(folder: Path):
     (folder / "reference.csv").write_text(REFERENCE_ANCHORS)
     (folder / "solenoid.csv").write_text(SOLENOID_ANCHORS)
     (folder / "solenoid_map.json").write_text(json.dumps(SOLENOID_MAP))
+    (folder / "centre_5T.csv").write_text(CENTRE_5T_ANCHORS)
+    (folder / "rising_map.json").write_text(json.dumps(RISING_MAP))
     for name, doc in SPECS.items():
         (folder / f"{name}.json").write_text(json.dumps(doc))
 

@@ -103,11 +103,14 @@ def test_anti_aligned_sign_flag(ref_map):
     assert fit.T1_s > 0
 
 
-def test_protocol_curve_equals_the_per_wait_loop(ref_map):
+@pytest.mark.parametrize("sign", ["aligned", "anti_aligned"])
+def test_protocol_curve_equals_the_per_wait_loop(ref_map, sign):
     """Bit for bit against the loop simulate_protocol ran before it called
     synthetic_decay: -(exp(-loss) * exp(-wait / T1)), then one noise draw
-    per wait.  The loop detects at the 7 T point, so this also checks that
-    the map centre, where simulate_protocol detects, is that point."""
+    per wait.  An aligned start reads as the negated anti-aligned curve, so
+    the aligned case negates both the curve and the loop's points.  The loop
+    detects at the 7 T point, so this also checks that the map centre, where
+    simulate_protocol detects, is that point."""
     prot = RelaxometryProtocol(B_relax_T=0.1,
                                T_relax_list_s=tuple(np.linspace(1, 60, 12)))
     curve = simulate_protocol(prot, ref_map, seed=3, noise_sigma=0.01)
@@ -117,11 +120,13 @@ def test_protocol_curve_equals_the_per_wait_loop(ref_map):
                for a, b in ((z_pol, z_relax), (z_relax, z_det)))
     t1 = float(t1_of_field(prot.B_relax_T, MODEL))
     rng = np.random.default_rng(3)
+    flip = 1.0 if sign == "anti_aligned" else -1.0
     expected = []
     for wait in prot.T_relax_list_s:
         signal = -(math.exp(-loss) * math.exp(-wait / t1))
-        expected.append((float(wait), float(signal + rng.normal(0.0, 0.01))))
-    assert curve.points == tuple(expected)
+        expected.append((float(wait),
+                         flip * float(signal + rng.normal(0.0, 0.01))))
+    assert tuple((t, flip * y) for t, y in curve.points) == tuple(expected)
 
 
 def test_fit_round_trip_noiseless_grid():

@@ -156,21 +156,28 @@ def _dnp_params(blk, path, limits):
 def _t1_params(blk, path, limits):
     model = _layer(rx.RelaxationModel(), _get(blk, "relaxation", path, {}),
                    f"{path}.relaxation")
-    fields_T = _numbers(blk, "fields_T", path, [0.008, 0.1, 0.5, 1.0, 7.0])
-    n_waits = _get(blk, "n_waits", path, 16, check=_POSITIVE)
-    lo, hi = _numbers(blk, "wait_span", path, [0.2, 2.0], check=None, length=2)
-    b_pol = _get(blk, "B_pol_T", path, rx.RelaxometryProtocol.B_pol_T,
-                 check=_POSITIVE)
-    protocols = []
-    for b in fields_T:
-        t1b = float(rx.t1_of_field(float(b), model))
-        waits = tuple(np.linspace(lo * t1b, hi * t1b, n_waits))
-        protocols.append(_call(rx.RelaxometryProtocol, f"{path}.wait_span",
-                               B_pol_T=b_pol, B_relax_T=float(b),
-                               T_relax_list_s=waits))
-    return {"model": model, "protocols": protocols,
-            "noise_sigma": _get(blk, "noise_sigma", path, 0.0,
-                                check=_NON_NEGATIVE)}
+    # without fields_T, the last field is the map centre (see _run_t1)
+    fields_T = _numbers(blk, "fields_T", path, [0.008, 0.1, 0.5, 1.0])
+    p = {"model": model, "centre": "fields_T" not in blk,
+         "n_waits": _get(blk, "n_waits", path, 16, check=_POSITIVE),
+         "wait_span": _numbers(blk, "wait_span", path, [0.2, 2.0], check=None,
+                               length=2),
+         "B_pol_T": _get(blk, "B_pol_T", path, rx.RelaxometryProtocol.B_pol_T,
+                         check=_POSITIVE),
+         "noise_sigma": _get(blk, "noise_sigma", path, 0.0,
+                             check=_NON_NEGATIVE)}
+    p["protocols"] = [_t1_protocol(p, b) for b in fields_T]
+    return p
+
+
+def _t1_protocol(p, b):
+    """The T1 protocol at relaxation field ``b``: its waits span
+    ``wait_span`` times T1 at that field."""
+    t1b = float(rx.t1_of_field(float(b), p["model"]))
+    lo, hi = p["wait_span"]
+    waits = tuple(np.linspace(lo * t1b, hi * t1b, p["n_waits"]))
+    return _call(rx.RelaxometryProtocol, "$.t1.wait_span", B_pol_T=p["B_pol_T"],
+                 B_relax_T=float(b), T_relax_list_s=waits)
 
 
 def _sequence_params(blk, path, limits):
@@ -404,12 +411,15 @@ def _finite(x: float) -> Optional[float]:
 def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     p = spec.params
     fmap = ws.fieldmap(spec)
+    protocols = p["protocols"]
+    if p["centre"]:  # the default fields end at the magnet centre
+        protocols = protocols + [_t1_protocol(p, fmap.field_at(fmap.domain_m[0]))]
     base_seed = derive_seed(spec.seed, "relaxometry")
     curves = [rx.simulate_protocol(prot, fmap, spec.limits, p["model"],
                                    seed=base_seed + i,
                                    noise_sigma=p["noise_sigma"])
-              for i, prot in enumerate(p["protocols"])]
-    fields = [prot.B_relax_T for prot in p["protocols"]]
+              for i, prot in enumerate(protocols)]
+    fields = [prot.B_relax_T for prot in protocols]
     for b, curve in zip(fields, curves):
         ws.write(f"curve_B{b:g}T.csv", curve.to_csv())
     t1map = rx.build_t1_map(fields, curves)

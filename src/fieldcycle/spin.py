@@ -13,6 +13,7 @@ crystallite orientation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -21,7 +22,6 @@ import numpy as np
 
 from .errors import (NearDivergence, NonFiniteHamiltonian, NonlinearRegime,
                      StepTooCoarse)
-from .util import parallel_map
 
 __all__ = [
     "SpinSystem",
@@ -57,12 +57,30 @@ MIN_SEGMENT_STEPS = 32  # first-pass floor per segment: fewer steps can sit
 CAP_HDT = 1e-2  # step cap: all passes together stay within the exponentials
                 # of fixed steps of this |H| * dt
 EDGE_FRACTION = 0.12  # cos^2 drive apodization at the window edges
-MAX_FIRST_PASS_STEPS = 10_000_000  # per chirp: 1,700x the acceptance suite's
-                                   # heaviest first pass, 9,900x fcbench's
+MAX_RUN_STEPS = 10_000_000  # nodes x max_steps of a run, checked before any
+                            # pass
 
-_CHUNK_STEPS = 4096  # steps per batch (8192 exponentials, 1 MB per array)
+_CHUNK_STEPS = 4096  # steps per batch of frames (4 MB of 8x8 forms)
+_CHUNK_POINTS = 2048  # evaluation points per batch, about: _cos_sin's
+                      # (2, 2) by (2, 64n) product for n = 4096 exponentials
+                      # runs on one OpenBLAS thread (the bundled SkylakeX
+                      # build threads it from about n = 10,000)
 _SEGMENTS = ((0.0, EDGE_FRACTION), (EDGE_FRACTION, 1.0 - EDGE_FRACTION),
              (1.0 - EDGE_FRACTION, 1.0))
+_LO = np.array([a for a, _ in _SEGMENTS])
+_WIDTHS = np.array([b - a for a, b in _SEGMENTS])
+_RAMP = np.array([1.0, 0.0, 1.0])  # segments under the sin^2 ramps
+# Chebyshev interpolation of a frame's exponentials (see _Chirp)
+_DEGREE = 14  # even: the frame centre is a node
+_FRAME_STEPS = 256  # a frame's (256, 16) by (16, 128) interpolation product
+                    # runs on one OpenBLAS thread; at 512 steps the bundled
+                    # build hands it to its thread pool
+_TRUNC_TOL = 1e-16  # bound on the interpolation error in exact arithmetic
+_MATCH_TOL = 2e-15  # an interpolant further than this from _cos_sin at a
+                    # check point is not used: twice the largest rounding
+                    # gap of the two seen on 59 fuzzed sweeps
+_RHO = np.geomspace(1.5, 64.0, 32)  # Bernstein ellipses the bound tries
+_LOG_M = np.log(_TRUNC_TOL * (_RHO - 1.0) / 4.0) + _DEGREE * np.log(_RHO)
 # CF4: Gauss nodes c of a step, and the weights of H(c_0), H(c_1) in its
 # first (row 0) and second (row 1) exponential
 _CF4_C = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
@@ -228,9 +246,20 @@ def _detuning_window(sys, sweep):
 class _Chirp:
     """One chirp over the detuning window, integrated by the fourth-order
     commutator-free Magnus scheme (CF4: two exponentials per step, at the
-    Gauss nodes, each a cos/sin pair from ``_cos_sin``, unitary to
-    rounding).  The step grid breaks at the drive-envelope kinks, so no
-    step straddles the switch from the cos^2 ramps to the flat top."""
+    Gauss nodes).  The step grid breaks at the drive-envelope kinks, so no
+    step straddles the switch from the cos^2 ramps to the flat top.
+
+    Within a segment each CF4 row's exponent x = 2 pi dt H is an entire
+    function of the step position, so a pass splits each segment into
+    frames of at most ``_FRAME_STEPS`` steps and interpolates exp(-i x) on
+    each frame from ``_cos_sin`` at ``_DEGREE`` + 1 Chebyshev points.  The
+    interpolant is the exact centre value plus the interpolated deviation
+    from it, and comes out as the real 8x8 form [[C, S], [-S, C]] of
+    C - i S, which multiplies as the complex 4x4 does.  A frame's length is
+    the longest one the Bernstein-ellipse bound keeps within
+    ``_TRUNC_TOL`` (``_frame_steps``); a frame is checked at two more points
+    against ``_cos_sin`` and taken exactly, step by step, where the check
+    misses ``_MATCH_TOL`` or the frame is too short to gain."""
 
     def __init__(self, sys, sweep):
         with np.errstate(invalid="ignore"):  # a NaN fails the check below
@@ -254,72 +283,210 @@ class _Chirp:
                 "sweep values overflow double precision")
         if self.span * sweep.sweep_rate_Hz_per_s <= 0:  # band misses the ladder
             self.n0 = [0] * len(_SEGMENTS)
+            hmax_t = 0.0
         else:
             self.n0 = [max(MIN_SEGMENT_STEPS, math.ceil((b - a) * hmax_t / START_HDT))
                        for a, b in _SEGMENTS]
-        if sum(self.n0) > MAX_FIRST_PASS_STEPS:  # Python ints: no overflow
-            raise StepTooCoarse(
-                f"the first pass needs {sum(self.n0)} steps, above the "
-                f"{MAX_FIRST_PASS_STEPS}-step cap: lower mw_rabi_Hz or "
-                "hyperfine_Hz, or raise sweep_rate_Hz_per_s", math.inf)
         # all passes together cost at most the exponentials of fixed steps
-        # of |H| dt = CAP_HDT; the first two passes always run
+        # of |H| dt = CAP_HDT; the first two passes always run (Python ints:
+        # no overflow)
         self.max_steps = max(math.ceil(hmax_t / CAP_HDT) // 2, 3 * sum(self.n0))
 
-    def chunks(self, level):
-        """The exponents of a pass whose segments each take their first-pass
-        step count doubled ``level`` times, in time order (exponent 2j of
-        step j first), ``_CHUNK_STEPS`` steps per chunk: (hb, norm) with
-        hb the (2m, 4, 4) batch x = 2 pi dt H and norm a bound on its
-        largest 1-norm."""
-        n = np.array([n0 << level for n0 in self.n0])
-        ends = np.cumsum(n)
-        total = int(ends[-1])
-        lo = np.array([a for a, _ in _SEGMENTS])
-        width = np.array([b - a for a, b in _SEGMENTS]) / np.maximum(n, 1)
-        phase = 2.0 * np.pi * self.total_t * width  # 2 pi dt per segment
-        for s0 in range(0, total, _CHUNK_STEPS):
-            k = np.arange(s0, min(s0 + _CHUNK_STEPS, total))  # pass step
-            seg = np.searchsorted(ends, k, side="right")
-            x = lo[seg, None] + width[seg, None] * (
-                (k - (ends - n)[seg])[:, None] + _CF4_C)
-            # x[j] holds the Gauss nodes of step j.  H is affine in the
-            # detuning and the envelope, so exponents 2j and 2j + 1 take
-            # them weighted by rows 0 and 1 of _CF4_W; each row sums to
-            # 1/2, the weight of h_base
-            det = ((self.d_hi - self.span * x) @ _CF4_W.T).ravel()
-            env = (_envelope(x) @ _CF4_W.T).ravel()
-            dt2pi = np.repeat(phase[seg], 2)
-            hb = np.empty((len(det), 4, 4))
-            hb[:] = 0.5 * self.h_base
-            hb[:, 2, 2] += det
-            hb[:, 3, 3] += det
-            hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = \
-                0.5 * self.omega * env
-            hb *= dt2pi[:, None, None]
-            # each column of hb sums to at most this in absolute value
-            # (|env|, since a CF4 weight is negative), up to the rounding
-            # of the sums, which the factor covers
-            norm = float((dt2pi * (self.base_norm + np.abs(det)
-                                   + 0.5 * self.omega * np.abs(env))).max()
-                         * (1.0 + 1e-12))
-            yield hb, norm
+    def exponents(self, level, seg, t):
+        """CF4 exponents at the continuous step positions ``t`` of segments
+        ``seg`` in the pass whose segments each take their first-pass step
+        count doubled ``level`` times: (hb, norm) with hb the (2m, 4, 4)
+        batch x = 2 pi dt H, rows 0 and 1 of position j at 2j and 2j + 1,
+        and norm a bound on its largest 1-norm."""
+        width, phase = self._grid(level)
+        x = _LO[seg, None] + width[seg, None] * (t[:, None] + _CF4_C)
+        # x[j] holds the Gauss nodes of position j.  H is affine in the
+        # detuning and the envelope, so exponents 2j and 2j + 1 take them
+        # weighted by rows 0 and 1 of _CF4_W; each row sums to 1/2, the
+        # weight of h_base
+        det = ((self.d_hi - self.span * x) @ _CF4_W.T).ravel()
+        env = (_envelope(x) @ _CF4_W.T).ravel()
+        dt2pi = np.repeat(phase[seg], 2)
+        hb = np.empty((len(det), 4, 4))
+        hb[:] = 0.5 * self.h_base
+        hb[:, 2, 2] += det
+        hb[:, 3, 3] += det
+        hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = \
+            0.5 * self.omega * env
+        hb *= dt2pi[:, None, None]
+        # each column of hb sums to at most this in absolute value (|env|,
+        # since a CF4 weight is negative), up to the rounding of the sums,
+        # which the factor covers
+        norm = float((dt2pi * (self.base_norm + np.abs(det)
+                               + 0.5 * self.omega * np.abs(env))).max()
+                     * (1.0 + 1e-12))
+        return hb, norm
+
+    def _grid(self, level):
+        """Per segment, the normalized time per step and 2 pi dt."""
+        width = _WIDTHS / np.maximum(np.array(self.n0) << level, 1)
+        return width, 2.0 * np.pi * self.total_t * width
+
+    def _frame_steps(self, level):
+        """Per segment, the most steps of a frame on which the degree
+        ``_DEGREE`` interpolant is within ``_TRUNC_TOL`` of exp(-i x).
+
+        Trefethen, Approximation Theory and Approximation Practice, Thm 8.2:
+        the error is at most 4 M rho^-p / (rho - 1) if exp(-i x) is bounded
+        by M on the Bernstein ellipse E_rho of the frame, which reaches
+        tau = (L - 1)(rho - 1/rho) / 4 steps off the real axis.  There
+        |exp(-i x)| <= exp(|Im x|), and |Im x| is at most a tau from the
+        detuning plus, on a ramp, b sinh(c tau) from sin^2 of the envelope
+        (a CF4 row's weights sum to 1/sqrt(3) in absolute value).  A ramp
+        frame gives each term half of the allowed ln M, ``_LOG_M``."""
+        width, phase = self._grid(level)
+        a = phase * abs(self.span) * width / 2.0
+        b = phase * self.omega * _RAMP / (4.0 * math.sqrt(3.0))
+        c = np.pi / EDGE_FRACTION * width
+        share = np.where(_RAMP > 0, 0.5, 1.0)[:, None] * _LOG_M
+        with np.errstate(divide="ignore"):  # b = 0 off the ramps
+            tau = np.minimum(share / a[:, None],
+                             np.arcsinh(share / b[:, None]) / c[:, None])
+        steps = 1.0 + np.floor(4.0 * tau / (_RHO - 1.0 / _RHO)).max(axis=1)
+        return np.clip(steps, 1, _FRAME_STEPS).astype(int)
+
+    def _frames(self, level):
+        """The frames of a pass in time order: segment, first step, steps,
+        and whether the frame is interpolated."""
+        n = np.array(self.n0) << level
+        most = self._frame_steps(level)
+        interp = most > _DEGREE + 3  # a shorter frame costs more than it saves
+        most[~interp] = _FRAME_STEPS
+        count = -(-n // most)
+        size, extra = np.divmod(n, np.maximum(count, 1))
+        seg = np.repeat(np.arange(len(n)), count)
+        k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+        first = k * size[seg] + np.minimum(k, extra[seg])
+        return seg, first, size[seg] + (k < extra[seg]), interp[seg]
 
     def unitary(self, level):
         """Total unitary and step count with every segment's first-pass
         step count doubled ``level`` times."""
-        u_total = np.eye(4, dtype=complex)
-        for hb, norm in self.chunks(level):
-            # exp(-i hb) = cos - i sin: the pairwise tree product of
-            # (cos, sin) pairs, in real arithmetic
-            cs = _cos_sin(hb, norm)
-            while cs.shape[1] > 1:
-                even = cs.shape[1] // 2 * 2
-                prod = _times(cs[:, 1:even:2], cs[:, 0:even:2])
-                cs = (np.concatenate([prod, cs[:, even:]], axis=1)
-                      if even < cs.shape[1] else prod)
-            u_total = (cs[0, 0] - 1j * cs[1, 0]) @ u_total
-        return u_total, sum(self.n0) << level
+        steps = sum(self.n0) << level
+        if steps == 0:
+            return np.eye(4, dtype=complex), 0
+        u_total = np.eye(8)
+        seg, first, size, interp = self._frames(level)
+        points = np.where(interp, _DEGREE + 3, size)  # where x is evaluated
+        # a batch starts at the frame that crosses a multiple of _CHUNK_STEPS
+        # steps or of _CHUNK_POINTS evaluation points
+        key = ((np.cumsum(size) - size) // _CHUNK_STEPS * (points.sum() + 1)
+               + (np.cumsum(points) - points) // _CHUNK_POINTS)
+        for lo, hi in _runs(key):
+            e = self._batch(level, seg[lo:hi], first[lo:hi], size[lo:hi],
+                            interp[lo:hi])
+            u_total = _product(e.reshape(-1, 8, 8)) @ u_total  # overwrites e
+        return u_total[:4, :4] - 1j * u_total[:4, 4:], steps
+
+    def _batch(self, level, seg, first, size, interp):
+        """exp(-i x) of every exponent of consecutive frames, in time order,
+        as (steps, 128): rows 0 and 1 of each step as 8x8 forms."""
+        degree = _DEGREE
+        half = 0.5 * (size - 1)[interp, None]
+        # the nodes and then the two check points of each interpolated
+        # frame, followed by the steps of each exact frame
+        at = [(first[interp, None] + half + half * _points(degree)).ravel()]
+        at += [f + np.arange(n) for f, n in zip(first[~interp], size[~interp])]
+        seg_at = np.concatenate([np.repeat(seg[interp], degree + 3),
+                                 np.repeat(seg[~interp], size[~interp])])
+        hb, norm = self.exponents(level, seg_at, np.concatenate(at))
+        e = _embed(_cos_sin(hb, norm)).reshape(-1, 128)
+        out = np.empty((int(size.sum()), 128))
+        ends = np.cumsum(size)
+        idx = np.flatnonzero(interp)
+        rows = e[:len(idx) * (degree + 3)].reshape(len(idx), degree + 3, 128)
+        # the deviations from the centre value, which comes last: the
+        # weights' last column of ones adds it back within the product
+        dev = np.empty((len(idx), degree + 2, 128))
+        dev[:, -1] = rows[:, degree // 2]
+        np.subtract(rows[:, :degree + 1], dev[:, -1:], out=dev[:, :-1])
+        for lo, hi in _runs(size[idx]):  # frames of one length: one product
+            view = out[ends[idx[lo]] - size[idx[lo]]:ends[idx[hi - 1]]]
+            np.matmul(_frame_weights(int(size[idx[lo]]), degree), dev[lo:hi],
+                      out=view.reshape(hi - lo, size[idx[lo]], 128))
+        row = len(idx) * (degree + 3)
+        for j in np.flatnonzero(~interp):
+            out[ends[j] - size[j]:ends[j]] = e[row:row + size[j]]
+            row += size[j]
+        miss = np.abs(_check_weights(degree) @ dev
+                      - rows[:, degree + 1:]).max(axis=(1, 2), initial=0.0)
+        for j in idx[miss > _MATCH_TOL]:  # take the frame exactly
+            hb, norm = self.exponents(level, np.full(size[j], seg[j]),
+                                      first[j] + np.arange(size[j]))
+            out[ends[j] - size[j]:ends[j]] = _embed(
+                _cos_sin(hb, norm)).reshape(-1, 128)
+        return out
+
+
+def _runs(keys):
+    """(start, end) of each run of equal values in ``keys``."""
+    cuts = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(keys)]
+    return zip(cuts[:-1], cuts[1:])
+
+
+def _points(degree):
+    """The ``degree`` + 1 Chebyshev points of the second kind on [-1, 1],
+    ascending (the centre is 0 exactly when ``degree`` is even), then the
+    two check points: the extrema of the nodes' polynomial, where the
+    error peaks, next to the centre."""
+    j = np.concatenate([np.arange(degree + 1), [0.5 * degree - 0.5,
+                                                 0.5 * degree + 0.5]])
+    return np.sin(np.pi * (2 * j - degree) / (2 * degree))
+
+
+def _lagrange(at, degree):
+    """(len(at), degree + 2): the weights of the interpolant in the nodes
+    at the points ``at`` (barycentric form; a point on a node takes it)."""
+    w = (-1.0) ** np.arange(degree + 1)
+    w[[0, -1]] *= 0.5
+    d = at[:, None] - _points(degree)[:degree + 1]
+    hit = d == 0.0
+    d[hit] = 1.0
+    q = w / d
+    q[hit.any(axis=1)] = hit[hit.any(axis=1)]
+    return np.column_stack([q / q.sum(axis=1, keepdims=True), np.ones(len(at))])
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_weights(steps, degree):
+    """Interpolation weights at the equispaced steps of a frame, and a
+    column of ones for the centre value."""
+    return _lagrange(np.linspace(-1.0, 1.0, steps), degree)
+
+
+@functools.lru_cache(maxsize=None)
+def _check_weights(degree):
+    """Interpolation weights at the check points, as _frame_weights."""
+    return _lagrange(_points(degree)[degree + 1:], degree)
+
+
+def _embed(cs):
+    """The real 8x8 forms [[C, S], [-S, C]] of C - i S."""
+    n = cs.shape[1]
+    e = np.empty((n, 8, 8))
+    e[:, :4, :4] = e[:, 4:, 4:] = cs[0]
+    e[:, :4, 4:] = cs[1]
+    np.negative(cs[1], out=e[:, 4:, :4])
+    return e
+
+
+def _product(e):
+    """e[-1] ... e[1] e[0] of a stack of 8x8 forms: a pairwise tree, one
+    stacked product per level, the levels written alternately into a
+    half-size array and over ``e``."""
+    n, src, dst = len(e), e, np.empty(((len(e) + 1) // 2, 8, 8))
+    while n > 1:
+        half = n // 2
+        np.matmul(src[1:2 * half:2], src[0:2 * half:2], out=dst[:half])
+        if n % 2:
+            dst[half] = src[n - 1]
+        n, src, dst = half + n % 2, dst, src
+    return src[0]
 
 
 # cos x = sum_k (-1)^k y^k / (2k)! and sin x = x sum_k (-1)^k y^k / (2k+1)!
@@ -371,15 +538,6 @@ def _cos_sin(x, norm):
     return cs
 
 
-def _times(left, right):
-    """(cos, sin) pairs of the products (lc - i ls)(rc - i rs)."""
-    p = left[:, None] @ right[None, :]  # p[i, j] = left[i] right[j]
-    out = np.empty(p.shape[1:])
-    np.subtract(p[0, 0], p[1, 1], out=out[0])
-    np.add(p[0, 1], p[1, 0], out=out[1])
-    return out
-
-
 def _envelope(x):
     """cos^2 drive apodization over ``EDGE_FRACTION`` at both window ends."""
     env = np.ones_like(x)
@@ -423,6 +581,17 @@ class SweepResult:
     error_estimate: float  # step-doubling estimate of the polarization error
 
 
+def _within_run_cap(chirps):
+    """StepTooCoarse unless the most steps all passes of ``chirps`` can
+    take stay within MAX_RUN_STEPS: checked before any pass runs."""
+    work = sum(c.max_steps for c in chirps)  # Python ints: no overflow
+    if work > MAX_RUN_STEPS:
+        raise StepTooCoarse(
+            f"the {len(chirps)}-node run may take {work} steps, above the "
+            f"{MAX_RUN_STEPS}-step cap: lower nodes, mw_rabi_Hz or "
+            "hyperfine_Hz, or raise sweep_rate_Hz_per_s", math.inf)
+
+
 def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
                     details: bool = False):
     """Net nuclear polarization after ``n_sweeps`` chirps with electron
@@ -434,6 +603,7 @@ def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
     ``POL_TOL``; StepTooCoarse if the step cap comes first.
     """
     chirp = _Chirp(sys, sweep)
+    _within_run_cap([chirp])
     u, steps = chirp.unitary(0)
     pol, drift = _sweeps(u, sweep)
     level, estimate = 0, math.inf if steps else 0.0
@@ -496,11 +666,9 @@ def powder_average(sys_template: SpinSystem, sweep: SweepParams,
     if len(ensemble.thetas) < 1:
         raise ValueError("empty ensemble")
 
-    def one(theta):
-        return propagate_sweep(replace(sys_template, theta_rad=theta), sweep,
-                               details=True)
-
-    results = parallel_map(one, ensemble.thetas)
+    systems = [replace(sys_template, theta_rad=t) for t in ensemble.thetas]
+    _within_run_cap([_Chirp(s, sweep) for s in systems])
+    results = [propagate_sweep(s, sweep, details=True) for s in systems]
     pols = [r.polarization for r in results]
     mean = float(sum(w * p for w, p in zip(ensemble.weights, pols)))
     table = tuple((t, w, p) for t, w, p in zip(ensemble.thetas, ensemble.weights, pols))

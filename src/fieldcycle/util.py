@@ -6,37 +6,20 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import NoConvergence
 
-THREADS_ENV = "FIELDCYCLE_THREADS"
+THREADS_ENV = "FIELDCYCLE_THREADS"  # once the worker cap; kept as a name
 _BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-14, 8.9e-16, 100
 _SPECIAL = ',"\r\n'  # characters csv.writer may quote a cell for
 
 
 def thread_count() -> int:
-    """Worker cap from FIELDCYCLE_THREADS (0 or unset auto-detects)."""
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; runs threaded only when it can help."""
-    items = list(items)
-    workers = min(thread_count(), len(items)) if items else 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    """Worker threads of a powder average: one, since its nodes run in
+    order in the calling thread.  ``THREADS_ENV`` is no longer read."""
+    return 1
 
 
 def _quoted(cell: str) -> str:

@@ -11,7 +11,7 @@ import pytest
 
 import fieldcycle
 from fieldcycle.cli import main
-from fieldcycle.spin import MAX_FIRST_PASS_STEPS
+from fieldcycle.spin import MAX_RUN_STEPS
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -135,16 +135,30 @@ def test_extreme_dnp_values_are_numerical_failures(tmp_path, key, value):
     ("mw_rabi_Hz", 1e14), ("mw_rabi_Hz", 1e20), ("sweep_rate_Hz_per_s", 1e5)])
 def test_sweeps_past_the_first_pass_cap_fail_at_once(tmp_path, capsys, key,
                                                      value):
-    # first passes of 2.4e20, 2.4e32 and 3.8e7 steps per node
+    # first passes of 2.4e20, 2.4e32 and 3.8e7 steps per node: each alone
+    # is past the cap on the run's steps
     spec = write_spec(tmp_path, {"schema_version": 1, "kind": "dnp_sweep",
                                  "seed": 1, "dnp": {"nodes": 8, key: value}})
+    _fails_at_the_run_cap(spec, tmp_path, capsys, 8)
+
+
+def test_a_run_past_the_step_cap_fails_at_once(tmp_path, capsys):
+    # 8.4M first-pass steps per node, under 10^7, but a 210M-step cap on
+    # each node's passes: 16 nodes may take 3.5e9 steps
+    spec = write_spec(tmp_path, {"schema_version": 1, "kind": "dnp_sweep",
+                                 "seed": 1,
+                                 "dnp": {"sweep_rate_Hz_per_s": 4e5}})
+    _fails_at_the_run_cap(spec, tmp_path, capsys, 16)
+
+
+def _fails_at_the_run_cap(spec, tmp_path, capsys, nodes):
     start = time.monotonic()
     assert main(["run", "--quiet", "--spec", spec, "--out",
                  str(tmp_path / "o")]) == 4
     assert time.monotonic() - start < 5.0
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: the first pass needs ")
-    assert all(k in err for k in (f"{MAX_FIRST_PASS_STEPS}-step cap",
+    assert err.startswith(f"numerical failure: the {nodes}-node run may take ")
+    assert all(k in err for k in (f"{MAX_RUN_STEPS}-step cap", "nodes",
                                   "mw_rabi_Hz", "hyperfine_Hz",
                                   "sweep_rate_Hz_per_s"))
     record = json.loads((tmp_path / "o" / "runrecord.json").read_text())
@@ -336,8 +350,9 @@ def test_a_rising_spline_map_is_a_spec_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc", [
     {"kind": "t1_field_map", "t1": {"fields_T": [0.01, 0.1, 1.0]}},
+    {"kind": "t1_field_map"},
     {"kind": "sequence_validation"},
-], ids=["t1", "sequence"])
+], ids=["t1", "t1_default_fields", "sequence"])
 def test_specs_detect_at_the_centre_of_a_5T_map(tmp_path, doc):
     # the map's high-field end is 5 T: detection and the sequence's end
     # move go there, where a 7 T target was unreachable
@@ -351,7 +366,12 @@ def test_specs_detect_at_the_centre_of_a_5T_map(tmp_path, doc):
     assert json.loads((out / "runrecord.json").read_text())["status"] == "ok"
     if doc["kind"] == "t1_field_map":
         rows = (out / "t1_map.csv").read_text().splitlines()
-        assert [r.split(",")[0] for r in rows[1:]] == ["0.01", "0.1", "1.0"]
+        fields = [r.split(",")[0] for r in rows[1:]]
+        if "t1" in doc:
+            assert fields == ["0.01", "0.1", "1.0"]
+        else:  # the default fields end at the centre, not at 7 T
+            assert fields[:4] == ["0.008", "0.1", "0.5", "1.0"]
+            assert float(fields[4]) == pytest.approx(5.0, rel=1e-6)
     else:
         assert (out / "validation_report.csv").read_text().splitlines() == [
             "code,event_ids,detail"]
@@ -360,7 +380,7 @@ def test_specs_detect_at_the_centre_of_a_5T_map(tmp_path, doc):
 _SCIPY_PROBE = """
 import json, sys
 from fieldcycle.cli import main
-from fieldcycle.spin import MAX_FIRST_PASS_STEPS
+from fieldcycle.spin import MAX_RUN_STEPS
 from fieldcycle.fieldmap import anchors_to_csv, reference_anchors
 
 tmp = sys.argv[1]

@@ -304,17 +304,27 @@ def test_anchor_calibration_is_recorded(tmp_path):
     assert "calibration" not in doc["diagnostics"]
 
 
-def test_thread_cap_env(monkeypatch):
-    from fieldcycle.util import parallel_map, thread_count
-    monkeypatch.setenv("FIELDCYCLE_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.setenv("FIELDCYCLE_THREADS", "0")
-    assert thread_count() >= 1
-    monkeypatch.setenv("FIELDCYCLE_THREADS", "junk")
-    assert thread_count() >= 1
-    # order preserved regardless of worker count
-    monkeypatch.setenv("FIELDCYCLE_THREADS", "4")
-    assert parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
+def test_powder_nodes_run_in_order_on_one_thread(monkeypatch):
+    import threading
+
+    from fieldcycle import spin
+    from fieldcycle.util import THREADS_ENV, thread_count
+    for value in ("2", "0", "junk", "4"):  # the old worker cap is not read
+        monkeypatch.setenv(THREADS_ENV, value)
+        assert thread_count() == 1
+    seen, propagate = [], spin.propagate_sweep
+
+    def spy(system, sweep, details=False):
+        seen.append((system.theta_rad, threading.get_ident()))
+        return propagate(system, sweep, details=details)
+
+    monkeypatch.setattr(spin, "propagate_sweep", spy)
+    ensemble = spin.PowderEnsemble.gauss_legendre(8)
+    res = spin.powder_average(spin.SpinSystem(1e6, 0.0, 0.010),
+                              spin.SweepParams(sweep_rate_Hz_per_s=3e10),
+                              ensemble)
+    assert seen == [(t, threading.get_ident()) for t in ensemble.thetas]
+    assert [t for t, _, _ in res.table] == list(ensemble.thetas)
 
 
 def test_dnp_sweep_run(tmp_path):

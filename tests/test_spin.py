@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -208,14 +209,23 @@ def test_step_cap_raises_with_estimate(monkeypatch):
     assert 1e-16 < exc.value.estimate < 1e-8
 
 
-def test_first_pass_cap_is_checked_before_any_step(monkeypatch):
+def test_run_step_cap_is_checked_before_any_step(monkeypatch):
     s = SpinSystem(1e6, math.radians(45), 0.010)
     first = spin._Chirp(s, SweepParams())
-    monkeypatch.setattr(spin, "MAX_FIRST_PASS_STEPS", sum(first.n0))
-    propagate_sweep(s, SweepParams())  # a first pass at the cap runs
-    monkeypatch.setattr(spin, "MAX_FIRST_PASS_STEPS", sum(first.n0) - 1)
+    monkeypatch.setattr(spin, "MAX_RUN_STEPS", first.max_steps)
+    propagate_sweep(s, SweepParams())  # a sweep whose cap is the run cap runs
+    ensemble = PowderEnsemble.gauss_legendre(8)
+    work = sum(spin._Chirp(replace(s, theta_rad=t), SweepParams()).max_steps
+               for t in ensemble.thetas)
+    monkeypatch.setattr(spin, "MAX_RUN_STEPS", work)
+    powder_average(s, SweepParams(), ensemble)  # a powder at the cap runs
+    monkeypatch.setattr(spin, "MAX_RUN_STEPS", work - 1)
     monkeypatch.setattr(spin._Chirp, "unitary", None)  # never reached
-    with pytest.raises(StepTooCoarse, match=f"needs {sum(first.n0)} steps"):
+    with pytest.raises(StepTooCoarse, match=f"8-node run may take {work} steps"):
+        powder_average(s, SweepParams(), ensemble)
+    monkeypatch.setattr(spin, "MAX_RUN_STEPS", first.max_steps - 1)
+    with pytest.raises(StepTooCoarse,
+                       match=f"1-node run may take {first.max_steps} steps"):
         propagate_sweep(s, SweepParams())
     with pytest.raises(StepTooCoarse) as exc:  # 2.4e32 steps: no int64 left
         propagate_sweep(s, SweepParams(mw_rabi_Hz=1e20))
@@ -297,10 +307,24 @@ def chirps():
 
 
 @pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
-def test_chunk_norm_bound_holds_on_every_chunk(chirp):
-    for level in range(3):
-        for x, norm in chirp.chunks(level):
-            assert norm >= np.abs(x).sum(axis=1).max()
+def test_chunk_norm_bound_holds_on_every_chunk(monkeypatch, chirp):
+    # every batch that reaches _cos_sin: the frames' nodes and check points,
+    # and with every check missed, every step of every frame
+    cos_sin, exponents = spin._cos_sin, []
+
+    def checked(x, norm):
+        assert norm >= np.abs(x).sum(axis=1).max()
+        exponents.append(len(x))
+        return cos_sin(x, norm)
+
+    monkeypatch.setattr(spin, "_cos_sin", checked)
+    for tol in (spin._MATCH_TOL, -1.0):
+        monkeypatch.setattr(spin, "_MATCH_TOL", tol)
+        for level in range(3):
+            exponents.clear()
+            chirp.unitary(level)
+            steps = sum(chirp.n0) << level
+            assert (sum(exponents) > 2 * steps) == (tol < 0)
 
 
 def segment_unitary(chirp, level):
@@ -335,6 +359,47 @@ def test_fused_pass_equals_the_per_segment_product(monkeypatch, chirp, chunk):
         u, n = chirp.unitary(level)
         assert n == sum(chirp.n0) << level
         assert np.abs(u - segment_unitary(chirp, level)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
+def test_interpolated_exponentials_match_cos_sin_on_every_frame(monkeypatch,
+                                                                 chirp):
+    tol = spin._MATCH_TOL
+    monkeypatch.setattr(spin, "_MATCH_TOL", math.inf)  # no exact fallback
+    for level in range(3):
+        seg, first, size, interp = chirp._frames(level)
+        assert interp.any() and size.sum() == sum(chirp.n0) << level
+        got = chirp._batch(level, seg, first, size, interp).reshape(-1, 8, 8)
+        steps = np.concatenate([f + np.arange(n) for f, n in zip(first, size)])
+        x, _ = chirp.exponents(level, np.repeat(seg, size), steps)
+        want = spin._embed(spin._cos_sin(x, np.abs(x).sum(axis=1).max()))
+        assert np.abs(got - want).max() <= tol
+
+
+@pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
+def test_a_missed_check_takes_the_frame_exactly(monkeypatch, chirp):
+    # degree 6 on frames sized for degree 14: the interpolants miss
+    monkeypatch.setattr(spin, "_DEGREE", 6)
+    for level in (0, 1):
+        oracle = segment_unitary(chirp, level)
+        u, _ = chirp.unitary(level)
+        assert np.abs(u - oracle).max() <= 1e-13
+        with monkeypatch.context() as m:
+            m.setattr(spin, "_MATCH_TOL", math.inf)
+            u, _ = chirp.unitary(level)
+        assert np.abs(u - oracle).max() > 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_hamiltonian_raises(bad):
+    with pytest.raises(NonFiniteHamiltonian):
+        propagate_sweep(SpinSystem(bad, math.radians(45), 0.010), SweepParams())
+    # past the chirp's own check, the exponent reaches _cos_sin as a node
+    chirp = chirps()[0]
+    chirp.h_base[2, 3] = chirp.h_base[3, 2] = bad
+    chirp.base_norm = float(np.abs(0.5 * chirp.h_base).sum(axis=0).max())
+    with pytest.raises(NonFiniteHamiltonian):
+        chirp.unitary(0)
 
 
 def test_an_empty_window_gives_the_identity():

@@ -405,16 +405,18 @@ class _Chirp:
         dev = np.empty((len(idx), degree + 2, 128))
         dev[:, -1] = rows[:, degree // 2]
         np.subtract(rows[:, :degree + 1], dev[:, -1:], out=dev[:, :-1])
+        miss = np.empty(len(idx))
         for lo, hi in _runs(size[idx]):  # frames of one length: one product
-            view = out[ends[idx[lo]] - size[idx[lo]]:ends[idx[hi - 1]]]
-            np.matmul(_frame_weights(int(size[idx[lo]]), degree), dev[lo:hi],
-                      out=view.reshape(hi - lo, size[idx[lo]], 128))
+            n = int(size[idx[lo]])
+            w = _weights(n, degree)
+            view = out[ends[idx[lo]] - n:ends[idx[hi - 1]]]
+            np.matmul(w[:n], dev[lo:hi], out=view.reshape(hi - lo, n, 128))
+            miss[lo:hi] = np.abs(w[n:] @ dev[lo:hi]
+                                 - rows[lo:hi, degree + 1:]).max(axis=(1, 2))
         row = len(idx) * (degree + 3)
         for j in np.flatnonzero(~interp):
             out[ends[j] - size[j]:ends[j]] = e[row:row + size[j]]
             row += size[j]
-        miss = np.abs(_check_weights(degree) @ dev
-                      - rows[:, degree + 1:]).max(axis=(1, 2), initial=0.0)
         for j in idx[miss > _MATCH_TOL]:  # take the frame exactly
             hb, norm = self.exponents(level, np.full(size[j], seg[j]),
                                       first[j] + np.arange(size[j]))
@@ -439,9 +441,14 @@ def _points(degree):
     return np.sin(np.pi * (2 * j - degree) / (2 * degree))
 
 
-def _lagrange(at, degree):
-    """(len(at), degree + 2): the weights of the interpolant in the nodes
-    at the points ``at`` (barycentric form; a point on a node takes it)."""
+@functools.lru_cache(maxsize=None)  # steps <= _FRAME_STEPS: a few hundred
+def _weights(steps, degree):
+    """(steps + 2, degree + 2) weights of the interpolant in the nodes at
+    a frame's equispaced steps and then at its two check points
+    (barycentric form; a point on a node takes it), with a last column of
+    ones that adds back the centre value."""
+    at = np.concatenate([np.linspace(-1.0, 1.0, steps),
+                         _points(degree)[degree + 1:]])
     w = (-1.0) ** np.arange(degree + 1)
     w[[0, -1]] *= 0.5
     d = at[:, None] - _points(degree)[:degree + 1]
@@ -450,19 +457,6 @@ def _lagrange(at, degree):
     q = w / d
     q[hit.any(axis=1)] = hit[hit.any(axis=1)]
     return np.column_stack([q / q.sum(axis=1, keepdims=True), np.ones(len(at))])
-
-
-@functools.lru_cache(maxsize=None)
-def _frame_weights(steps, degree):
-    """Interpolation weights at the equispaced steps of a frame, and a
-    column of ones for the centre value."""
-    return _lagrange(np.linspace(-1.0, 1.0, steps), degree)
-
-
-@functools.lru_cache(maxsize=None)
-def _check_weights(degree):
-    """Interpolation weights at the check points, as _frame_weights."""
-    return _lagrange(_points(degree)[degree + 1:], degree)
 
 
 def _embed(cs):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NoConvergence
 
-THREADS_ENV = "FIELDCYCLE_THREADS"  # once the worker cap; kept as a name
+THREADS_ENV = "FIELDCYCLE_THREADS"  # no longer read; benchmark runs report it
 _BRENT_XTOL, _BRENT_RTOL, _BRENT_MAXITER = 1e-14, 8.9e-16, 100
 _SPECIAL = ',"\r\n'  # characters csv.writer may quote a cell for
 

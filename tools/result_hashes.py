@@ -21,7 +21,7 @@ cryo and latency sequence specs, simulations of one and of 1400 runs of
 the default and the cryo sequence, a short move validated and simulated, a
 spec with violations (exit 2), three numerical failures (exit 4: a T1
 field below the map floor, a DNP Rabi frequency of 1e300 Hz, whose |H| T
-sum overflows, and one of 1e14 Hz, whose first pass exceeds the step cap),
+sum overflows, and one of 1e14 Hz, whose run may exceed the step cap),
 a T1 map and the default sequence on a map whose centre is 5 T, and a
 spline map file whose knot fields rise (exit 3).
 It uses only the standard library.

@@ -57,8 +57,9 @@ MIN_SEGMENT_STEPS = 32  # first-pass floor per segment: fewer steps can sit
 CAP_HDT = 1e-2  # step cap: all passes together stay within the exponentials
                 # of fixed steps of this |H| * dt
 EDGE_FRACTION = 0.12  # cos^2 drive apodization at the window edges
-MAX_RUN_STEPS = 10_000_000  # nodes x max_steps of a run, checked before any
-                            # pass
+MAX_RUN_STEPS = 10_000_000  # summed max_steps of a run's sweeps, checked
+                            # before any pass: 21x the acceptance suite's
+                            # heaviest run, 20.8x fcbench's
 
 _CHUNK_STEPS = 4096  # steps per batch of frames (4 MB of 8x8 forms)
 _CHUNK_POINTS = 2048  # evaluation points per batch, about: _cos_sin's

@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -128,6 +129,8 @@ def main(argv=None) -> int:
     if args.change:
         trees["change"] = scratch / "change"
         revs["change"] = _git("rev-parse", args.change)
+    # a terminated run still removes its worktrees (SIGTERM skips finally)
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     out = {"what": (
         f"fcbench/run.py on parent {revs['parent'][:12]} and on change "
         f"{revs.get('change', 'working tree')[:12]}, alternating, the parent "

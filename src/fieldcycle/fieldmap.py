@@ -567,13 +567,6 @@ class _SolenoidFit:
         return FieldMap(model="finite_solenoid", params={
             "b0_T": self.b0, "half_length_m": h, "radius_m": r})
 
-    def fitting(self):
-        """(index, map) of the fitted geometries, best first, but those whose
-        residuals certainly miss a tolerance (or an unpositioned field's
-        reach) by more than rounding."""
-        within = (abs(self.residuals) <= 1 + 1e-6).all(1)
-        return ((i, self.map(i)) for i in np.flatnonzero(within))
-
 
 def _spline_from_anchors(anchors, backbone: FieldMap):
     """Monotone Hermite spline interpolating every anchor exactly.
@@ -659,14 +652,17 @@ def _spline_from_anchors(anchors, backbone: FieldMap):
     return FieldMap(model="monotone_spline", params=params)
 
 
-def _spline_on_backbones(anchors, fit: _SolenoidFit):
-    """(index, spline) of the first fitted geometry, in cost order, whose
-    spline meets every tolerance; else the lowest-cost one's error."""
+def _first_fit(anchors, fit: _SolenoidFit, kind: str):
+    """(index, map) of the first fitted geometry, in cost order, whose map
+    meets every tolerance: the solenoid itself, or for ``kind`` "spline" the
+    spline built on it as backbone; else the lowest-cost one's error."""
     errors = []
     for i in range(len(fit.geometries)):
         try:
-            fmap = _spline_from_anchors(anchors, fit.map(i))
-            errors.append(_misfit(fmap, anchors, "spline"))
+            fmap = fit.map(i)
+            if kind == "spline":
+                fmap = _spline_from_anchors(anchors, fmap)
+            errors.append(_misfit(fmap, anchors, kind))
         except FieldCycleError as exc:
             errors.append(exc)
         if errors[-1] is None:
@@ -704,13 +700,13 @@ def calibrate(anchors: Sequence[FieldAnchor],
         raise ValueError(f"anchor positions must lie in the map domain [{lo}, {hi}] m")
 
     fit = _SolenoidFit(anchors, b0)
-    used = None  # (geometry index, map)
-    if model_kind != "monotone_spline":
-        used = next(((i, m) for i, m in fit.fitting()
-                     if _misfit(m, anchors, "solenoid") is None), None)
-        if used is None and model_kind == "finite_solenoid":
-            raise _misfit(fit.map(0), anchors, "solenoid")
-    i, fmap = used or _spline_on_backbones(anchors, fit)
+    first = "spline" if model_kind == "monotone_spline" else "solenoid"
+    try:
+        i, fmap = _first_fit(anchors, fit, first)
+    except NoConvergence:
+        if model_kind != "auto":
+            raise
+        i, fmap = _first_fit(anchors, fit, "spline")
     half_length, radius = fit.geometries[i].tolist()
     object.__setattr__(fmap, "calibration", MappingProxyType({
         "model": fmap.model,

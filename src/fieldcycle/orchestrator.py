@@ -150,7 +150,8 @@ def _dnp_params(blk, path, limits):
             "sweep": _layer(sp.SweepParams(), blk, path, (
                 "sweep_rate_Hz_per_s", "mw_rabi_Hz", "n_sweeps")),
             "nodes": _get(blk, "nodes", path, 16, check=(
-                lambda n: n >= 8, "need at least 8 quadrature nodes"))}
+                lambda n: 8 <= n <= sp.MAX_NODES,
+                f"need 8 to {sp.MAX_NODES} quadrature nodes"))}
 
 
 def _t1_params(blk, path, limits):

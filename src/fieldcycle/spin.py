@@ -60,6 +60,7 @@ EDGE_FRACTION = 0.12  # cos^2 drive apodization at the window edges
 MAX_RUN_STEPS = 10_000_000  # summed max_steps of a run's sweeps, checked
                             # before any pass: 21x the acceptance suite's
                             # heaviest run, 20.8x fcbench's
+MAX_NODES = 1024  # powder nodes: 32x the acceptance suite's and fcbench's
 
 _CHUNK_STEPS = 4096  # steps per batch of frames (4 MB of 8x8 forms)
 _CHUNK_POINTS = 2048  # evaluation points per batch, about: _cos_sin's
@@ -543,35 +544,33 @@ def _envelope(x):
     return env
 
 
-def _reset_electron(rho: np.ndarray) -> np.ndarray:
-    """Optical repolarization: project the electron back to m_s=0 keeping
-    the nuclear populations.  The sweep retrace and repumping take many
-    nuclear Larmor periods, so nuclear coherences dephase between sweeps."""
-    reset = np.zeros_like(rho)
-    reset[0, 0] = rho[0, 0] + rho[2, 2]
-    reset[1, 1] = rho[1, 1] + rho[3, 3]
-    return reset
-
-
-def _sweeps(u, sweep):
-    """Polarization and worst norm drift after ``n_sweeps`` chirps of
-    unitary ``u`` with electron resets, from m_s=0 and an unpolarized
-    nucleus."""
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[1, 1] = 0.5
-    worst_drift = 0.0
-    for _ in range(sweep.n_sweeps):
-        rho = u @ rho @ u.conj().T
-        worst_drift = max(worst_drift, abs(float(np.trace(rho).real) - 1.0))
-        rho = _reset_electron(rho)
-    return float((rho[0, 0] - rho[1, 1]).real
-                 + (rho[2, 2] - rho[3, 3]).real), worst_drift
+def _sweeps(u, n):
+    """Polarization after ``n`` chirps of unitary ``u`` from m_s=0 and an
+    unpolarized nucleus, the electron repumped to m_s=0 after each (Ajoy et
+    al., Sci. Adv. 4, eaar5492 (2018)): that leaves diag(p_up, p_dn, 0, 0),
+    so a chirp maps the populations by [[1 - a, b], [a, 1 - b]], a = |u_10|^2
+    + |u_30|^2 (up to down), b = |u_01|^2 + |u_21|^2 (down to up), and n
+    sweeps build up P = (b - a)(1 - (1 - s)^n) / s, s = a + b."""
+    w = np.abs(u[:, :2]) ** 2
+    a = min(float(w[1, 0] + w[3, 0]), 1.0)  # probabilities: no rounding
+    b = min(float(w[0, 1] + w[2, 1]), 1.0)  # past 1, so |1 - s| <= 1
+    s = a + b
+    if s == 0.0:  # U = I: the band misses the ladder
+        return 0.0
+    # |1 - s|^n = exp(-n x), x from log1p where s is small; n x in exact
+    # integers, capped where exp(-n x) no longer moves the sum: any n
+    x = -math.log1p(-s) if s < 1.0 else -math.log(s - 1.0) if s > 1.0 else 64.0
+    p, q = x.as_integer_ratio()
+    nx = min(n * p, 64 * q) / q
+    if s > 1.0 and n % 2:  # 1 - s < 0: its odd powers are negative
+        return (b - a) / s * (1.0 + math.exp(-nx))
+    return (b - a) / s * -math.expm1(-nx)
 
 
 @dataclass(frozen=True)
 class SweepResult:
     polarization: float
-    norm_drift: float      # diagnostic: every step is unitary to rounding
+    norm_drift: float      # diagnostic: max |U^H U - I| of the accepted pass
     n_steps: int           # integrator steps of every pass, coarse ones included
     error_estimate: float  # step-doubling estimate of the polarization error
 
@@ -600,7 +599,7 @@ def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
     chirp = _Chirp(sys, sweep)
     _within_run_cap([chirp])
     u, steps = chirp.unitary(0)
-    pol, drift = _sweeps(u, sweep)
+    pol = _sweeps(u, sweep.n_sweeps)
     level, estimate = 0, math.inf if steps else 0.0
     while estimate > POL_TOL:
         level += 1
@@ -611,9 +610,10 @@ def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
         coarse = pol
         u, n = chirp.unitary(level)
         steps += n
-        pol, drift = _sweeps(u, sweep)
+        pol = _sweeps(u, sweep.n_sweeps)
         estimate = abs(pol - coarse) / 15.0
     if details:
+        drift = float(np.abs(u.conj().T @ u - np.eye(4)).max())
         return SweepResult(pol, drift, steps, estimate)
     return pol
 
@@ -630,6 +630,8 @@ class PowderEnsemble:
     weights: tuple[float, ...]
 
     def __post_init__(self):
+        if not len(self.thetas) == len(self.weights) > 0:
+            raise ValueError("thetas and weights must have equal, non-zero lengths")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be non-negative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
@@ -658,9 +660,6 @@ class PowderResult:
 def powder_average(sys_template: SpinSystem, sweep: SweepParams,
                    ensemble: PowderEnsemble) -> PowderResult:
     """Orientation-averaged transfer; per-node results reduce in node order."""
-    if len(ensemble.thetas) < 1:
-        raise ValueError("empty ensemble")
-
     systems = [replace(sys_template, theta_rad=t) for t in ensemble.thetas]
     _within_run_cap([_Chirp(s, sweep) for s in systems])
     results = [propagate_sweep(s, sweep, details=True) for s in systems]

@@ -45,3 +45,15 @@ def lz_composition(sys, sweep):
     up = pg @ np.abs(qg[0, :]) ** 2 + pe @ np.abs(qe[0, :]) ** 2
     dn = pg @ np.abs(qg[1, :]) ** 2 + pe @ np.abs(qe[1, :]) ** 2
     return up - dn
+
+
+def repumped_sweeps(u, n):
+    """Polarization after ``n`` chirps of unitary ``u`` from m_s=0 and an
+    unpolarized nucleus, the density matrix stepped chirp by chirp: after
+    each, the electron is reset to m_s=0, keeping the nuclear populations
+    and dropping every coherence."""
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    for _ in range(n):
+        p = (u @ rho @ u.conj().T).diagonal().real
+        rho = np.diag([p[0] + p[2], p[1] + p[3], 0.0, 0.0]).astype(complex)
+    return float(rho[0, 0].real - rho[1, 1].real)

@@ -166,6 +166,91 @@ def _fails_at_the_run_cap(spec, tmp_path, capsys, nodes):
     assert record["error"].startswith("StepTooCoarse")
 
 
+@pytest.mark.parametrize("n_sweeps", [10 ** 12, 10 ** 400],
+                         ids=["1e12", "1e400"])
+def test_any_sweep_count_runs_at_once(tmp_path, n_sweeps):
+    # 10**400 is past the float range: the build-up is summed in integers
+    spec = write_spec(tmp_path, {"schema_version": 1, "kind": "dnp_sweep",
+                                 "seed": 1,
+                                 "dnp": {"nodes": 8, "n_sweeps": n_sweeps}})
+    start = time.monotonic()
+    assert main(["run", "--quiet", "--spec", spec, "--out",
+                 str(tmp_path / "o")]) == 0
+    assert time.monotonic() - start < 2.0
+    record = json.loads((tmp_path / "o" / "runrecord.json").read_text())
+    assert record["status"] == "ok"
+    summary = json.loads((tmp_path / "o" / "dnp_summary.json").read_text())
+    assert -1.0 <= summary["mean_polarization"] < 0.0
+
+
+@pytest.mark.parametrize("nodes", [5000, 10 ** 12], ids=["5000", "1e12"])
+@pytest.mark.parametrize("flag", [False, True], ids=["spec", "--nodes"])
+def test_too_many_nodes_is_a_spec_error(tmp_path, monkeypatch, capsys, nodes,
+                                        flag):
+    def refuse(n):
+        raise AssertionError(f"built a {n}-node quadrature")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    dnp = {} if flag else {"nodes": nodes}
+    spec = write_spec(tmp_path, {"schema_version": 1, "kind": "dnp_sweep",
+                                 "seed": 1, "dnp": dnp})
+    argv = ["dnp-sweep", "--config", spec, "--out", str(tmp_path / "o")]
+    start = time.monotonic()
+    assert main(argv + (["--nodes", str(nodes)] if flag else [])) == 3
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and "$.dnp.nodes" in err
+    assert "need 8 to 1024 quadrature nodes" in err
+
+
+PROGRESS_SPECS = {
+    "shuttle": {"kind": "shuttle_characterization",
+                "shuttle": {"velocities": [0.5, 2.0]}},
+    "dnp": {"kind": "dnp_sweep",
+            "dnp": {"nodes": 8, "sweep_rate_Hz_per_s": 3e10}},
+    "t1": {"kind": "t1_field_map", "t1": {"fields_T": [0.1, 1.0], "n_waits": 6}},
+    "seq": {"kind": "sequence_validation", "sequence": {"t_pol_s": 5.0}},
+    "reversed": {"kind": "sequence_validation",
+                 "sequence": {"B_start_T": 7.0, "B_end_T": 0.008}},
+}
+SHIELD = "above the low-field region start z=0.7997 m"
+
+
+@pytest.mark.parametrize("argv, code, stdout", [
+    (["run", "--spec", "shuttle.json", "--out", "o"], 0,
+     ["v=0.5 m/s  duration=2.342067 s", "v=2 m/s  duration=0.648017 s"]),
+    (["dnp-sweep", "--config", "dnp.json", "--out", "o"], 0,
+     ["powder mean polarization -0.069592 (8 nodes)"]),
+    (["t1-map", "--config", "t1.json", "--out", "o"], 0,
+     ["B=0.1 T  T1=25.02 s", "B=1 T  T1=318.6 s"]),
+    (["validate-sequence", "--spec", "seq.json", "--out", "o"], 0,
+     ["timeline valid"]),
+    (["validate-sequence", "--spec", "reversed.json", "--out", "o"], 2,
+     [f"violation optical_outside_shield: {ch} active at t=0.000000 s with "
+      f"sample at z=0.0000 m, {SHIELD}" for ch in ("laser", "mw_sweep")]),
+    (["simulate-sequence", "--spec", "seq.json", "--runs", "3", "--out", "o"],
+     0, ["simulated 3 runs, 21 events"]),
+    (["plan-motion", "--distance", "0.2", "--out", "traj"], 0,
+     ["shape trapezoidal  duration 0.166667 s",
+      f"wrote {Path('traj') / 'trajectory.csv'}"]),
+    (["plan-lac", "--target", "0.051", "--out", "o"], 0,
+     ["B=0.051 T  z=0.6731 m  res=0.1140 G  rate=0.4560 T/s"]),
+    (["plan-lac", "--target", "0.051", "--precision", "1e-4", "--vmax", "1.0",
+      "--map", "map.json", "--out", "o"], 0,
+     ["B=0.051 T  z=0.6731 m  res=0.2280 G  rate=0.2280 T/s"]),
+], ids=["shuttle", "dnp-sweep", "t1-map", "valid", "violations",
+        "simulate-sequence", "plan-motion", "plan-lac", "plan-lac-options"])
+def test_progress_output(tmp_path, monkeypatch, capsys, argv, code, stdout):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in PROGRESS_SPECS.items():
+        write_spec(tmp_path, {"schema_version": 1, "seed": 1, **doc},
+                   f"{name}.json")
+    from fieldcycle.fieldmap import reference_map
+    (tmp_path / "map.json").write_text(reference_map().to_json())
+    assert main(argv) == code
+    assert capsys.readouterr().out.splitlines() == stdout
+
+
 def test_run_kind_mismatch_for_typed_verbs(tmp_path):
     spec = write_spec(tmp_path, {"schema_version": 1, "kind": "lac_plan", "seed": 1})
     assert main(["dnp-sweep", "--config", spec]) == 3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import constants as const
 
-from oracles import ladder_band, lz_composition
+from oracles import ladder_band, lz_composition, repumped_sweeps
 
 from fieldcycle import spin
 from fieldcycle.errors import (NearDivergence, NonFiniteHamiltonian,
@@ -135,6 +135,60 @@ def test_sweep_norm_drift_within_tolerance():
     s = SpinSystem(1e6, math.radians(45), 0.010)
     res = propagate_sweep(s, SweepParams(), details=True)
     assert res.norm_drift < 1e-9
+    # the drift of the accepted pass: passes of n, 2n, ... 2^k n steps
+    chirp = spin._Chirp(s, SweepParams())
+    level = (res.n_steps // sum(chirp.n0) + 1).bit_length() - 2
+    u, _ = chirp.unitary(level)
+    assert res.norm_drift == np.abs(u.conj().T @ u - np.eye(4)).max()
+
+
+def random_unitaries(count):
+    """Seeded Haar-random 4x4 unitaries (QR of complex Gaussians)."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(count):
+        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        q, r = np.linalg.qr(z)
+        yield q * (r.diagonal() / abs(r.diagonal()))
+
+
+def test_repeated_sweeps_match_the_density_matrix_loop():
+    # the per-sweep transfer s = a + b falls on both sides of 1, so both
+    # signs of 1 - s are covered
+    sums = []
+    for u in random_unitaries(40):
+        w = abs(u) ** 2
+        sums.append(w[1, 0] + w[3, 0] + w[0, 1] + w[2, 1])
+        for n in (1, 2, 3, 8, 100):
+            assert spin._sweeps(u, n) == pytest.approx(repumped_sweeps(u, n),
+                                                       abs=1e-15 * (n + 1))
+    assert min(sums) < 1.0 < max(sums)
+
+
+def test_repeated_chirps_match_the_density_matrix_loop():
+    s = SpinSystem(1e6, math.radians(45), 0.010)
+    u, _ = spin._Chirp(s, SweepParams(sweep_rate_Hz_per_s=2e10)).unitary(2)
+    drift = np.abs(u.conj().T @ u - np.eye(4)).max()
+    for n in (1, 2, 3, 8, 100):
+        assert abs(spin._sweeps(u, n) - repumped_sweeps(u, n)) \
+            <= n * drift + 1e-15
+
+
+def test_repeated_sweeps_at_the_extremes():
+    # a tiny transfer b = sin^2(1e-9) per sweep: 1 - b rounds to 1, yet n
+    # sweeps build up n b to rounding until n b nears 1, then saturate
+    u = np.eye(4, dtype=complex)
+    c, s = math.cos(1e-9), math.sin(1e-9)
+    u[1, 1], u[2, 1], u[1, 2], u[2, 2] = c, s, -s, c
+    b = abs(u[2, 1]) ** 2
+    assert spin._sweeps(u, 10 ** 6) == pytest.approx(10 ** 6 * b, rel=1e-11)
+    assert spin._sweeps(u, 10 ** 400) == 1.0  # past the float range
+    assert spin._sweeps(np.eye(4), 10 ** 400) == 0.0  # s = 0: U = I
+    # s = 1: a full flip down in one sweep; s = 2: up and down swap
+    flip = np.eye(4)[[2, 1, 3, 0]]  # up to (e, down)
+    swap = np.eye(4)[[1, 0, 3, 2]]
+    for n in (1, 2, 10 ** 400, 10 ** 400 + 1):
+        assert spin._sweeps(flip, n) == -1.0
+        assert spin._sweeps(swap, n) == 0.0
 
 
 def test_sweep_regression_value_and_repeatability():
@@ -457,6 +511,10 @@ def test_powder_matches_benchmark_reference(regime, nodes, sweep):
 def test_powder_ensemble_validation():
     with pytest.raises(ValueError):
         PowderEnsemble((0.1, 0.2), (0.5, 0.6))  # weights do not sum to 1
+    with pytest.raises(ValueError, match="equal, non-zero lengths"):
+        PowderEnsemble((0.1, 0.2), (1.0,))  # one weight for two nodes
+    with pytest.raises(ValueError, match="equal, non-zero lengths"):
+        PowderEnsemble((), ())
     with pytest.raises(ValueError):
         PowderEnsemble((0.1,), (-1.0,))
     ens = PowderEnsemble.gauss_legendre(8)

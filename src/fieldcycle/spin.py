@@ -62,7 +62,7 @@ MAX_RUN_STEPS = 10_000_000  # summed max_steps of a run's sweeps, checked
                             # heaviest run, 20.8x fcbench's
 MAX_NODES = 1024  # powder nodes: 32x the acceptance suite's and fcbench's
 
-_CHUNK_STEPS = 4096  # steps per batch of frames (4 MB of 8x8 forms)
+_CHUNK_STEPS = 4096  # steps per batch of frames (2 MB of 8x8 forms)
 _CHUNK_POINTS = 2048  # evaluation points per batch, about: _cos_sin's
                       # (2, 2) by (2, 64n) product for n = 4096 exponentials
                       # runs on one OpenBLAS thread (the bundled SkylakeX
@@ -74,13 +74,15 @@ _WIDTHS = np.array([b - a for a, b in _SEGMENTS])
 _RAMP = np.array([1.0, 0.0, 1.0])  # segments under the sin^2 ramps
 # Chebyshev interpolation of a frame's exponentials (see _Chirp)
 _DEGREE = 14  # even: the frame centre is a node
-_FRAME_STEPS = 256  # a frame's (256, 16) by (16, 128) interpolation product
-                    # runs on one OpenBLAS thread; at 512 steps the bundled
-                    # build hands it to its thread pool
+_FRAME_STEPS = 256  # a frame's (256, 16) by (16, 64) interpolation product
+                    # runs on one OpenBLAS thread, and _weights caches at
+                    # most 256 tables; longer frames cost more to weigh than
+                    # they save
 _TRUNC_TOL = 1e-16  # bound on the interpolation error in exact arithmetic
-_MATCH_TOL = 2e-15  # an interpolant further than this from _cos_sin at a
-                    # check point is not used: twice the largest rounding
-                    # gap of the two seen on 59 fuzzed sweeps
+_MATCH_TOL = 2e-15  # an interpolant further than this from the exact step
+                    # at a check point is not used; the largest rounding
+                    # gap seen, on 83 fuzzed sweeps and 960 powder nodes,
+                    # was 1.9e-15 (a miss costs time, not accuracy)
 _RHO = np.geomspace(1.5, 64.0, 32)  # Bernstein ellipses the bound tries
 _LOG_M = np.log(_TRUNC_TOL * (_RHO - 1.0) / 4.0) + _DEGREE * np.log(_RHO)
 # CF4: Gauss nodes c of a step, and the weights of H(c_0), H(c_1) in its
@@ -252,16 +254,17 @@ class _Chirp:
     step straddles the switch from the cos^2 ramps to the flat top.
 
     Within a segment each CF4 row's exponent x = 2 pi dt H is an entire
-    function of the step position, so a pass splits each segment into
-    frames of at most ``_FRAME_STEPS`` steps and interpolates exp(-i x) on
-    each frame from ``_cos_sin`` at ``_DEGREE`` + 1 Chebyshev points.  The
-    interpolant is the exact centre value plus the interpolated deviation
-    from it, and comes out as the real 8x8 form [[C, S], [-S, C]] of
-    C - i S, which multiplies as the complex 4x4 does.  A frame's length is
-    the longest one the Bernstein-ellipse bound keeps within
-    ``_TRUNC_TOL`` (``_frame_steps``); a frame is checked at two more points
-    against ``_cos_sin`` and taken exactly, step by step, where the check
-    misses ``_MATCH_TOL`` or the frame is too short to gain."""
+    function of the step position, and so is a step's propagator E1 E0,
+    E_r = exp(-i x_r).  A pass splits each segment into frames of at most
+    ``_FRAME_STEPS`` steps and interpolates E1 E0 on each frame from its
+    exact value, ``_cos_sin`` and one product, at ``_DEGREE`` + 1 Chebyshev
+    points.  The interpolant is the exact centre value plus the
+    interpolated deviation from it, and comes out as the real 8x8 form
+    [[C, S], [-S, C]] of C - i S, which multiplies as the complex 4x4 does.
+    A frame's length is the longest one the Bernstein-ellipse bound keeps
+    within ``_TRUNC_TOL`` (``_frame_steps``); a frame is checked at two more
+    points against the exact step and taken exactly, step by step, where
+    the check misses ``_MATCH_TOL`` or the frame is too short to gain."""
 
     def __init__(self, sys, sweep):
         with np.errstate(invalid="ignore"):  # a NaN fails the check below
@@ -296,19 +299,20 @@ class _Chirp:
 
     def exponents(self, level, seg, t):
         """CF4 exponents at the continuous step positions ``t`` of segments
-        ``seg`` in the pass whose segments each take their first-pass step
-        count doubled ``level`` times: (hb, norm) with hb the (2m, 4, 4)
-        batch x = 2 pi dt H, rows 0 and 1 of position j at 2j and 2j + 1,
-        and norm a bound on its largest 1-norm."""
-        width, phase = self._grid(level)
-        x = _LO[seg, None] + width[seg, None] * (t[:, None] + _CF4_C)
+        ``seg`` in the passes whose segments each take their first-pass step
+        count doubled ``level`` times (``level`` per position, or one for
+        all): (hb, norm) with hb the (2m, 4, 4) batch x = 2 pi dt H, rows 0
+        and 1 of position j at 2j and 2j + 1, and norm a bound on its
+        largest 1-norm."""
+        width, phase = self._grid(level, seg)
+        x = _LO[seg, None] + width[:, None] * (t[:, None] + _CF4_C)
         # x[j] holds the Gauss nodes of position j.  H is affine in the
         # detuning and the envelope, so exponents 2j and 2j + 1 take them
         # weighted by rows 0 and 1 of _CF4_W; each row sums to 1/2, the
         # weight of h_base
         det = ((self.d_hi - self.span * x) @ _CF4_W.T).ravel()
         env = (_envelope(x) @ _CF4_W.T).ravel()
-        dt2pi = np.repeat(phase[seg], 2)
+        dt2pi = np.repeat(phase, 2)
         hb = np.empty((len(det), 4, 4))
         hb[:] = 0.5 * self.h_base
         hb[:, 2, 2] += det
@@ -324,28 +328,31 @@ class _Chirp:
                      * (1.0 + 1e-12))
         return hb, norm
 
-    def _grid(self, level):
-        """Per segment, the normalized time per step and 2 pi dt."""
-        width = _WIDTHS / np.maximum(np.array(self.n0) << level, 1)
+    def _grid(self, level, seg):
+        """The normalized time per step and 2 pi dt of segments ``seg`` in
+        the pass at ``level`` (the two broadcast)."""
+        width = _WIDTHS[seg] / np.maximum(np.array(self.n0)[seg] << level, 1)
         return width, 2.0 * np.pi * self.total_t * width
 
     def _frame_steps(self, level):
         """Per segment, the most steps of a frame on which the degree
-        ``_DEGREE`` interpolant is within ``_TRUNC_TOL`` of exp(-i x).
+        ``_DEGREE`` interpolant is within ``_TRUNC_TOL`` of the step
+        propagator E1 E0.
 
         Trefethen, Approximation Theory and Approximation Practice, Thm 8.2:
-        the error is at most 4 M rho^-p / (rho - 1) if exp(-i x) is bounded
-        by M on the Bernstein ellipse E_rho of the frame, which reaches
+        the error is at most 4 M rho^-p / (rho - 1) if E1 E0 is bounded by M
+        on the Bernstein ellipse E_rho of the frame, which reaches
         tau = (L - 1)(rho - 1/rho) / 4 steps off the real axis.  There
-        |exp(-i x)| <= exp(|Im x|), and |Im x| is at most a tau from the
-        detuning plus, on a ramp, b sinh(c tau) from sin^2 of the envelope
-        (a CF4 row's weights sum to 1/sqrt(3) in absolute value).  A ramp
-        frame gives each term half of the allowed ln M, ``_LOG_M``."""
-        width, phase = self._grid(level)
+        |E1 E0| <= exp(|Im x0| + |Im x1|), and each |Im x_r| is at most a tau
+        from the detuning plus, on a ramp, b sinh(c tau) from sin^2 of the
+        envelope (a CF4 row's weights sum to 1/sqrt(3) in absolute value).
+        Each term of the two rows gets half of its share of the allowed
+        ln M, ``_LOG_M``: a half off the ramps, a quarter on them."""
+        width, phase = self._grid(level, slice(None))
         a = phase * abs(self.span) * width / 2.0
         b = phase * self.omega * _RAMP / (4.0 * math.sqrt(3.0))
         c = np.pi / EDGE_FRACTION * width
-        share = np.where(_RAMP > 0, 0.5, 1.0)[:, None] * _LOG_M
+        share = np.where(_RAMP > 0, 0.25, 0.5)[:, None] * _LOG_M
         with np.errstate(divide="ignore"):  # b = 0 off the ramps
             tau = np.minimum(share / a[:, None],
                              np.arcsinh(share / b[:, None]) / c[:, None])
@@ -366,53 +373,67 @@ class _Chirp:
         first = k * size[seg] + np.minimum(k, extra[seg])
         return seg, first, size[seg] + (k < extra[seg]), interp[seg]
 
-    def unitary(self, level):
-        """Total unitary and step count with every segment's first-pass
-        step count doubled ``level`` times."""
-        steps = sum(self.n0) << level
-        if steps == 0:
-            return np.eye(4, dtype=complex), 0
-        u_total = np.eye(8)
-        seg, first, size, interp = self._frames(level)
+    def unitary(self, levels):
+        """Total unitary and step count of each pass in ``levels``, the pass
+        at ``level`` taking every segment's first-pass step count doubled
+        ``level`` times.  The passes' frames run in one sequence of batches,
+        and each batch's steps of a pass go to that pass's product."""
+        if not sum(self.n0):
+            return [(np.eye(4, dtype=complex), 0)] * len(levels)
+        frames = [self._frames(level) for level in levels]
+        which = np.repeat(np.arange(len(levels)), [len(f[0]) for f in frames])
+        seg, first, size, interp = (np.concatenate(a) for a in zip(*frames))
+        level = np.array(levels)[which]
         points = np.where(interp, _DEGREE + 3, size)  # where x is evaluated
         # a batch starts at the frame that crosses a multiple of _CHUNK_STEPS
         # steps or of _CHUNK_POINTS evaluation points
         key = ((np.cumsum(size) - size) // _CHUNK_STEPS * (points.sum() + 1)
                + (np.cumsum(points) - points) // _CHUNK_POINTS)
+        u_total = np.tile(np.eye(8), (len(levels), 1, 1))
         for lo, hi in _runs(key):
-            e = self._batch(level, seg[lo:hi], first[lo:hi], size[lo:hi],
-                            interp[lo:hi])
-            u_total = _product(e.reshape(-1, 8, 8)) @ u_total  # overwrites e
-        return u_total[:4, :4] - 1j * u_total[:4, 4:], steps
+            e = self._batch(level[lo:hi], seg[lo:hi], first[lo:hi],
+                            size[lo:hi], interp[lo:hi]).reshape(-1, 8, 8)
+            row = 0
+            for a, b in _runs(which[lo:hi]):  # one product per pass
+                k, n = which[lo + a], int(size[lo + a:lo + b].sum())
+                # _product overwrites e
+                u_total[k] = _product(e[row:row + n]) @ u_total[k]
+                row += n
+        return [(u[:4, :4] - 1j * u[:4, 4:], sum(self.n0) << level)
+                for u, level in zip(u_total, levels)]
 
     def _batch(self, level, seg, first, size, interp):
-        """exp(-i x) of every exponent of consecutive frames, in time order,
-        as (steps, 128): rows 0 and 1 of each step as 8x8 forms."""
+        """The step propagators E1 E0 of consecutive frames, ``level`` the
+        pass of each, in time order as (steps, 64) 8x8 forms."""
         degree = _DEGREE
-        half = 0.5 * (size - 1)[interp, None]
+        idx = np.flatnonzero(interp)
+        half = 0.5 * (size - 1)[idx, None]
         # the nodes and then the two check points of each interpolated
         # frame, followed by the steps of each exact frame
-        at = [(first[interp, None] + half + half * _points(degree)).ravel()]
+        at = [(first[idx, None] + half + half * _points(degree)).ravel()]
         at += [f + np.arange(n) for f, n in zip(first[~interp], size[~interp])]
-        seg_at = np.concatenate([np.repeat(seg[interp], degree + 3),
-                                 np.repeat(seg[~interp], size[~interp])])
-        hb, norm = self.exponents(level, seg_at, np.concatenate(at))
-        e = _embed(_cos_sin(hb, norm)).reshape(-1, 128)
-        out = np.empty((int(size.sum()), 128))
+        order = np.concatenate([idx, np.flatnonzero(~interp)])
+        counts = np.where(interp, degree + 3, size)[order]
+        hb, norm = self.exponents(np.repeat(level[order], counts),
+                                  np.repeat(seg[order], counts),
+                                  np.concatenate(at))
+        e = _step_forms(_cos_sin(hb, norm))
+        out = np.empty((int(size.sum()), 64))
         ends = np.cumsum(size)
-        idx = np.flatnonzero(interp)
-        rows = e[:len(idx) * (degree + 3)].reshape(len(idx), degree + 3, 128)
+        rows = e[:len(idx) * (degree + 3)].reshape(len(idx), degree + 3, 64)
         # the deviations from the centre value, which comes last: the
         # weights' last column of ones adds it back within the product
-        dev = np.empty((len(idx), degree + 2, 128))
+        dev = np.empty((len(idx), degree + 2, 64))
         dev[:, -1] = rows[:, degree // 2]
         np.subtract(rows[:, :degree + 1], dev[:, -1:], out=dev[:, :-1])
         miss = np.empty(len(idx))
-        for lo, hi in _runs(size[idx]):  # frames of one length: one product
+        # frames of one length that no exact frame parts: one product
+        parted = idx - np.arange(len(idx))  # exact frames before each
+        for lo, hi in _runs(size[idx] * (len(size) + 1) + parted):
             n = int(size[idx[lo]])
             w = _weights(n, degree)
             view = out[ends[idx[lo]] - n:ends[idx[hi - 1]]]
-            np.matmul(w[:n], dev[lo:hi], out=view.reshape(hi - lo, n, 128))
+            np.matmul(w[:n], dev[lo:hi], out=view.reshape(hi - lo, n, 64))
             miss[lo:hi] = np.abs(w[n:] @ dev[lo:hi]
                                  - rows[lo:hi, degree + 1:]).max(axis=(1, 2))
         row = len(idx) * (degree + 3)
@@ -420,10 +441,9 @@ class _Chirp:
             out[ends[j] - size[j]:ends[j]] = e[row:row + size[j]]
             row += size[j]
         for j in idx[miss > _MATCH_TOL]:  # take the frame exactly
-            hb, norm = self.exponents(level, np.full(size[j], seg[j]),
+            hb, norm = self.exponents(level[j], np.full(size[j], seg[j]),
                                       first[j] + np.arange(size[j]))
-            out[ends[j] - size[j]:ends[j]] = _embed(
-                _cos_sin(hb, norm)).reshape(-1, 128)
+            out[ends[j] - size[j]:ends[j]] = _step_forms(_cos_sin(hb, norm))
         return out
 
 
@@ -461,14 +481,16 @@ def _weights(steps, degree):
     return np.column_stack([q / q.sum(axis=1, keepdims=True), np.ones(len(at))])
 
 
-def _embed(cs):
-    """The real 8x8 forms [[C, S], [-S, C]] of C - i S."""
+def _step_forms(cs):
+    """The real 8x8 forms of E1 E0, with E = C - i S as [[C, S], [-S, C]],
+    of each step's cos and sin pair, rows 0 and 1 of step j at 2j and
+    2j + 1, as (steps, 64): one stacked product."""
     n = cs.shape[1]
     e = np.empty((n, 8, 8))
     e[:, :4, :4] = e[:, 4:, 4:] = cs[0]
     e[:, :4, 4:] = cs[1]
     np.negative(cs[1], out=e[:, 4:, :4])
-    return e
+    return np.matmul(e[1::2], e[::2]).reshape(-1, 64)
 
 
 def _product(e):
@@ -587,20 +609,25 @@ def _within_run_cap(chirps):
 
 
 def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
-                    details: bool = False):
+                    details: bool = False, *, chirp: Optional[_Chirp] = None):
     """Net nuclear polarization after ``n_sweeps`` chirps with electron
     repolarization between sweeps; starts in m_s=0 with an unpolarized
     nucleus.  Returns the polarization, or a SweepResult when ``details``.
+    ``chirp`` is the sweep's chirp when the caller has built it and checked
+    the run cap (``powder_average``).
 
     The step count doubles from |H| dt ~ ``START_HDT`` until the Richardson
     estimate |P(2n) - P(n)| / 15 of the fourth-order scheme is within
-    ``POL_TOL``; StepTooCoarse if the step cap comes first.
+    ``POL_TOL``; StepTooCoarse if the step cap comes first.  The first two
+    passes always run (``_Chirp.max_steps``), in one call.
     """
-    chirp = _Chirp(sys, sweep)
-    _within_run_cap([chirp])
-    u, steps = chirp.unitary(0)
+    if chirp is None:
+        chirp = _Chirp(sys, sweep)
+        _within_run_cap([chirp])
+    (u0, steps), (u, n) = chirp.unitary((0, 1))
+    level, steps = 1, steps + n
     pol = _sweeps(u, sweep.n_sweeps)
-    level, estimate = 0, math.inf if steps else 0.0
+    estimate = abs(pol - _sweeps(u0, sweep.n_sweeps)) / 15.0
     while estimate > POL_TOL:
         level += 1
         if steps + (sum(chirp.n0) << level) > chirp.max_steps:
@@ -608,7 +635,7 @@ def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
                 f"polarization error estimate {estimate:.3e} above {POL_TOL:.0e} "
                 f"at the {chirp.max_steps}-step cap", estimate)
         coarse = pol
-        u, n = chirp.unitary(level)
+        [(u, n)] = chirp.unitary((level,))
         steps += n
         pol = _sweeps(u, sweep.n_sweeps)
         estimate = abs(pol - coarse) / 15.0
@@ -661,8 +688,10 @@ def powder_average(sys_template: SpinSystem, sweep: SweepParams,
                    ensemble: PowderEnsemble) -> PowderResult:
     """Orientation-averaged transfer; per-node results reduce in node order."""
     systems = [replace(sys_template, theta_rad=t) for t in ensemble.thetas]
-    _within_run_cap([_Chirp(s, sweep) for s in systems])
-    results = [propagate_sweep(s, sweep, details=True) for s in systems]
+    chirps = [_Chirp(s, sweep) for s in systems]
+    _within_run_cap(chirps)
+    results = [propagate_sweep(s, sweep, details=True, chirp=c)
+               for s, c in zip(systems, chirps)]
     pols = [r.polarization for r in results]
     mean = float(sum(w * p for w, p in zip(ensemble.weights, pols)))
     table = tuple((t, w, p) for t, w, p in zip(ensemble.thetas, ensemble.weights, pols))

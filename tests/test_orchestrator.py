@@ -314,9 +314,9 @@ def test_powder_nodes_run_in_order_on_one_thread(monkeypatch):
         assert thread_count() == 1
     seen, propagate = [], spin.propagate_sweep
 
-    def spy(system, sweep, details=False):
+    def spy(system, sweep, **kwargs):
         seen.append((system.theta_rad, threading.get_ident()))
-        return propagate(system, sweep, details=details)
+        return propagate(system, sweep, **kwargs)
 
     monkeypatch.setattr(spin, "propagate_sweep", spy)
     ensemble = spin.PowderEnsemble.gauss_legendre(8)

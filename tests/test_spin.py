@@ -135,10 +135,12 @@ def test_sweep_norm_drift_within_tolerance():
     s = SpinSystem(1e6, math.radians(45), 0.010)
     res = propagate_sweep(s, SweepParams(), details=True)
     assert res.norm_drift < 1e-9
-    # the drift of the accepted pass: passes of n, 2n, ... 2^k n steps
+    # the drift of the accepted pass: passes of n, 2n, ... 2^k n steps, the
+    # first two in one call
     chirp = spin._Chirp(s, SweepParams())
     level = (res.n_steps // sum(chirp.n0) + 1).bit_length() - 2
-    u, _ = chirp.unitary(level)
+    levels = (0, 1) if level < 2 else (level,)
+    u, _ = chirp.unitary(levels)[levels.index(level)]
     assert res.norm_drift == np.abs(u.conj().T @ u - np.eye(4)).max()
 
 
@@ -166,7 +168,7 @@ def test_repeated_sweeps_match_the_density_matrix_loop():
 
 def test_repeated_chirps_match_the_density_matrix_loop():
     s = SpinSystem(1e6, math.radians(45), 0.010)
-    u, _ = spin._Chirp(s, SweepParams(sweep_rate_Hz_per_s=2e10)).unitary(2)
+    [(u, _)] = spin._Chirp(s, SweepParams(sweep_rate_Hz_per_s=2e10)).unitary((2,))
     drift = np.abs(u.conj().T @ u - np.eye(4)).max()
     for n in (1, 2, 3, 8, 100):
         assert abs(spin._sweeps(u, n) - repumped_sweeps(u, n)) \
@@ -232,7 +234,8 @@ def test_error_estimate_bounds_true_error(monkeypatch, regime, deg):
     s = SpinSystem(1e6, math.radians(deg), 0.010)
     res = propagate_sweep(s, SweepParams(**regime), details=True)
     assert 0 < res.error_estimate <= spin.POL_TOL
-    # reference: one CF4 pass at 4x the steps of the old fixed |H| dt = 1e-2
+    # reference: the second of the two CF4 passes that always run, at 8x
+    # the steps of the old fixed |H| dt = 1e-2
     monkeypatch.setattr(spin, "START_HDT", spin.CAP_HDT / 4)
     monkeypatch.setattr(spin, "POL_TOL", math.inf)
     ref = propagate_sweep(s, SweepParams(**regime), details=True)
@@ -289,10 +292,11 @@ def test_run_step_cap_is_checked_before_any_step(monkeypatch):
 def test_step_count_includes_coarse_passes(monkeypatch):
     s = SpinSystem(1e6, math.radians(45), 0.010)
     res = propagate_sweep(s, SweepParams(), details=True)
-    monkeypatch.setattr(spin, "POL_TOL", math.inf)  # first pass only
-    first = propagate_sweep(s, SweepParams(), details=True)
+    n = sum(spin._Chirp(s, SweepParams()).n0)
     # passes of n, 2n, 4n, ... steps, at least two of them
-    assert res.n_steps in {first.n_steps * (2 ** k - 1) for k in (2, 3, 4)}
+    assert res.n_steps in {n * (2 ** k - 1) for k in (2, 3, 4)}
+    monkeypatch.setattr(spin, "POL_TOL", math.inf)  # the first two passes
+    assert propagate_sweep(s, SweepParams(), details=True).n_steps == 3 * n
 
 
 def test_sweep_params_validation():
@@ -374,10 +378,10 @@ def test_chunk_norm_bound_holds_on_every_chunk(monkeypatch, chirp):
     monkeypatch.setattr(spin, "_cos_sin", checked)
     for tol in (spin._MATCH_TOL, -1.0):
         monkeypatch.setattr(spin, "_MATCH_TOL", tol)
-        for level in range(3):
+        for levels in ((0,), (1,), (2,), (0, 1)):
             exponents.clear()
-            chirp.unitary(level)
-            steps = sum(chirp.n0) << level
+            chirp.unitary(levels)
+            steps = sum(sum(chirp.n0) << level for level in levels)
             assert (sum(exponents) > 2 * steps) == (tol < 0)
 
 
@@ -407,27 +411,55 @@ def segment_unitary(chirp, level):
 @pytest.mark.parametrize("chunk", [spin._CHUNK_STEPS, 97])
 @pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
 def test_fused_pass_equals_the_per_segment_product(monkeypatch, chirp, chunk):
-    # 97 steps per chunk: chunks straddle the segment boundaries
+    # 97 steps per chunk: chunks straddle the segment boundaries, and in
+    # the (0, 1) call the boundary between the passes
     monkeypatch.setattr(spin, "_CHUNK_STEPS", chunk)
-    for level in (0, 1):
-        u, n = chirp.unitary(level)
-        assert n == sum(chirp.n0) << level
-        assert np.abs(u - segment_unitary(chirp, level)).max() <= 1e-13
+    oracle = [segment_unitary(chirp, level) for level in (0, 1)]
+    for levels in ((0,), (1,), (0, 1)):
+        passes = chirp.unitary(levels)
+        assert len(passes) == len(levels)
+        for level, (u, n) in zip(levels, passes):
+            assert n == sum(chirp.n0) << level
+            assert np.abs(u - oracle[level]).max() <= 1e-13
+
+
+def exact_steps(chirp, level, seg, first, size):
+    """Oracle: the 8x8 form of each step's E1 E0 of the frames, from
+    ``_cos_sin`` at the exact norm, as (steps, 8, 8)."""
+    steps = np.concatenate([f + np.arange(n) for f, n in zip(first, size)])
+    x, _ = chirp.exponents(level, np.repeat(seg, size), steps)
+    c, s = spin._cos_sin(x, np.abs(x).sum(axis=1).max())
+    u = (c[1::2] - 1j * s[1::2]) @ (c[::2] - 1j * s[::2])
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
 
 
 @pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
 def test_interpolated_exponentials_match_cos_sin_on_every_frame(monkeypatch,
                                                                  chirp):
+    # the interpolated step forms E1 E0 against the exact products
     tol = spin._MATCH_TOL
     monkeypatch.setattr(spin, "_MATCH_TOL", math.inf)  # no exact fallback
     for level in range(3):
         seg, first, size, interp = chirp._frames(level)
         assert interp.any() and size.sum() == sum(chirp.n0) << level
-        got = chirp._batch(level, seg, first, size, interp).reshape(-1, 8, 8)
-        steps = np.concatenate([f + np.arange(n) for f, n in zip(first, size)])
-        x, _ = chirp.exponents(level, np.repeat(seg, size), steps)
-        want = spin._embed(spin._cos_sin(x, np.abs(x).sum(axis=1).max()))
+        got = chirp._batch(np.full(len(seg), level), seg, first, size,
+                           interp).reshape(-1, 8, 8)
+        want = exact_steps(chirp, level, seg, first, size)
         assert np.abs(got - want).max() <= tol
+
+
+def test_an_exact_frame_parts_runs_of_equal_frames():
+    # interpolated frames of one length on both sides of an exact frame:
+    # each side is its own product
+    chirp = chirps()[0]
+    seg, first, size, interp = chirp._frames(1)
+    j = np.flatnonzero(seg == 1)[:3]
+    assert interp[j].all() and len(set(size[j])) == 1
+    seg, first, size = seg[j], first[j], size[j]
+    interp = np.array([True, False, True])
+    got = chirp._batch(np.ones(3, dtype=int), seg, first, size, interp)
+    want = exact_steps(chirp, 1, seg, first, size)
+    assert np.abs(got.reshape(-1, 8, 8) - want).max() <= spin._MATCH_TOL
 
 
 @pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
@@ -436,11 +468,11 @@ def test_a_missed_check_takes_the_frame_exactly(monkeypatch, chirp):
     monkeypatch.setattr(spin, "_DEGREE", 6)
     for level in (0, 1):
         oracle = segment_unitary(chirp, level)
-        u, _ = chirp.unitary(level)
+        [(u, _)] = chirp.unitary((level,))
         assert np.abs(u - oracle).max() <= 1e-13
         with monkeypatch.context() as m:
             m.setattr(spin, "_MATCH_TOL", math.inf)
-            u, _ = chirp.unitary(level)
+            [(u, _)] = chirp.unitary((level,))
         assert np.abs(u - oracle).max() > 1e-10
 
 
@@ -453,14 +485,14 @@ def test_a_non_finite_hamiltonian_raises(bad):
     chirp.h_base[2, 3] = chirp.h_base[3, 2] = bad
     chirp.base_norm = float(np.abs(0.5 * chirp.h_base).sum(axis=0).max())
     with pytest.raises(NonFiniteHamiltonian):
-        chirp.unitary(0)
+        chirp.unitary((0,))
 
 
 def test_an_empty_window_gives_the_identity():
     s = SpinSystem(1e6, math.radians(45), 0.010)
     chirp = spin._Chirp(s, SweepParams(band_center_Hz=electron_gap(s) + 1e9,
                                        band_width_Hz=100e6))
-    u, n = chirp.unitary(0)
+    [(u, n)] = chirp.unitary((0,))
     assert n == 0 and np.array_equal(u, np.eye(4))
 
 
@@ -473,6 +505,20 @@ def test_powder_single_node_equals_single_orientation():
     res = powder_average(s, SweepParams(), PowderEnsemble((theta,), (1.0,)))
     direct = propagate_sweep(SpinSystem(1e6, theta, 0.010), SweepParams())
     assert res.mean_polarization == direct
+
+
+def test_powder_builds_each_chirp_once(monkeypatch):
+    built, init = [], spin._Chirp.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(spin._Chirp, "__init__", counted)
+    powder_average(SpinSystem(1e6, 0.0, 0.010),
+                   SweepParams(sweep_rate_Hz_per_s=3e10),
+                   PowderEnsemble.gauss_legendre(8))
+    assert len(built) == 8
 
 
 def test_powder_sign_uniform_low_field():

@@ -242,7 +242,31 @@ class _HermiteSpline:
 
     def __call__(self, x):
         i, h, t = self._segment(x)
-        return _hermite(t, h, self.b[i], self.b[i + 1], self.m[i], self.m[i + 1])
+        # _hermite line for line, in place: the same operations in the same
+        # order (a product's operands commute exactly), in three buffers
+        t = np.asarray(t)  # a float's t as a 0-d array, also updated in place
+        uu = np.subtract(1, t, out=np.empty_like(t))
+        uu *= uu  # u * u
+        acc = np.multiply(2, t, out=np.empty_like(t))
+        acc += 1
+        acc *= uu
+        acc *= self.b[i]  # h00 * b0
+        uu *= t
+        uu *= h
+        uu *= self.m[i]
+        acc += uu  # + h10 * h * m0
+        tt = np.multiply(t, t, out=uu)
+        w = np.multiply(2, t, out=np.empty_like(t))
+        np.subtract(3, w, out=w)
+        w *= tt
+        w *= self.b[i + 1]
+        acc += w  # + h01 * b1
+        t -= 1
+        t *= tt
+        t *= h
+        t *= self.m[i + 1]
+        acc += t  # + h11 * h * m1
+        return acc[()]
 
     def value(self, x: float) -> float:
         """``float(self(x))`` for one float, without numpy: the knot index
@@ -312,18 +336,21 @@ class FieldMap:
     _DOMAIN_ATOL = 1e-9  # meters; well below the actuator precision
 
     def _check_domain(self, z):
-        """Validate and return z clamped to the domain (float-noise margin)."""
+        """Validate and return z clamped to the domain (float-noise margin);
+        z itself when it is already inside."""
         lo, hi = self.domain_m
         z = np.asarray(z, float)
-        if np.any(z < lo - self._DOMAIN_ATOL) or np.any(z > hi + self._DOMAIN_ATOL):
-            raise OutOfDomain(f"z outside domain [{lo}, {hi}] m")
-        return np.clip(z, lo, hi)[()]
+        if np.any(z < lo) or np.any(z > hi):
+            if np.any(z < lo - self._DOMAIN_ATOL) or np.any(z > hi + self._DOMAIN_ATOL):
+                raise OutOfDomain(f"z outside domain [{lo}, {hi}] m")
+            z = np.clip(z, lo, hi)
+        return z[()]
 
     # --- queries
     def field_at(self, z):
         """Longitudinal field (T) at axial position z (m)."""
-        z = self._check_domain(z)
-        return np.maximum(self._model(z), self.floor_T)
+        b = np.asarray(self._model(self._check_domain(z)))
+        return np.maximum(b, self.floor_T, out=b)[()]  # b is the model's own
 
     def gradient_at(self, z):
         """dB/dz (T/m); zero inside the clamped shield region."""

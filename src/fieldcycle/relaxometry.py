@@ -229,6 +229,14 @@ def _fit_mono(t, y, t1_start):
     return t1, amplitude, fitted - y, jac
 
 
+def _median(y):
+    """``np.median`` of finite values by the same arithmetic, the mean of
+    the two middle values for an even length, without the NaN check that
+    imports ``numpy.ma``."""
+    s, n = np.sort(y), len(y)
+    return s[n // 2] if n % 2 else (s[n // 2 - 1] + s[n // 2]) / 2
+
+
 def fit_decay(curve: DecayCurve) -> FitResult:
     """Least-squares A exp(-t/T1); anti-aligned curves fit on magnitude.
 
@@ -244,7 +252,7 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
         raise FitDiverged("non-finite wait or signal")
     sign = 1.0
-    if np.median(y) < 0:  # anti-aligned curves fit on magnitude
+    if _median(y) < 0:  # anti-aligned curves fit on magnitude
         sign, y = -1.0, -y
     t1, amplitude, r, jac = _fit_mono(t, y, _log_linear_init(t, y))
     dof = max(1, len(t) - jac.shape[1])

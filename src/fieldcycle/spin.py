@@ -262,9 +262,11 @@ class _Chirp:
     interpolated deviation from it, and comes out as the real 8x8 form
     [[C, S], [-S, C]] of C - i S, which multiplies as the complex 4x4 does.
     A frame's length is the longest one the Bernstein-ellipse bound keeps
-    within ``_TRUNC_TOL`` (``_frame_steps``); a frame is checked at two more
+    within ``_TRUNC_TOL`` (``_frame_tables``); a frame is checked at two more
     points against the exact step and taken exactly, step by step, where
-    the check misses ``_MATCH_TOL`` or the frame is too short to gain."""
+    the check misses ``_MATCH_TOL`` or the frame is too short to gain.
+    ``frames`` holds each pass's frame table, filled on first use or for a
+    whole powder at once."""
 
     def __init__(self, sys, sweep):
         with np.errstate(invalid="ignore"):  # a NaN fails the check below
@@ -296,16 +298,15 @@ class _Chirp:
         # of |H| dt = CAP_HDT; the first two passes always run (Python ints:
         # no overflow)
         self.max_steps = max(math.ceil(hmax_t / CAP_HDT) // 2, 3 * sum(self.n0))
+        self.frames = {}  # level -> _frame_tables columns
 
-    def exponents(self, level, seg, t):
-        """CF4 exponents at the continuous step positions ``t`` of segments
-        ``seg`` in the passes whose segments each take their first-pass step
-        count doubled ``level`` times (``level`` per position, or one for
-        all): (hb, norm) with hb the (2m, 4, 4) batch x = 2 pi dt H, rows 0
-        and 1 of position j at 2j and 2j + 1, and norm a bound on its
-        largest 1-norm."""
-        width, phase = self._grid(level, seg)
-        x = _LO[seg, None] + width[:, None] * (t[:, None] + _CF4_C)
+    def exponents(self, lo, width, phase, t):
+        """CF4 exponents at the continuous step positions ``t``, each in a
+        segment that starts at ``lo`` and whose steps take ``width`` of the
+        chirp and a 2 pi dt of ``phase`` (all four per position): (hb, norm)
+        with hb the (2m, 4, 4) batch x = 2 pi dt H, rows 0 and 1 of position
+        j at 2j and 2j + 1, and norm a bound on its largest 1-norm."""
+        x = lo[:, None] + width[:, None] * (t[:, None] + _CF4_C)
         # x[j] holds the Gauss nodes of position j.  H is affine in the
         # detuning and the envelope, so exponents 2j and 2j + 1 take them
         # weighted by rows 0 and 1 of _CF4_W; each row sums to 1/2, the
@@ -317,61 +318,15 @@ class _Chirp:
         hb[:] = 0.5 * self.h_base
         hb[:, 2, 2] += det
         hb[:, 3, 3] += det
-        hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = \
-            0.5 * self.omega * env
+        drive = 0.5 * self.omega * env
+        hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = drive
         hb *= dt2pi[:, None, None]
         # each column of hb sums to at most this in absolute value (|env|,
         # since a CF4 weight is negative), up to the rounding of the sums,
         # which the factor covers
-        norm = float((dt2pi * (self.base_norm + np.abs(det)
-                               + 0.5 * self.omega * np.abs(env))).max()
+        norm = float((dt2pi * (self.base_norm + np.abs(det) + np.abs(drive))).max()
                      * (1.0 + 1e-12))
         return hb, norm
-
-    def _grid(self, level, seg):
-        """The normalized time per step and 2 pi dt of segments ``seg`` in
-        the pass at ``level`` (the two broadcast)."""
-        width = _WIDTHS[seg] / np.maximum(np.array(self.n0)[seg] << level, 1)
-        return width, 2.0 * np.pi * self.total_t * width
-
-    def _frame_steps(self, level):
-        """Per segment, the most steps of a frame on which the degree
-        ``_DEGREE`` interpolant is within ``_TRUNC_TOL`` of the step
-        propagator E1 E0.
-
-        Trefethen, Approximation Theory and Approximation Practice, Thm 8.2:
-        the error is at most 4 M rho^-p / (rho - 1) if E1 E0 is bounded by M
-        on the Bernstein ellipse E_rho of the frame, which reaches
-        tau = (L - 1)(rho - 1/rho) / 4 steps off the real axis.  There
-        |E1 E0| <= exp(|Im x0| + |Im x1|), and each |Im x_r| is at most a tau
-        from the detuning plus, on a ramp, b sinh(c tau) from sin^2 of the
-        envelope (a CF4 row's weights sum to 1/sqrt(3) in absolute value).
-        Each term of the two rows gets half of its share of the allowed
-        ln M, ``_LOG_M``: a half off the ramps, a quarter on them."""
-        width, phase = self._grid(level, slice(None))
-        a = phase * abs(self.span) * width / 2.0
-        b = phase * self.omega * _RAMP / (4.0 * math.sqrt(3.0))
-        c = np.pi / EDGE_FRACTION * width
-        share = np.where(_RAMP > 0, 0.25, 0.5)[:, None] * _LOG_M
-        with np.errstate(divide="ignore"):  # b = 0 off the ramps
-            tau = np.minimum(share / a[:, None],
-                             np.arcsinh(share / b[:, None]) / c[:, None])
-        steps = 1.0 + np.floor(4.0 * tau / (_RHO - 1.0 / _RHO)).max(axis=1)
-        return np.clip(steps, 1, _FRAME_STEPS).astype(int)
-
-    def _frames(self, level):
-        """The frames of a pass in time order: segment, first step, steps,
-        and whether the frame is interpolated."""
-        n = np.array(self.n0) << level
-        most = self._frame_steps(level)
-        interp = most > _DEGREE + 3  # a shorter frame costs more than it saves
-        most[~interp] = _FRAME_STEPS
-        count = -(-n // most)
-        size, extra = np.divmod(n, np.maximum(count, 1))
-        seg = np.repeat(np.arange(len(n)), count)
-        k = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
-        first = k * size[seg] + np.minimum(k, extra[seg])
-        return seg, first, size[seg] + (k < extra[seg]), interp[seg]
 
     def unitary(self, levels):
         """Total unitary and step count of each pass in ``levels``, the pass
@@ -380,43 +335,45 @@ class _Chirp:
         and each batch's steps of a pass go to that pass's product."""
         if not sum(self.n0):
             return [(np.eye(4, dtype=complex), 0)] * len(levels)
-        frames = [self._frames(level) for level in levels]
+        missing = [level for level in levels if level not in self.frames]
+        if missing:
+            _frame_tables([self], missing)
+        frames = [self.frames[level] for level in levels]
         which = np.repeat(np.arange(len(levels)), [len(f[0]) for f in frames])
-        seg, first, size, interp = (np.concatenate(a) for a in zip(*frames))
-        level = np.array(levels)[which]
+        frames = [np.concatenate(a) for a in zip(*frames)]
+        size, interp = frames[2], frames[3]
         points = np.where(interp, _DEGREE + 3, size)  # where x is evaluated
         # a batch starts at the frame that crosses a multiple of _CHUNK_STEPS
         # steps or of _CHUNK_POINTS evaluation points
         key = ((np.cumsum(size) - size) // _CHUNK_STEPS * (points.sum() + 1)
                + (np.cumsum(points) - points) // _CHUNK_POINTS)
-        u_total = np.tile(np.eye(8), (len(levels), 1, 1))
+        u_total = np.eye(8)[None].repeat(len(levels), axis=0)
         for lo, hi in _runs(key):
-            e = self._batch(level[lo:hi], seg[lo:hi], first[lo:hi],
-                            size[lo:hi], interp[lo:hi]).reshape(-1, 8, 8)
+            e = self._batch(*(a[lo:hi] for a in frames)).reshape(-1, 8, 8)
             row = 0
             for a, b in _runs(which[lo:hi]):  # one product per pass
                 k, n = which[lo + a], int(size[lo + a:lo + b].sum())
                 # _product overwrites e
                 u_total[k] = _product(e[row:row + n]) @ u_total[k]
                 row += n
-        return [(u[:4, :4] - 1j * u[:4, 4:], sum(self.n0) << level)
-                for u, level in zip(u_total, levels)]
+        u = u_total[:, :4, :4] - 1j * u_total[:, :4, 4:]
+        return [(u[k], sum(self.n0) << level) for k, level in enumerate(levels)]
 
-    def _batch(self, level, seg, first, size, interp):
-        """The step propagators E1 E0 of consecutive frames, ``level`` the
-        pass of each, in time order as (steps, 64) 8x8 forms."""
+    def _batch(self, seg, first, size, interp, width, phase):
+        """The step propagators E1 E0 of consecutive frames (columns of
+        ``_frame_tables``), in time order as (steps, 64) 8x8 forms."""
         degree = _DEGREE
-        idx = np.flatnonzero(interp)
+        idx, exact = np.flatnonzero(interp), np.flatnonzero(~interp)
         half = 0.5 * (size - 1)[idx, None]
         # the nodes and then the two check points of each interpolated
         # frame, followed by the steps of each exact frame
         at = [(first[idx, None] + half + half * _points(degree)).ravel()]
-        at += [f + np.arange(n) for f, n in zip(first[~interp], size[~interp])]
-        order = np.concatenate([idx, np.flatnonzero(~interp)])
+        at += [first[j] + np.arange(size[j]) for j in exact]
+        order = np.concatenate([idx, exact])
         counts = np.where(interp, degree + 3, size)[order]
-        hb, norm = self.exponents(np.repeat(level[order], counts),
-                                  np.repeat(seg[order], counts),
-                                  np.concatenate(at))
+        hb, norm = self.exponents(
+            *(np.repeat(a[order], counts) for a in (_LO[seg], width, phase)),
+            np.concatenate(at))
         e = _step_forms(_cos_sin(hb, norm))
         out = np.empty((int(size.sum()), 64))
         ends = np.cumsum(size)
@@ -426,30 +383,88 @@ class _Chirp:
         dev = np.empty((len(idx), degree + 2, 64))
         dev[:, -1] = rows[:, degree // 2]
         np.subtract(rows[:, :degree + 1], dev[:, -1:], out=dev[:, :-1])
-        miss = np.empty(len(idx))
+        # the check points sit at the same place in every frame, so their
+        # weights are one table's last two rows: one product checks them all
+        check = _weights(_FRAME_STEPS, degree)[_FRAME_STEPS:]
+        miss = np.abs(check @ dev - rows[:, degree + 1:]).max(axis=(1, 2))
         # frames of one length that no exact frame parts: one product
         parted = idx - np.arange(len(idx))  # exact frames before each
         for lo, hi in _runs(size[idx] * (len(size) + 1) + parted):
             n = int(size[idx[lo]])
-            w = _weights(n, degree)
             view = out[ends[idx[lo]] - n:ends[idx[hi - 1]]]
-            np.matmul(w[:n], dev[lo:hi], out=view.reshape(hi - lo, n, 64))
-            miss[lo:hi] = np.abs(w[n:] @ dev[lo:hi]
-                                 - rows[lo:hi, degree + 1:]).max(axis=(1, 2))
+            np.matmul(_weights(n, degree)[:n], dev[lo:hi],
+                      out=view.reshape(hi - lo, n, 64))
         row = len(idx) * (degree + 3)
-        for j in np.flatnonzero(~interp):
+        for j in exact:
             out[ends[j] - size[j]:ends[j]] = e[row:row + size[j]]
             row += size[j]
         for j in idx[miss > _MATCH_TOL]:  # take the frame exactly
-            hb, norm = self.exponents(level[j], np.full(size[j], seg[j]),
-                                      first[j] + np.arange(size[j]))
+            hb, norm = self.exponents(
+                *(np.full(size[j], a[j]) for a in (_LO[seg], width, phase)),
+                first[j] + np.arange(size[j]))
             out[ends[j] - size[j]:ends[j]] = _step_forms(_cos_sin(hb, norm))
         return out
 
 
+def _frame_tables(chirps, levels):
+    """Fill ``frames[level]`` of each chirp with steps, for each of
+    ``levels``: the frames of that pass in time order as the columns
+    segment, first step, steps, whether the frame is interpolated, the
+    normalized time per step and 2 pi dt.  One vectorized pass over chirps
+    x levels x segments.
+
+    A frame's steps are the most on which the degree ``_DEGREE`` interpolant
+    is within ``_TRUNC_TOL`` of the step propagator E1 E0.  Trefethen,
+    Approximation Theory and Approximation Practice, Thm 8.2: the error is
+    at most 4 M rho^-p / (rho - 1) if E1 E0 is bounded by M on the
+    Bernstein ellipse E_rho of the frame, which reaches tau = (L - 1)(rho -
+    1/rho) / 4 steps off the real axis.  There |E1 E0| <= exp(|Im x0| +
+    |Im x1|), and each |Im x_r| is at most a tau from the detuning plus, on
+    a ramp, b sinh(c tau) from sin^2 of the envelope (a CF4 row's weights
+    sum to 1/sqrt(3) in absolute value).  Each term of the two rows gets
+    half of its share of the allowed ln M, ``_LOG_M``: a half off the
+    ramps, a quarter on them."""
+    chirps = [chirp for chirp in chirps if sum(chirp.n0)]
+    if not chirps:
+        return
+    n = np.array([chirp.n0 for chirp in chirps])[:, None] << np.array(levels)[:, None]
+    total_t, span, omega = np.array(
+        [(chirp.total_t, abs(chirp.span), chirp.omega) for chirp in chirps]
+    ).T[:, :, None, None]
+    width = _WIDTHS / np.maximum(n, 1)
+    phase = 2.0 * np.pi * total_t * width
+    a = phase * span * width / 2.0
+    b = phase * omega * _RAMP / (4.0 * math.sqrt(3.0))
+    c = np.pi / EDGE_FRACTION * width
+    share = np.where(_RAMP > 0, 0.25, 0.5)[:, None] * _LOG_M
+    with np.errstate(divide="ignore"):  # b = 0 off the ramps
+        tau = np.divide(share, b[..., None])
+        np.arcsinh(tau, out=tau)
+        tau /= c[..., None]
+        np.minimum(share / a[..., None], tau, out=tau)
+    tau *= 4.0
+    tau /= _RHO - 1.0 / _RHO
+    most = 1.0 + np.floor(tau, out=tau).max(axis=-1)
+    most = np.clip(most, 1, _FRAME_STEPS).astype(int)
+    interp = most > _DEGREE + 3  # a shorter frame costs more than it saves
+    most[~interp] = _FRAME_STEPS
+    # the frames of every (chirp, level, segment) cell, in that order
+    count = (-(-n // most)).ravel()
+    size, extra = np.divmod(n.ravel(), np.maximum(count, 1))
+    cell = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+    columns = (cell % len(_SEGMENTS), k * size[cell] + np.minimum(k, extra[cell]),
+               size[cell] + (k < extra[cell]), interp.ravel()[cell],
+               width.ravel()[cell], phase.ravel()[cell])
+    cuts = np.cumsum(count.reshape(-1, len(_SEGMENTS)).sum(axis=1)).tolist()
+    for i, (lo, hi) in enumerate(zip([0] + cuts, cuts)):
+        frames = chirps[i // len(levels)].frames
+        frames[levels[i % len(levels)]] = tuple(a[lo:hi] for a in columns)
+
+
 def _runs(keys):
     """(start, end) of each run of equal values in ``keys``."""
-    cuts = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), len(keys)]
+    cuts = [0, *(np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist(), len(keys)]
     return zip(cuts[:-1], cuts[1:])
 
 
@@ -690,6 +705,7 @@ def powder_average(sys_template: SpinSystem, sweep: SweepParams,
     systems = [replace(sys_template, theta_rad=t) for t in ensemble.thetas]
     chirps = [_Chirp(s, sweep) for s in systems]
     _within_run_cap(chirps)
+    _frame_tables(chirps, (0, 1, 2))  # level 2: the default sweep's last pass
     results = [propagate_sweep(s, sweep, details=True, chirp=c)
                for s, c in zip(systems, chirps)]
     pols = [r.polarization for r in results]

@@ -1,6 +1,10 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +273,48 @@ def test_fit_deterministic():
     curve = synthetic_decay(23.0, waits, noise_sigma=0.02, seed=5)
     f1, f2 = fit_decay(curve), fit_decay(curve)
     assert f1 == f2
+
+
+def test_median_equals_numpy_median():
+    # lengths 1-40 of either parity, ties, both signs and scales 1e-300 to
+    # 1e300, then middle pairs whose sum overflows or whose half underflows:
+    # the same value, so fit_decay takes the same sign decision
+    rng = np.random.default_rng(20261020)
+    curves = []
+    for _ in range(4000):
+        n = int(rng.integers(1, 41))
+        y = rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, n)
+        if rng.random() < 0.5:  # ties: values drawn from a few
+            y = rng.choice(y[:3], n) * rng.choice([-1.0, 1.0, 0.0])
+        curves.append(y)
+    curves += [np.array(v) for v in ([1.5e308, 1.7e308], [-1.7e308, -1.5e308],
+                                     [-5e-324, 0.0], [5e-324, 0.0, 1.0, -1.0])]
+    for y in curves:
+        with np.errstate(over="ignore"):
+            got, want = relaxometry._median(y), np.median(y)
+        assert got == want  # -0.0 and 0.0 may tie in either order
+
+
+def test_a_t1_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median's NaN check imports numpy.ma (about 11 ms in a fresh
+    # process); a T1 run takes its median without it
+    probe = f"""
+import json, sys
+from fieldcycle.cli import main
+print("numpy.ma" in sys.modules)
+with open({str(tmp_path / "t1.json")!r}, "w") as fh:
+    json.dump({{"schema_version": 1, "kind": "t1_field_map", "seed": 1}}, fh)
+assert main(["run", "--spec", {str(tmp_path / "t1.json")!r}, "--out",
+             {str(tmp_path / "t1")!r}, "--quiet"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(relaxometry.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_decay_curve_csv_round_trip():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -427,7 +428,10 @@ def exact_steps(chirp, level, seg, first, size):
     """Oracle: the 8x8 form of each step's E1 E0 of the frames, from
     ``_cos_sin`` at the exact norm, as (steps, 8, 8)."""
     steps = np.concatenate([f + np.arange(n) for f, n in zip(first, size)])
-    x, _ = chirp.exponents(level, np.repeat(seg, size), steps)
+    seg = np.repeat(seg, size)
+    width = spin._WIDTHS[seg] / (np.array(chirp.n0)[seg] << level)
+    x, _ = chirp.exponents(spin._LO[seg], width,
+                           2.0 * np.pi * chirp.total_t * width, steps)
     c, s = spin._cos_sin(x, np.abs(x).sum(axis=1).max())
     u = (c[1::2] - 1j * s[1::2]) @ (c[::2] - 1j * s[::2])
     return np.block([[u.real, -u.imag], [u.imag, u.real]])
@@ -439,11 +443,12 @@ def test_interpolated_exponentials_match_cos_sin_on_every_frame(monkeypatch,
     # the interpolated step forms E1 E0 against the exact products
     tol = spin._MATCH_TOL
     monkeypatch.setattr(spin, "_MATCH_TOL", math.inf)  # no exact fallback
+    spin._frame_tables([chirp], (0, 1, 2))
     for level in range(3):
-        seg, first, size, interp = chirp._frames(level)
+        frames = chirp.frames[level]
+        seg, first, size, interp = frames[:4]
         assert interp.any() and size.sum() == sum(chirp.n0) << level
-        got = chirp._batch(np.full(len(seg), level), seg, first, size,
-                           interp).reshape(-1, 8, 8)
+        got = chirp._batch(*frames).reshape(-1, 8, 8)
         want = exact_steps(chirp, level, seg, first, size)
         assert np.abs(got - want).max() <= tol
 
@@ -452,14 +457,101 @@ def test_an_exact_frame_parts_runs_of_equal_frames():
     # interpolated frames of one length on both sides of an exact frame:
     # each side is its own product
     chirp = chirps()[0]
-    seg, first, size, interp = chirp._frames(1)
+    spin._frame_tables([chirp], (1,))
+    seg, first, size, interp, width, phase = chirp.frames[1]
     j = np.flatnonzero(seg == 1)[:3]
     assert interp[j].all() and len(set(size[j])) == 1
-    seg, first, size = seg[j], first[j], size[j]
+    seg, first, size, width, phase = seg[j], first[j], size[j], width[j], phase[j]
     interp = np.array([True, False, True])
-    got = chirp._batch(np.ones(3, dtype=int), seg, first, size, interp)
+    got = chirp._batch(seg, first, size, interp, width, phase)
     want = exact_steps(chirp, 1, seg, first, size)
     assert np.abs(got.reshape(-1, 8, 8) - want).max() <= spin._MATCH_TOL
+
+
+def fuzz_chirps():
+    """The chirps of the default, slow and band sweeps and of the sweeps
+    of tools/sweep_fuzz.py, single and multi-sweep."""
+    path = Path(__file__).parents[1] / "tools" / "sweep_fuzz.py"
+    loader = importlib.util.spec_from_file_location("sweep_fuzz", path)
+    fuzz = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(fuzz)
+    cases = fuzz.sweep_cases(spin) + fuzz.sweep_cases(
+        spin, fuzz.N_MULTI, 20261019, fuzz.MULTI_COUNTS)
+    return chirps() + [spin._Chirp(*case) for case in cases]
+
+
+def test_frame_tables_built_together_equal_each_built_alone():
+    together, levels = fuzz_chirps(), (0, 1, 2, 3)
+    spin._frame_tables(together, levels)
+    for chirp in fuzz_chirps():
+        for level in levels:
+            spin._frame_tables([chirp], (level,))
+        mate = together.pop(0)
+        assert chirp.frames.keys() == mate.frames.keys() == set(levels)
+        for level in levels:
+            for a, b in zip(chirp.frames[level], mate.frames[level]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            seg, first, size = chirp.frames[level][:3]
+            assert size.sum() == sum(chirp.n0) << level
+            assert np.array_equal(first[1:], np.where(
+                seg[1:] == seg[:-1], (first + size)[:-1], 0))
+
+
+def test_check_weights_are_the_same_for_every_frame_length():
+    for degree in (6, spin._DEGREE):
+        check = spin._weights(spin._FRAME_STEPS, degree)[-2:]
+        for n in range(1, spin._FRAME_STEPS):
+            assert np.array_equal(spin._weights(n, degree)[n:], check)
+
+
+def frame_gaps(chirp, frames):
+    """Oracle: per interpolated frame, the largest gap between the
+    interpolant and the exact step at the two check points, each frame
+    checked by the check rows of its own length's table."""
+    degree = spin._DEGREE
+    gaps = {}
+    for seg, first, size, interp, width, phase in zip(*frames):
+        if not interp:
+            continue
+        half = 0.5 * (size - 1)
+        at = first + half + half * spin._points(degree)
+        x, norm = chirp.exponents(*(np.full(len(at), v)
+                                    for v in (spin._LO[seg], width, phase)), at)
+        rows = spin._step_forms(spin._cos_sin(x, norm))
+        dev = np.vstack([rows[:degree + 1] - rows[degree // 2],
+                         rows[degree // 2]])
+        w = spin._weights(int(size), degree)[size:]
+        gaps[int(first), int(seg)] = np.abs(w @ dev - rows[degree + 1:]).max()
+    return gaps
+
+
+@pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
+def test_the_batch_check_flags_the_frames_each_frame_check_flags(monkeypatch,
+                                                                 chirp):
+    # degree 6 on frames sized for degree 14: the gaps spread over decades,
+    # and a tolerance between two of them splits the frames
+    monkeypatch.setattr(spin, "_DEGREE", 6)
+    spin._frame_tables([chirp], (1,))
+    frames = chirp.frames[1]
+    gaps = frame_gaps(chirp, frames)
+    # the widest split between two neighbouring gaps
+    cut = sorted(gaps.values())
+    low, high = max(zip(cut, cut[1:]), key=lambda pair: pair[1] / pair[0])
+    assert high > 2.0 * low
+    monkeypatch.setattr(spin, "_MATCH_TOL", math.sqrt(low * high))
+    calls, exponents = [], chirp.exponents
+
+    def recorded(lo, width, phase, t):
+        calls.append((int(t[0]), float(lo[0])))
+        return exponents(lo, width, phase, t)
+
+    monkeypatch.setattr(chirp, "exponents", recorded)
+    chirp._batch(*frames)
+    # the first call is the batch's nodes; each later one takes a frame
+    taken = {(first, float(spin._LO[seg]))
+             for (first, seg), gap in gaps.items() if gap >= high}
+    assert 0 < len(taken) < len(gaps)
+    assert sorted(calls[1:]) == sorted(taken)
 
 
 @pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
@@ -509,16 +601,23 @@ def test_powder_single_node_equals_single_orientation():
 
 def test_powder_builds_each_chirp_once(monkeypatch):
     built, init = [], spin._Chirp.__init__
+    tabled, tables = [], spin._frame_tables
 
     def counted(self, *args):
         built.append(self)
         init(self, *args)
 
+    def counted_tables(chirps, levels):
+        tabled.append((len(chirps), tuple(levels)))
+        tables(chirps, levels)
+
     monkeypatch.setattr(spin._Chirp, "__init__", counted)
+    monkeypatch.setattr(spin, "_frame_tables", counted_tables)
     powder_average(SpinSystem(1e6, 0.0, 0.010),
                    SweepParams(sweep_rate_Hz_per_s=3e10),
                    PowderEnsemble.gauss_legendre(8))
     assert len(built) == 8
+    assert tabled == [(8, (0, 1, 2))]  # one frame-table pass per powder
 
 
 def test_powder_sign_uniform_low_field():

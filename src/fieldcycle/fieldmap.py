@@ -52,7 +52,6 @@ _REACH_MARGIN = 1e-10  # relative field a polish aims inside an anchor's reach
 _MAX_STEPS = 100  # cap on inversion and polish iterations
 _FD_STEP = math.sqrt(np.finfo(float).eps)  # forward differences, as scipy's
 _REFERENCE_MAP_FILE = Path(__file__).with_name("reference_map.json")
-_MEMO_SIZE = 1024  # field inversions kept per map
 _FILL_PER_DECADE = 14  # backbone fill knots per decade of field between anchors
 
 
@@ -301,12 +300,10 @@ class FieldMap:
     params: MappingProxyType
     domain_m: tuple[float, float] = (0.0, MotionLimits.travel_range_m)
     floor_T: float = 1.0e-3
-    # per-instance derived state; not init fields, so dataclasses.replace
-    # rebuilds the model from the new params and starts an empty memo
+    # derived from params; not an init field, so dataclasses.replace
+    # rebuilds the model from the new params
     _model: _Solenoid | _HermiteSpline = field(init=False, default=None,
                                                repr=False, compare=False)
-    _positions: dict = field(init=False, default_factory=dict, repr=False,
-                             compare=False)  # position_of_field memo
     # how ``calibrate`` made the map (None for a map made otherwise): the
     # model, the solenoid geometry it was built from, each anchor's residual in
     # tolerance units and the fit's evaluation counts; not in ``to_json``
@@ -322,15 +319,30 @@ class FieldMap:
         p = self.params
         if self.model == "monotone_spline":
             model = _HermiteSpline(*([k[i] for k in p["knots"]] for i in range(3)))
-            # NaN knots pass here; from_json rejects a non-finite range
-            if np.any(np.diff(model.b) >= 0) or np.any(model.m > 0):
-                raise ValueError("spline knot fields must strictly decrease, slopes not rise")
+            # each cubic decreases where its slopes over the secant, a and c,
+            # lie in the Fritsch-Carlson region (SIAM J. Numer. Anal. 17, 238
+            # (1980)); a phi that overflows to NaN lies outside it.  NaN knots
+            # pass here, from_json rejects a non-finite range
+            sec = np.diff(model.b) / np.diff(model.z)
+            with np.errstate(all="ignore"):
+                a, c = model.m[:-1] / sec, model.m[1:] / sec
+                phi = a - (2 * a + c - 3) ** 2 / (3 * (a + c - 2))
+                if np.any((sec >= 0) | (a < 0) | (c < 0) | (
+                        (a + c > 2) & (2 * a + c > 3) & (a + 2 * c > 3) & ~(phi >= 0))):
+                    raise ValueError("spline knot fields must strictly decrease, "
+                                     "with slopes that keep each segment monotone")
+            span = model.z[0], model.z[-1]
         else:
             for key in ("half_length_m", "radius_m"):
                 if not (math.isfinite(p[key]) and p[key] > 0):
                     raise ValueError(f"finite_solenoid {key} must be finite "
                                      f"and > 0, got {p[key]!r}")
             model = _Solenoid(p["b0_T"], p["half_length_m"], p["radius_m"])
+            span = 0.0, math.inf
+        lo, hi = self.domain_m
+        if not (span[0] <= lo < hi <= span[1] and math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"domain_m must be finite, increase and lie in [{span[0]:g}, "
+                             f"{span[1]:g}] m, where the field strictly decreases")
         object.__setattr__(self, "_model", model)
 
     _DOMAIN_ATOL = 1e-9  # meters; well below the actuator precision
@@ -364,18 +376,9 @@ class FieldMap:
                      for z in (hi, lo))
 
     def position_of_field(self, b_target):
-        """Unique axial position where B equals ``b_target`` (monotonicity).
-
-        Memoized per map: the ``_MEMO_SIZE`` targets found last are kept; a
-        target that raises is not."""
-        z = self._positions.get(b_target)
-        if z is None:
-            z = self._positions[b_target] = self._invert(b_target)
-            if len(self._positions) > _MEMO_SIZE:
-                self._positions.pop(next(iter(self._positions)), None)
-        return z
-
-    def _invert(self, b_target):
+        """Unique axial position where B equals ``b_target`` (monotonicity):
+        the root in the domain, or on a spline in the knot segment whose
+        fields straddle the target."""
         bmin, bmax = self.field_range()
         if not (bmin <= b_target <= bmax):
             raise FieldNotReachable(
@@ -384,7 +387,11 @@ class FieldMap:
         lo, hi = self.domain_m
         if b_target <= self.floor_T:
             raise FieldNotReachable(f"B={b_target} T is at or below the shield floor")
-        return _brentq(lambda z: self._model.value(z) - b_target, lo, hi)
+        if self.model == "monotone_spline":  # knot fields decrease: bisect -b
+            z, b, _ = self._model._knots
+            i = min(max(bisect_right(b, -b_target, key=float.__neg__), 1), len(b) - 1)
+            lo, hi = max(z[i - 1], lo), min(z[i], hi)
+        return _brentq(lambda x: self._model.value(x) - b_target, lo, hi)
 
     def plan_lac_access(self, target_field_T, precision_m=MotionLimits.precision_m,
                         v_max=MotionLimits.v_max):

@@ -11,6 +11,7 @@ import pytest
 
 import fieldcycle
 from fieldcycle.cli import main
+from fieldcycle.fieldmap import FieldMap
 from fieldcycle.spin import MAX_RUN_STEPS
 
 
@@ -431,6 +432,33 @@ def test_a_rising_spline_map_is_a_spec_error(tmp_path, capsys):
     assert record["status"] == "failed"
     assert "$.fieldmap.file" in record["error"]
     assert not (tmp_path / "o" / "lac_plan.csv").exists()
+
+
+# map files whose field does not decrease over their domain: overshooting
+# spline slopes (the field falls to the floor past 0.5 m and climbs back to
+# 2.9 T), a spline domain past the last knot (the end cubic climbs above
+# 7 T) and a solenoid domain below z = 0 (the field rises towards z = 0)
+@pytest.mark.parametrize("model, params, domain, target", [
+    ("monotone_spline", {"knots": [[0.0, 7.0, 0.0], [0.5, 3.0, -100.0],
+                                   [1.0, 2.9, 0.0], [1.6, 0.01, 0.0]]},
+     [0.0, 1.6], 2.5),
+    ("monotone_spline", {"knots": [[0.0, 7.0, -1.0], [1.0, 0.5, -0.1]]},
+     [0.0, 1.6], 0.5),
+    ("finite_solenoid", {"b0_T": 7.0, "half_length_m": 0.1, "radius_m": 0.12},
+     [-0.5, 1.6], 2.5),
+], ids=["overshooting-slopes", "domain-past-last-knot", "domain-below-zero"])
+def test_a_map_whose_field_does_not_decrease_is_a_spec_error(
+        tmp_path, capsys, model, params, domain, target):
+    doc = {"schema": 1, "model": model, "params": params, "domain_m": domain,
+           "floor_T": 0.001}
+    with pytest.raises(ValueError, match="strictly decrease"):
+        FieldMap.from_json(json.dumps(doc))
+    (tmp_path / "map.json").write_text(json.dumps(doc))
+    assert main(["plan-lac", "--quiet", "--target", str(target), "--map",
+                 str(tmp_path / "map.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: $.fieldmap.file: cannot load ")
+    assert "strictly decrease" in err
 
 
 @pytest.mark.parametrize("doc", [

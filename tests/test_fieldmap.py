@@ -395,9 +395,20 @@ def test_a_degenerate_solenoid_geometry_is_rejected_by_key(key, bad):
             FieldMap(model="finite_solenoid", params=params)
 
 
+def _bracket(fmap, b):
+    """The domain, or on a spline the knot segment whose fields straddle
+    ``b``, clipped to the domain."""
+    lo, hi = fmap.domain_m
+    if fmap.model == "finite_solenoid":
+        return lo, hi
+    z, fields = fmap._model.z, fmap._model.b
+    i = int(np.clip(np.searchsorted(-fields, -b, side="right"), 1, len(z) - 1))
+    return max(float(z[i - 1]), lo), min(float(z[i]), hi)
+
+
 def test_inversion_matches_brent_on_the_array_model(ref_map):
     # the float-only inversion finds the root _brentq finds on the vector
-    # model, and targets at or below the floor still fail
+    # model over the same bracket, and targets at or below the floor still fail
     knots = [[0.0, 7.0, -20.0], [0.5, 0.05, -0.3], [1.0, 0.002, -0.004],
              [1.5, 0.0002, -0.0002]]
     clamped = FieldMap(model="monotone_spline", params={"knots": knots},
@@ -413,7 +424,8 @@ def test_inversion_matches_brent_on_the_array_model(ref_map):
             if b <= fmap.floor_T:
                 continue
             f = lambda z: fmap._model(z) - b  # noqa: E731
-            root = lo if f(lo) <= 0 else hi if f(hi) >= 0 else _brentq(f, lo, hi)
+            za, zb = _bracket(fmap, b)
+            root = za if f(za) <= 0 else zb if f(zb) >= 0 else _brentq(f, za, zb)
             assert fmap.position_of_field(b) == root
         for b in (fmap.floor_T, 0.9 * fmap.floor_T, 0.0, -1.0):
             with pytest.raises(FieldNotReachable):
@@ -467,6 +479,67 @@ def test_spline_rejects_knots_that_are_not_decreasing(knots):
         FieldMap.from_json(json.dumps(doc))
 
 
+# Fritsch-Carlson pairs (a, b): each knot slope over the secant
+@pytest.mark.parametrize("a, b, monotone", [
+    (0.0, 0.0, True), (2.0, 0.0, True), (1.5, 3.0, True), (3.0, 3.0, True),
+    (4.0, 1.0, True), (1.0, 4.0, True), (3.1, 3.1, False), (5.0, 0.0, False),
+    (0.5, 4.0, False), (4.1, 1.0, False), (-0.1, 1.0, False)])
+def test_spline_accepts_exactly_the_monotone_region(a, b, monotone):
+    # secant -1 over [0, 1]: the slopes are -a and -b; the sampled cubic
+    # rises somewhere exactly when the check refuses it
+    knots = [[0.0, 7.0, -a], [1.0, 6.0, -b]]
+    field = _HermiteSpline(*zip(*knots))(np.linspace(0.0, 1.0, 100001))
+    assert bool(np.all(np.diff(field) < 0)) == monotone
+    doc = {"schema": 1, "model": "monotone_spline", "params": {"knots": knots},
+           "domain_m": [0.0, 1.0], "floor_T": 1e-3}
+    if monotone:
+        FieldMap.from_json(json.dumps(doc))
+    else:
+        with pytest.raises(ValueError, match="strictly decrease"):
+            FieldMap.from_json(json.dumps(doc))
+
+
+# the CLI tests hold a spline domain past the last knot and a solenoid
+# domain below z = 0
+@pytest.mark.parametrize("model, params, domain", [
+    ("monotone_spline", {"knots": [[0.1, 7.0, -1.0], [1.6, 0.5, -0.1]]},
+     (0.0, 1.6)),
+    ("finite_solenoid", known_solenoid(), (0.0, math.inf)),
+    ("finite_solenoid", known_solenoid(), (0.0, float("nan"))),
+    ("finite_solenoid", known_solenoid(), (0.8, 0.8)),
+    ("finite_solenoid", known_solenoid(), (1.6, 0.0)),
+], ids=["before-first-knot", "infinite", "nan", "empty", "reversed"])
+def test_domain_must_lie_where_the_field_decreases(model, params, domain):
+    with pytest.raises(ValueError, match="strictly decrease"):
+        FieldMap(model=model, params=params, domain_m=domain)
+
+
+def test_calibrated_maps_pass_the_map_check():
+    # every map calibrate returns loads again, and its field does not rise
+    # over the domain (the floor clamp may hold it level)
+    maps = 0
+    for anchors in _fuzz_sets(50):
+        try:
+            fmap = calibrate(anchors)
+        except (NoConvergence, NonMonotonicModel):
+            continue
+        loaded = FieldMap.from_json(fmap.to_json())
+        assert np.all(np.diff(loaded.field_at(np.linspace(0.0, 1.6, 20001))) <= 0)
+        maps += 1
+    assert maps > 40
+
+
+def test_segment_root_is_the_whole_domain_root(ref_map):
+    # bracketing the knot segment moves a position within _brentq's
+    # absolute tolerance, 1e-14 m (at most 5.1e-15 m seen)
+    lo, hi = ref_map.domain_m
+    bmin, bmax = ref_map.field_range()
+    rng = np.random.default_rng(25)
+    for b in np.exp(rng.uniform(np.log(bmin), np.log(bmax), 2000)).tolist():
+        whole = _brentq(lambda z: ref_map._model.value(z) - b, lo, hi)
+        assert abs(ref_map.position_of_field(b) - whole) <= 1e-14
+
+
 def test_frozen_reference_map_matches_calibration():
     # the shipped map is the calibration of the reference anchors, byte for
     # byte: regenerate it when the anchors or the fit change
@@ -509,10 +582,9 @@ def test_brentq_raises_without_a_bracket_or_convergence():
 
 
 def test_replaced_map_evaluates_its_own_knots(ref_map):
-    ref_map.position_of_field(0.051)  # the shared map's memo is warm
+    ref_map.position_of_field(0.051)
     doubled = replace(ref_map, params={
         "knots": [[z, 2 * b, 2 * m] for z, b, m in ref_map.params["knots"]]})
-    assert doubled._positions == {}
     assert doubled._model is not ref_map._model
     assert float(doubled.field_at(0.5)) == 2 * float(ref_map.field_at(0.5))
     # the doubled field crosses 0.102 T where the reference crosses 0.051 T
@@ -521,20 +593,16 @@ def test_replaced_map_evaluates_its_own_knots(ref_map):
         ref_map.field_at(0.5)
 
 
-def test_position_memo_is_bit_identical_and_skips_failures(ref_map, monkeypatch):
+def test_position_of_field_is_repeatable_and_keeps_no_state(ref_map):
+    # a map holds only what it was built from: a query, answered or
+    # refused, leaves it as it was and gives the same float again
     targets = [0.008, 0.03, 0.051, 0.102, 1.5, 7.0]
-    fresh = lambda: FieldMap.from_json(ref_map.to_json())  # noqa: E731
-    cold = [fresh().position_of_field(b) for b in targets]
-    fmap = fresh()
+    fmap = FieldMap.from_json(ref_map.to_json())
+    before = dict(vars(fmap))
     first = [fmap.position_of_field(b) for b in targets]
-    assert list(fmap._positions) == targets
-    warm = [fmap.position_of_field(b) for b in targets]
-    assert cold == first == warm
     for bad in (8.0, 5e-4, float("nan")):
         with pytest.raises(FieldNotReachable):
             fmap.position_of_field(bad)
-    assert list(fmap._positions) == targets
-    monkeypatch.setattr(fm, "_MEMO_SIZE", 4)
-    small = fresh()
-    assert [small.position_of_field(b) for b in targets] == cold
-    assert list(small._positions) == targets[2:]
+    assert [fmap.position_of_field(b) for b in targets] == first
+    assert all(vars(fmap)[k] is v for k, v in before.items())
+    assert vars(fmap).keys() == before.keys()

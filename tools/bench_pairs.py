@@ -18,7 +18,11 @@ last line of standard output is its JSON result.
 The file holds the commands, the machine block of the first run, the runs
 themselves (``untraced``, ``traced_<workload>``), and per workload and
 end-to-end metric of BENCHMARK.json a ``summary``: medians and quartiles of
-both trees, ``pairs_change_better`` and ``change_over_parent``.
+both trees, ``pairs_change_better`` and ``change_over_parent``, and the
+median change/parent ratio of the pairs where the parent ran first
+(``ratio_parent_first``) and of those where the change ran first
+(``ratio_change_first``): a gap between the two shows that a pair's second
+run reads differently from its first.
 ``unresolved`` lists every metric whose quartile spread, (q3 - q1) / median,
 reaches its bound in BENCHMARK.json on either tree: such a metric cannot be
 told apart from noise.  BENCHMARK.json is only read.
@@ -78,19 +82,29 @@ def _quartiles(values):
     return [q[0], q[2]]
 
 
+def parent_first(pair):
+    """Whether the parent runs first in pair ``pair`` (0-based)."""
+    return pair % 2 == 0
+
+
 def summarize(runs, end_to_end):
     """Per metric: medians, quartiles, pairs the change wins, the ratio of
-    medians; and the metrics whose spread reaches their bound."""
+    medians, the median pair ratio by run order; and the metrics whose
+    spread reaches their bound."""
     summary, unresolved = {}, []
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
         values = {tree: [r[name] for r in runs[tree] if name in r]
                   for tree in ("parent", "change")}
-        pairs = [(p[name], c[name]) for p, c in zip(runs["parent"],
-                                                    runs["change"])
+        pairs = [(p[name], c[name], parent_first(p["pair"]))
+                 for p, c in zip(runs["parent"], runs["change"])
                  if name in p and name in c]
-        wins = sum((c > p) if higher else (c < p) for p, c in pairs)
+        wins = sum((c > p) if higher else (c < p) for p, c, _ in pairs)
         entry = {}
+        for key, first in (("ratio_parent_first", True),
+                           ("ratio_change_first", False)):
+            ratios = [c / p for p, c, f in pairs if f == first and p]
+            entry[key] = statistics.median(ratios) if ratios else None
         for tree, vals in values.items():
             med = statistics.median(vals) if vals else None
             q = _quartiles(vals)
@@ -142,7 +156,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for pair in range(args.pairs):
-                order = ("parent", "change") if pair % 2 == 0 \
+                order = ("parent", "change") if parent_first(pair) \
                     else ("change", "parent")
                 for tree in order:
                     result, machine, cmd = fcbench(

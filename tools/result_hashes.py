@@ -22,8 +22,10 @@ the default and the cryo sequence, a short move validated and simulated, a
 spec with violations (exit 2), three numerical failures (exit 4: a T1
 field below the map floor, a DNP Rabi frequency of 1e300 Hz, whose |H| T
 sum overflows, and one of 1e14 Hz, whose run may exceed the step cap),
-a T1 map and the default sequence on a map whose centre is 5 T, and a
-spline map file whose knot fields rise (exit 3).
+a T1 map and the default sequence on a map whose centre is 5 T, a spline
+map file whose knot fields rise, and three map files whose field does
+not decrease over the domain (exit 3 each): spline slopes that overshoot,
+a spline domain past the last knot and a solenoid domain below z = 0.
 It uses only the standard library.
 """
 
@@ -71,6 +73,18 @@ RISING_MAP = {
     "params": {"knots": [[0.0, 7.0, 0.0], [0.5, 0.05, -1.0],
                          [1.0, 0.2, 5.0], [1.6, 0.001, 0.0]]},
     "domain_m": [0.0, 1.6], "floor_T": 0.001,
+}
+
+# fields that do not decrease over the domain: the first spline falls to the
+# floor past 0.5 m and climbs back to 2.9 T, the second's end cubic climbs
+# back past its last knot, and the solenoid's field rises up to z = 0
+NOT_DECREASING_MAPS = {
+    "overshoot_map": dict(RISING_MAP, params={"knots": [
+        [0.0, 7.0, 0.0], [0.5, 3.0, -100.0], [1.0, 2.9, 0.0],
+        [1.6, 0.01, 0.0]]}),
+    "short_knots_map": dict(RISING_MAP, params={"knots": [
+        [0.0, 7.0, -1.0], [1.0, 0.5, -0.1]]}),
+    "below_zero_map": dict(SOLENOID_MAP, domain_m=[-0.5, 1.6]),
 }
 
 
@@ -172,7 +186,10 @@ COMMANDS = [(f"run-{name}", ["run", "--spec", f"{name}.json", "--out", "res"])
     ("calibrate-field-spline", ["calibrate-field", "--anchors", "solenoid.csv",
                                 "--model", "monotone_spline",
                                 "--out", "res/map.json"]),
-]
+] + [(f"plan-lac-{name}", ["plan-lac", "--target", target, "--map",
+                          f"{name}.json"])
+     for name, target in (("overshoot_map", "2.5"), ("short_knots_map", "0.5"),
+                          ("below_zero_map", "2.5"))]
 
 
 def _write_inputs(folder: Path):
@@ -182,6 +199,8 @@ def _write_inputs(folder: Path):
     (folder / "solenoid_map.json").write_text(json.dumps(SOLENOID_MAP))
     (folder / "centre_5T.csv").write_text(CENTRE_5T_ANCHORS)
     (folder / "rising_map.json").write_text(json.dumps(RISING_MAP))
+    for name, doc in NOT_DECREASING_MAPS.items():
+        (folder / f"{name}.json").write_text(json.dumps(doc))
     for name, doc in SPECS.items():
         (folder / f"{name}.json").write_text(json.dumps(doc))
 

@@ -226,6 +226,8 @@ class _HermiteSpline:
 
     def __init__(self, z, b, m):
         self.z, self.b, self.m = (np.array(v, float) for v in (z, b, m))
+        if not all(np.isfinite(v).all() for v in (self.z, self.b, self.m)):
+            raise ValueError("spline knot positions, fields and slopes must be finite")
         if len(self.z) < 2 or not np.all(np.diff(self.z) > 0):
             raise ValueError("spline needs two or more strictly increasing knots")
         for v in (self.z, self.b, self.m):
@@ -321,8 +323,7 @@ class FieldMap:
             model = _HermiteSpline(*([k[i] for k in p["knots"]] for i in range(3)))
             # each cubic decreases where its slopes over the secant, a and c,
             # lie in the Fritsch-Carlson region (SIAM J. Numer. Anal. 17, 238
-            # (1980)); a phi that overflows to NaN lies outside it.  NaN knots
-            # pass here, from_json rejects a non-finite range
+            # (1980)); a phi that overflows to NaN lies outside it
             sec = np.diff(model.b) / np.diff(model.z)
             with np.errstate(all="ignore"):
                 a, c = model.m[:-1] / sec, model.m[1:] / sec
@@ -333,6 +334,9 @@ class FieldMap:
                                      "with slopes that keep each segment monotone")
             span = model.z[0], model.z[-1]
         else:
+            if not math.isfinite(p["b0_T"]):
+                raise ValueError(f"finite_solenoid b0_T must be finite, "
+                                 f"got {p['b0_T']!r}")
             for key in ("half_length_m", "radius_m"):
                 if not (math.isfinite(p[key]) and p[key] > 0):
                     raise ValueError(f"finite_solenoid {key} must be finite "

@@ -201,11 +201,13 @@ def sample_trajectory(profile: MotionProfile, dt: float) -> Trajectory:
         raise MemoryError(f"cannot allocate {n:.3g} trajectory samples "
                           f"at dt {dt!r} s")
     grid = np.arange(0.0, bounds[-1] + 0.5 * dt, dt)
+    # the grid points strictly inside each segment, by bisection on the grid
+    first = np.searchsorted(grid, bounds[:-1], side="right")
+    stop = np.searchsorted(grid, bounds[1:], side="left")
     times, zs, vs, accs = [], [], [], []
     for k, seg in enumerate(profile.segments):
         t0, t1 = bounds[k], bounds[k + 1]
-        inner = grid[(grid > t0) & (grid < t1)]
-        tk = np.concatenate([[t0], inner, [t1]])
+        tk = np.concatenate([[t0], grid[first[k]:stop[k]], [t1]])
         z, v = _segment_states(seg, tk - t0)
         times.append(tk)
         zs.append(z)

@@ -415,11 +415,9 @@ def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     protocols = p["protocols"]
     if p["centre"]:  # the default fields end at the magnet centre
         protocols = protocols + [_t1_protocol(p, fmap.field_at(fmap.domain_m[0]))]
-    base_seed = derive_seed(spec.seed, "relaxometry")
-    curves = [rx.simulate_protocol(prot, fmap, spec.limits, p["model"],
-                                   seed=base_seed + i,
-                                   noise_sigma=p["noise_sigma"])
-              for i, prot in enumerate(protocols)]
+    curves = rx.simulate_protocol(protocols, fmap, spec.limits, p["model"],
+                                  seed=derive_seed(spec.seed, "relaxometry"),
+                                  noise_sigma=p["noise_sigma"])
     fields = [prot.B_relax_T for prot in protocols]
     for b, curve in zip(fields, curves):
         ws.write(f"curve_B{b:g}T.csv", curve.to_csv())

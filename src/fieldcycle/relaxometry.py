@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitDiverged, InsufficientPoints, NoConvergence
-from .motion import MotionLimits, plan, sample_trajectory
+from .motion import MotionLimits, plan
 from .util import _brentq, csv_text
 
 __all__ = [
@@ -40,7 +40,32 @@ _MIN_POINTS = 4
 _T1_MIN_S = 1e-9
 _T1_MAX_SPANS = 1e6
 _LOG_FLOAT_MAX = 709.0  # exp() of anything larger overflows a float
-_DT_S = 1e-4  # shuttle trajectory sampling step for the loss integral
+_RTOL = 1e-10  # a loss piece is done when |K15 - G7| is this share of K15
+_MAX_SPLITS = 64  # loss piece bisections allowed per move, pooled over a map
+# Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15), mirrored about 0: the
+# Kronrod nodes and weights, and the Gauss weights on every other node
+_GK_NODES = np.array([0.991455371120812639206854697526329,
+                      0.949107912342758524526189684047851,
+                      0.864864423359769072789712788640926,
+                      0.741531185599394439863864773280788,
+                      0.586087235467691130294144845693013,
+                      0.405845151377397166906606412076961,
+                      0.207784955007898467600689403773245, 0.0])
+_GK_WEIGHTS = np.array([0.022935322010529224963732008058970,
+                        0.063092092629978553290700663189204,
+                        0.104790010322250183839876322541518,
+                        0.140653259715525918745189590510238,
+                        0.169004726639267902826583426598550,
+                        0.190350578064785409913256402421014,
+                        0.204432940075298892414161999234649,
+                        0.209482141084727828012999174891714])
+_G7_WEIGHTS = np.array([0.0, 0.129484966168869693270611432679082,
+                        0.0, 0.279705391489276667901467771423780,
+                        0.0, 0.381830050505118944950369775488975,
+                        0.0, 0.417959183673469387755102040816327])
+_GK_NODES = np.concatenate([-_GK_NODES, _GK_NODES[-2::-1]])
+_GK_WEIGHTS, _G7_WEIGHTS = (np.concatenate([w, w[-2::-1]])
+                            for w in (_GK_WEIGHTS, _G7_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -107,36 +132,88 @@ class DecayCurve:
         return csv_text(["T_relax_s", "signal_au"], zip(*self.points))
 
 
-def _shuttle_log_loss(z_from, z_to, fmap, limits, model):
-    """Integral of 1/T1 along one shuttle move (trapezoid on the sampled
-    trajectory; boundary samples are duplicated so the rule is exact per
-    segment)."""
-    dist = abs(z_to - z_from)
-    if dist == 0.0:
-        return 0.0
-    prof = plan(dist, limits, z_start=z_from, direction=1.0 if z_to > z_from else -1.0)
-    traj = sample_trajectory(prof, _DT_S)
-    rate = 1.0 / t1_of_field(fmap.field_at(traj.z), model)
-    return float(np.trapezoid(rate, traj.t))
+def _shuttle_losses(moves, fmap, limits, model):
+    """Integral of 1/T1 along each (z_from, z_to) move, for every move at
+    once, by adaptive Gauss-Kronrod 7/15 quadrature (QUADPACK qk15,
+    Piessens et al. 1983).  Each motion segment is cut where it crosses a
+    spline knot, so every piece's integrand is smooth; a piece whose
+    |K15 - G7| exceeds ``_RTOL`` of K15 is bisected, in rounds that share
+    one ``field_at`` call.  A non-finite piece, or more than ``_MAX_SPLITS``
+    bisections per move, is NoConvergence."""
+    segs = [(i, seg) for i, (a, b) in enumerate(moves) if a != b
+            for seg in plan(abs(b - a), limits, z_start=a,
+                            direction=1.0 if b > a else -1.0).segments]
+    losses = np.zeros(len(moves))
+    if not segs:
+        return losses
+    move = np.array([i for i, _ in segs])
+    dur, acc, v0, z0 = np.array([(s.duration_s, s.accel_m_s2, s.v_start_m_s,
+                                  s.z_start_m) for _, s in segs]).T
+    # knot crossings strictly inside each segment: z(t) - z0 = s solved in
+    # the form without cancellation (v0 and the root share the move's sign)
+    z1 = z0 + dur * (v0 + 0.5 * acc * dur)
+    knots = np.array([k[0] for k in fmap.params.get("knots", ())])
+    first = np.searchsorted(knots, np.minimum(z0, z1), side="right")
+    count = np.maximum(np.searchsorted(knots, np.maximum(z0, z1)) - first, 0)
+    sid = np.repeat(np.arange(len(segs)), count)
+    k = first[sid] + np.arange(len(sid)) - (np.cumsum(count) - count)[sid]
+    shift = knots[k] - z0[sid]
+    root = np.copysign(np.sqrt(np.maximum(v0[sid] ** 2 + 2 * acc[sid] * shift, 0.0)),
+                       shift)
+    cuts = np.clip(2 * shift / (v0[sid] + root), 0.0, dur[sid])
+    # breakpoints per segment in time order: 0, the crossings, the duration
+    at = np.arange(len(segs))
+    owner = np.concatenate([at, sid, at])
+    times = np.concatenate([np.zeros(len(segs)), cuts, dur])
+    order = np.lexsort((times, owner))
+    owner, times = owner[order], times[order]
+    inner = owner[1:] == owner[:-1]
+    seg, lo, hi = owner[:-1][inner], times[:-1][inner], times[1:][inner]
+    budget = _MAX_SPLITS * len(moves)
+    while seg.size:
+        half = 0.5 * (hi - lo)
+        tau = (lo + half)[:, None] + half[:, None] * _GK_NODES
+        z = z0[seg, None] + tau * (v0[seg, None] + 0.5 * acc[seg, None] * tau)
+        b = fmap.field_at(z)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below
+            rate = 1.0 / t1_of_field(b, model)
+            k15, g7 = half * (rate @ _GK_WEIGHTS), half * (rate @ _G7_WEIGHTS)
+        if not np.all(np.isfinite(k15)):
+            raise NoConvergence("shuttle loss integrand is not finite")
+        done = abs(k15 - g7) <= _RTOL * k15
+        losses += np.bincount(move[seg[done]], k15[done], minlength=len(moves))
+        split = ~done
+        budget -= np.count_nonzero(split)
+        if budget < 0:
+            raise NoConvergence(f"shuttle loss quadrature needs more than "
+                                f"{_MAX_SPLITS} bisections per move")
+        mid = lo[split] + half[split]
+        seg = np.concatenate([seg[split], seg[split]])
+        lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+    return losses
 
 
-def simulate_protocol(protocol: RelaxometryProtocol, fmap,
+def simulate_protocol(protocols: Sequence[RelaxometryProtocol], fmap,
                       limits: MotionLimits = MotionLimits(),
                       model: RelaxationModel = RelaxationModel(),
                       seed: Optional[int] = None,
-                      noise_sigma: float = 0.0) -> DecayCurve:
-    """Detected signal versus wait time for one relaxation field, detected at
-    the magnet centre: a monoexponential decay at T1(B_relax) whose amplitude
-    carries the anti-aligned start and the loss along both shuttle moves."""
-    z_pol = fmap.position_of_field(protocol.B_pol_T)
-    z_relax = fmap.position_of_field(protocol.B_relax_T)
-    t1_relax = float(t1_of_field(protocol.B_relax_T, model))
-
-    loss = (_shuttle_log_loss(z_pol, z_relax, fmap, limits, model)
-            + _shuttle_log_loss(z_relax, fmap.domain_m[0], fmap, limits, model))
-    return synthetic_decay(t1_relax, protocol.T_relax_list_s,
-                           amplitude=-math.exp(-loss),
-                           noise_sigma=noise_sigma, seed=seed)
+                      noise_sigma: float = 0.0) -> list[DecayCurve]:
+    """Detected signal versus wait time for each protocol's relaxation field,
+    detected at the magnet centre: a monoexponential decay at T1(B_relax)
+    whose amplitude carries the anti-aligned start and the loss along both
+    shuttle moves.  Curve i draws its noise from ``seed + i``."""
+    z_pol = {b: fmap.position_of_field(b) for b in {p.B_pol_T for p in protocols}}
+    moves = []
+    for prot in protocols:
+        z_relax = fmap.position_of_field(prot.B_relax_T)
+        moves += [(z_pol[prot.B_pol_T], z_relax), (z_relax, fmap.domain_m[0])]
+    losses = _shuttle_losses(moves, fmap, limits, model)
+    loss = losses[0::2] + losses[1::2]
+    return [synthetic_decay(float(t1_of_field(prot.B_relax_T, model)),
+                            prot.T_relax_list_s, amplitude=-math.exp(-loss[i]),
+                            noise_sigma=noise_sigma,
+                            seed=None if seed is None else seed + i)
+            for i, prot in enumerate(protocols)]
 
 
 def synthetic_decay(T1_s: float, waits: Sequence[float],

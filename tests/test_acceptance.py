@@ -170,15 +170,14 @@ def test_criterion_08_relaxometry_round_trip(ref_map):
                 target, rel=1e-12)
             waits = tuple(np.linspace(0.2 * target, 2.0 * target, 200))
             prot = rx.RelaxometryProtocol(B_relax_T=b_relax, T_relax_list_s=waits)
-            clean = rx.simulate_protocol(prot, ref_map, model=model)
+            clean, = rx.simulate_protocol([prot], ref_map, model=model)
             fit = rx.fit_decay(clean)
             assert fit.T1_s == pytest.approx(target, rel=1e-3)  # 0.1% noiseless
 
             sigma = abs(clean.signals[0]) / 20.0  # SNR 20 at the first point
             bad = 0
-            for trial in range(200):
-                noisy = rx.simulate_protocol(prot, ref_map, model=model,
-                                             seed=900 + trial, noise_sigma=sigma)
+            for noisy in rx.simulate_protocol([prot] * 200, ref_map, model=model,
+                                              seed=900, noise_sigma=sigma):
                 f = rx.fit_decay(noisy)
                 if abs(f.T1_s - target) / target > 0.05:
                     bad += 1
@@ -186,12 +185,12 @@ def test_criterion_08_relaxometry_round_trip(ref_map):
 
         # synthetic field map: monotone, knee between 0.1 and 1 T, anchors
         fields = [0.008, 0.1, 0.5, 1.0, 7.0]
-        curves = []
+        protocols = []
         for b in fields:
             t1b = float(rx.t1_of_field(b, base))
-            prot = rx.RelaxometryProtocol(
-                B_relax_T=b, T_relax_list_s=tuple(np.linspace(0.2 * t1b, 2 * t1b, 16)))
-            curves.append(rx.simulate_protocol(prot, ref_map, model=base))
+            protocols.append(rx.RelaxometryProtocol(
+                B_relax_T=b, T_relax_list_s=tuple(np.linspace(0.2 * t1b, 2 * t1b, 16))))
+        curves = rx.simulate_protocol(protocols, ref_map, model=base)
         t1map = rx.build_t1_map(fields, curves)
         values = t1map.t1_values()
         assert np.all(np.diff(values) > 0)

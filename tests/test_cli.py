@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import fieldcycle
+from fieldcycle import relaxometry
 from fieldcycle.cli import main
 from fieldcycle.fieldmap import FieldMap
 from fieldcycle.spin import MAX_RUN_STEPS
@@ -459,6 +461,46 @@ def test_a_map_whose_field_does_not_decrease_is_a_spec_error(
     err = capsys.readouterr().err
     assert err.startswith("spec error: $.fieldmap.file: cannot load ")
     assert "strictly decrease" in err
+
+
+def test_a_map_with_a_nan_interior_knot_is_a_spec_error(tmp_path, capsys):
+    # it used to load, and the inversion beside the knot failed (exit 4)
+    (tmp_path / "map.json").write_text(json.dumps({
+        "schema": 1, "model": "monotone_spline",
+        "params": {"knots": [[0.0, 7.0, -1.0], [0.5, 5.0, -4.0],
+                             [1.0, math.nan, -4.0], [1.3, 2.0, -4.0],
+                             [1.6, 0.5, -4.0]]},
+        "domain_m": [0.0, 1.6], "floor_T": 0.001}))
+    assert main(["plan-lac", "--quiet", "--target", "3.0", "--map",
+                 str(tmp_path / "map.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: $.fieldmap.file: cannot load ")
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("t1, cap, error", [
+    ({"relaxation": {"exponent": 50, "B_knee_T": 0.3}}, 0,
+     "shuttle loss quadrature needs more than 0 bisections per move"),
+    ({"relaxation": {"T1_max_s": 2e-320, "T1_min_s": 1e-320}}, None,
+     "shuttle loss integrand is not finite"),
+], ids=["split-cap", "non-finite"])
+def test_a_loss_quadrature_that_cannot_converge_fails_at_once(
+        tmp_path, monkeypatch, capsys, t1, cap, error):
+    # a steep T1 knee needs bisections past a cap of 0; a T1 of 1e-320 s
+    # gives an infinite loss rate, which no bisection can mend
+    if cap is not None:
+        monkeypatch.setattr(relaxometry, "_MAX_SPLITS", cap)
+    spec = write_spec(tmp_path, {"schema_version": 1, "kind": "t1_field_map",
+                                 "seed": 1, "t1": t1})
+    start = time.monotonic()
+    assert main(["run", "--quiet", "--spec", spec, "--out",
+                 str(tmp_path / "o")]) == 4
+    assert time.monotonic() - start < 5.0
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
+    record = json.loads((tmp_path / "o" / "runrecord.json").read_text())
+    assert record["status"] == "failed"
+    assert record["error"].startswith("NoConvergence")
+    assert not list((tmp_path / "o").glob("curve_*.csv"))
 
 
 @pytest.mark.parametrize("doc", [

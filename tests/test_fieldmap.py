@@ -433,13 +433,37 @@ def test_inversion_matches_brent_on_the_array_model(ref_map):
 
 
 @pytest.mark.parametrize("knot_field, floor", [
-    (7.0, 1e-3), (7.0, 10.0), (float("nan"), 1e-3), (7.0, float("nan"))])
+    (7.0, 1e-3), (7.0, 10.0), (7.0, float("nan"))])
 def test_field_range_clamps_like_field_at(knot_field, floor):
     fmap = FieldMap(model="monotone_spline",
                     params={"knots": [[0.0, knot_field, -1.0], [1.6, 0.5, -0.1]]},
                     floor_T=floor)
     expected = [float(fmap.field_at(z)) for z in (1.6, 0.0)]
     assert np.array_equal(fmap.field_range(), expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("model, key, index, value", [
+    ("monotone_spline", "knots", (0, 1), float("nan")),
+    ("monotone_spline", "knots", (1, 1), float("nan")),
+    ("monotone_spline", "knots", (1, 0), float("nan")),
+    ("monotone_spline", "knots", (1, 2), float("nan")),
+    ("monotone_spline", "knots", (2, 2), -math.inf),
+    ("finite_solenoid", "b0_T", None, float("nan")),
+    ("finite_solenoid", "b0_T", None, math.inf),
+    ("finite_solenoid", "half_length_m", None, float("nan")),
+    ("finite_solenoid", "radius_m", None, math.inf),
+], ids=["knot-field-nan", "interior-knot-field-nan", "knot-position-nan",
+        "knot-slope-nan", "knot-slope-inf", "b0-nan", "b0-inf",
+        "half-length-nan", "radius-inf"])
+def test_a_non_finite_map_parameter_is_rejected(model, key, index, value):
+    if model == "monotone_spline":
+        knots = [[0.0, 7.0, -1.0], [0.8, 0.5, -0.5], [1.6, 0.01, -0.01]]
+        knots[index[0]][index[1]] = value
+        params = {"knots": knots}
+    else:
+        params = dict(known_solenoid(), **{key: value})
+    with pytest.raises(ValueError, match="finite"):
+        FieldMap(model=model, params=params)
 
 
 def test_floor_clamp_and_shield_flag():

@@ -18,6 +18,22 @@ def integrate_trajectory(traj):
     return z, v
 
 
+def sample_with_masks(profile, dt):
+    """Oracle: ``sample_trajectory`` as it selected each segment's grid
+    points, by two comparisons over the whole grid."""
+    bounds = profile.boundary_times()
+    grid = np.arange(0.0, bounds[-1] + 0.5 * dt, dt)
+    parts = []
+    for k, seg in enumerate(profile.segments):
+        t0, t1 = bounds[k], bounds[k + 1]
+        tk = np.concatenate([[t0], grid[(grid > t0) & (grid < t1)], [t1]])
+        tau = tk - t0
+        z = seg.z_start_m + seg.v_start_m_s * tau + 0.5 * seg.accel_m_s2 * tau ** 2
+        v = seg.v_start_m_s + seg.accel_m_s2 * tau
+        parts.append((tk, z, v, np.full_like(tk, seg.accel_m_s2)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
 def field_vs_time(prof, fmap, dt):
     """B(t) along a move as ``plan-motion --out`` writes it to
     trajectory.csv: the sampled positions through the map."""
@@ -262,3 +278,23 @@ def test_replace_with_a_new_seed_starts_that_seed_stream():
     fresh = JitterModel(sigma_s=2.6e-3, seed=1)
     fresh.draw(3)
     assert a.draw(3).tolist() == fresh.draw(3).tolist()  # a's stream did not move
+
+
+def test_sampling_matches_the_whole_grid_masks():
+    """Byte for byte against the two-mask selection, on 600 random moves
+    and steps, including steps that land grid points on segment bounds."""
+    rng = np.random.default_rng(7)
+    for i in range(600):
+        limits = MotionLimits(v_max=float(rng.uniform(0.2, 3.0)),
+                              a_max=float(rng.uniform(5.0, 60.0)))
+        prof = plan(float(rng.uniform(0.0, 1.6)), limits,
+                    z_start=float(rng.uniform(0.0, 1.6)),
+                    direction=1.0 if i % 2 else -1.0)
+        if not prof.segments:
+            continue
+        dt = (prof.boundary_times()[1] / int(rng.integers(1, 50)) if i % 3 == 0
+              else float(10 ** rng.uniform(-4, -2)))
+        traj = sample_trajectory(prof, dt)
+        for got, want in zip((traj.t, traj.z, traj.v, traj.a),
+                             sample_with_masks(prof, dt)):
+            assert got.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -11,10 +12,12 @@ import pytest
 
 from fieldcycle import relaxometry
 from fieldcycle.errors import FitDiverged, InsufficientPoints
-from fieldcycle.fieldmap import reference_map
-from fieldcycle.motion import MotionLimits
+from fieldcycle.fieldmap import (FieldMap, anchors_from_csv, calibrate,
+                                 reference_map)
+from fieldcycle.motion import MotionLimits, plan, sample_trajectory
+from fieldcycle.orchestrator import parse_spec, run
 from fieldcycle.relaxometry import (DecayCurve, RelaxationModel,
-                                    RelaxometryProtocol, _shuttle_log_loss,
+                                    RelaxometryProtocol, _shuttle_losses,
                                     build_t1_map, fit_decay, invert_t1,
                                     simulate_protocol, synthetic_decay,
                                     t1_of_field)
@@ -55,7 +58,7 @@ def test_instant_shuttle_matches_closed_form(ref_map):
     instant = synthetic_decay(t1r, prot.T_relax_list_s, amplitude=-1.0)
     expect = np.exp(-instant.waits / t1r)
     assert np.max(np.abs(instant.signals + expect)) < 1e-15
-    curve = simulate_protocol(prot, ref_map)
+    curve, = simulate_protocol([prot], ref_map)
     sig = np.abs(curve.signals)
     assert np.max(np.abs(sig / sig[0] - expect / expect[0])) < 1e-6
 
@@ -63,7 +66,7 @@ def test_instant_shuttle_matches_closed_form(ref_map):
 def test_infinite_t1_gives_flat_curve(ref_map):
     calm = RelaxationModel(T1_max_s=1e12, T1_min_s=1e11)
     prot = RelaxometryProtocol(B_relax_T=0.008, T_relax_list_s=(1.0, 2.0, 4.0))
-    curve = simulate_protocol(prot, ref_map, model=calm)
+    curve, = simulate_protocol([prot], ref_map, model=calm)
     assert np.max(np.abs(curve.signals - curve.signals[0])) < 1e-9
 
 
@@ -72,7 +75,7 @@ def test_real_shuttles_cost_signal_with_bound(ref_map):
                                T_relax_list_s=(5.0, 10.0, 20.0, 40.0))
     instant = synthetic_decay(float(t1_of_field(0.008, MODEL)),
                               prot.T_relax_list_s, amplitude=-1.0)
-    real = simulate_protocol(prot, ref_map)
+    real, = simulate_protocol([prot], ref_map)
     ratio = np.abs(real.signals) / np.abs(instant.signals)
     assert np.all(ratio < 1.0)
     # two moves, each 648 ms, never relaxing faster than T1_min
@@ -80,27 +83,100 @@ def test_real_shuttles_cost_signal_with_bound(ref_map):
     assert np.all(ratio >= math.exp(-t_transit / MODEL.T1_min_s))
 
 
-def test_integrator_convergence_on_dt(ref_map, monkeypatch):
-    prot = RelaxometryProtocol(B_relax_T=0.05, T_relax_list_s=(2.0, 5.0, 9.0, 14.0))
-    assert relaxometry._DT_S == 1e-4
-    c1 = simulate_protocol(prot, ref_map)
-    monkeypatch.setattr(relaxometry, "_DT_S", 5e-5)
-    c2 = simulate_protocol(prot, ref_map)
-    assert np.max(np.abs(c1.signals - c2.signals) / np.abs(c1.signals)) < 1e-6
+SOLENOID_MAP = {"schema": 1, "model": "finite_solenoid",
+                "params": {"b0_T": 7.0, "half_length_m": 0.1, "radius_m": 0.12},
+                "domain_m": [0.0, 1.6], "floor_T": 0.001}
+ANCHORS = """kind,position_m,field_T,gradient_T_per_m,tolerance_rel
+field_value,0.0,7.0,,1e-06
+gradient_at_field,,0.051,-0.228,0.01
+gradient_at_field,,0.102,-0.606,0.01
+field_value,,0.03,,0.2
+field_value,1.1,0.008,,0.1
+"""
+
+
+def _trapezoid_loss(z_from, z_to, fmap, model, dt):
+    prof = plan(abs(z_to - z_from), MotionLimits(), z_start=z_from,
+                direction=1.0 if z_to > z_from else -1.0)
+    traj = sample_trajectory(prof, dt)
+    return float(np.trapezoid(1.0 / t1_of_field(fmap.field_at(traj.z), model),
+                              traj.t))
+
+
+def test_shuttle_losses_match_a_fine_trapezoid(ref_map):
+    """Each move's loss is within 1e-12 of a 2.5e-6 s trapezoid on the sampled
+    trajectory, relative, on the reference map, a solenoid map file and an
+    anchor-calibrated map, for relaxation exponents from 0.5 to 200 and
+    knees from 0.05 to 2 T, the extremes included."""
+    maps = [ref_map, FieldMap.from_json(json.dumps(SOLENOID_MAP)),
+            calibrate(anchors_from_csv(ANCHORS))]
+    rng = np.random.default_rng(26)
+    worst = 0.0
+    for fmap in maps:
+        lo, hi = fmap.field_range()
+        z_pol = fmap.position_of_field(max(0.008, 1.01 * lo))
+        shapes = [(0.5, 0.05), (200.0, 2.0)] + [
+            tuple(np.exp(rng.uniform(np.log(a), np.log(b)))
+                  for a, b in ((0.5, 200.0), (0.05, 2.0))) for _ in range(2)]
+        for exponent, knee in shapes:
+            model = RelaxationModel(exponent=float(exponent), B_knee_T=float(knee))
+            moves = []
+            for b in np.exp(rng.uniform(np.log(max(0.01, lo)), np.log(0.99 * hi), 2)):
+                z_relax = fmap.position_of_field(float(b))
+                moves += [(z_pol, z_relax), (z_relax, fmap.domain_m[0])]
+            losses = _shuttle_losses(moves, fmap, MotionLimits(), model)
+            for (a, b), loss in zip(moves, losses):
+                ref = _trapezoid_loss(a, b, fmap, model, 2.5e-6)
+                worst = max(worst, abs(loss - ref) / ref)
+    assert worst < 1e-12
+
+
+def test_a_reference_map_t1_run_integrates_its_losses_in_one_call(
+        tmp_path, monkeypatch):
+    """The default T1 spec (five fields, the last the magnet centre) on the
+    reference map: one field_at call on the centre, one for all ten moves'
+    losses, whose knot-cut pieces all pass the error test at once."""
+    sizes = []
+    field_at = FieldMap.field_at
+
+    def counting(self, z):
+        sizes.append(np.size(z))
+        return field_at(self, z)
+
+    monkeypatch.setattr(FieldMap, "field_at", counting)
+    run(parse_spec({"schema_version": 1, "kind": "t1_field_map", "seed": 1}),
+        tmp_path, quiet=True)
+    assert sizes == [1, 3660]
+
+
+def test_a_batch_equals_its_protocols_run_alone(ref_map):
+    """Curve i of one call is bit for bit the curve of protocol i alone,
+    seeded seed + i: the loss pieces of a move do not depend on the other
+    moves of the map, and each curve draws its own noise."""
+    protocols = [RelaxometryProtocol(B_relax_T=b, T_relax_list_s=(0.5, 1.0, 3.0))
+                 for b in (0.02, 0.3, 2.5, 0.3)]
+    steep = RelaxationModel(exponent=40.0, B_knee_T=0.25)
+    batch = simulate_protocol(protocols, ref_map, model=steep, seed=5,
+                              noise_sigma=0.01)
+    alone = [simulate_protocol([prot], ref_map, model=steep, seed=5 + i,
+                               noise_sigma=0.01)[0]
+             for i, prot in enumerate(protocols)]
+    assert [c.points for c in batch] == [c.points for c in alone]
+    assert batch[1].points != batch[3].points
 
 
 def test_polarization_positive_and_decaying(ref_map):
     """An aligned start reads as the negated anti-aligned curve."""
     prot = RelaxometryProtocol(B_relax_T=0.1,
                                T_relax_list_s=tuple(np.linspace(1, 60, 12)))
-    aligned = -simulate_protocol(prot, ref_map).signals
+    aligned = -simulate_protocol([prot], ref_map)[0].signals
     assert np.all(aligned > 0)
     assert np.all(np.diff(aligned) < 0)
 
 
 def test_anti_aligned_sign_flag(ref_map):
     prot = RelaxometryProtocol(B_relax_T=0.1, T_relax_list_s=(1.0, 2.0, 4.0, 8.0))
-    curve = simulate_protocol(prot, ref_map)
+    curve, = simulate_protocol([prot], ref_map)
     assert np.all(curve.signals < 0)
     fit = fit_decay(curve)
     assert fit.amplitude < 0
@@ -117,11 +193,11 @@ def test_protocol_curve_equals_the_per_wait_loop(ref_map, sign):
     simulate_protocol detects, is that point."""
     prot = RelaxometryProtocol(B_relax_T=0.1,
                                T_relax_list_s=tuple(np.linspace(1, 60, 12)))
-    curve = simulate_protocol(prot, ref_map, seed=3, noise_sigma=0.01)
+    curve, = simulate_protocol([prot], ref_map, seed=3, noise_sigma=0.01)
     z_pol, z_relax, z_det = (ref_map.position_of_field(b) for b in (
         prot.B_pol_T, prot.B_relax_T, 7.0))
-    loss = sum(_shuttle_log_loss(a, b, ref_map, MotionLimits(), MODEL)
-               for a, b in ((z_pol, z_relax), (z_relax, z_det)))
+    loss = sum(_shuttle_losses([(z_pol, z_relax), (z_relax, z_det)], ref_map,
+                               MotionLimits(), MODEL))
     t1 = float(t1_of_field(prot.B_relax_T, MODEL))
     rng = np.random.default_rng(3)
     flip = 1.0 if sign == "anti_aligned" else -1.0
@@ -200,8 +276,8 @@ def _oracle_curves():
         b = float(10 ** rng.uniform(math.log10(0.008), math.log10(7.0)))
         t1b = float(t1_of_field(b, MODEL))
         waits = tuple(np.linspace(0.2 * t1b, 2.0 * t1b, int(rng.integers(4, 25))))
-        curve = simulate_protocol(RelaxometryProtocol(B_relax_T=b, T_relax_list_s=waits),
-                                  fmap, seed=i, noise_sigma=0.01 if i % 4 < 2 else 0.0)
+        curve, = simulate_protocol([RelaxometryProtocol(B_relax_T=b, T_relax_list_s=waits)],
+                                   fmap, seed=i, noise_sigma=0.01 if i % 4 < 2 else 0.0)
         curves.append(DecayCurve(tuple((t, -y) for t, y in curve.points))
                       if i % 2 else curve)
     return curves
@@ -334,12 +410,12 @@ def test_protocol_validation():
 
 def test_t1_map_round_trip_and_knee(ref_map):
     fields = [0.008, 0.1, 0.5, 1.0, 7.0]
-    curves = []
+    protocols = []
     for b in fields:
         t1b = float(t1_of_field(b, MODEL))
-        prot = RelaxometryProtocol(
-            B_relax_T=b, T_relax_list_s=tuple(np.linspace(0.2 * t1b, 2 * t1b, 16)))
-        curves.append(simulate_protocol(prot, ref_map))
+        protocols.append(RelaxometryProtocol(
+            B_relax_T=b, T_relax_list_s=tuple(np.linspace(0.2 * t1b, 2 * t1b, 16))))
+    curves = simulate_protocol(protocols, ref_map)
     t1map = build_t1_map(fields, curves)
     assert not t1map.failures
     values = t1map.t1_values()
@@ -356,14 +432,14 @@ def test_t1_map_round_trip_and_knee(ref_map):
 def test_t1_map_single_field(ref_map):
     prot = RelaxometryProtocol(B_relax_T=0.1,
                                T_relax_list_s=tuple(np.linspace(2, 50, 8)))
-    t1map = build_t1_map([0.1], [simulate_protocol(prot, ref_map)])
+    t1map = build_t1_map([0.1], simulate_protocol([prot], ref_map))
     assert len(t1map.entries) == 1
 
 
 def test_t1_map_partial_failures(ref_map):
     good_prot = RelaxometryProtocol(B_relax_T=0.1,
                                     T_relax_list_s=tuple(np.linspace(2, 50, 8)))
-    good = simulate_protocol(good_prot, ref_map)
+    good, = simulate_protocol([good_prot], ref_map)
     too_short = DecayCurve(((1.0, 1.0), (2.0, 0.9)))
     t1map = build_t1_map([0.1, 0.2], [good, too_short])
     assert len(t1map.entries) == 1

@@ -22,10 +22,12 @@ the default and the cryo sequence, a short move validated and simulated, a
 spec with violations (exit 2), three numerical failures (exit 4: a T1
 field below the map floor, a DNP Rabi frequency of 1e300 Hz, whose |H| T
 sum overflows, and one of 1e14 Hz, whose run may exceed the step cap),
-a T1 map and the default sequence on a map whose centre is 5 T, a spline
-map file whose knot fields rise, and three map files whose field does
-not decrease over the domain (exit 3 each): spline slopes that overshoot,
-a spline domain past the last knot and a solenoid domain below z = 0.
+a T1 map and the default sequence on a map whose centre is 5 T, T1 maps
+on a solenoid map file and with a steep T1 knee (exponent 50 at 0.3 T), a
+spline map file whose knot fields rise, one with a NaN interior knot
+field, and three map files whose field does not decrease over the domain
+(exit 3 each): spline slopes that overshoot, a spline domain past the last
+knot and a solenoid domain below z = 0.
 It uses only the standard library.
 """
 
@@ -86,6 +88,10 @@ NOT_DECREASING_MAPS = {
         [0.0, 7.0, -1.0], [1.0, 0.5, -0.1]]}),
     "below_zero_map": dict(SOLENOID_MAP, domain_m=[-0.5, 1.6]),
 }
+# a spline whose interior knot field is NaN: not a map, so a spec error
+NAN_KNOT_MAP = dict(RISING_MAP, params={"knots": [
+    [0.0, 7.0, -1.0], [0.5, 5.0, -4.0], [1.0, float("nan"), -4.0],
+    [1.3, 2.0, -4.0], [1.6, 0.5, -4.0]]})
 
 
 def _spec(kind, block=None, **top):
@@ -145,6 +151,11 @@ SPECS = {
                            fieldmap={"anchors_file": "centre_5T.csv"}),
     "lac_rising_map": _spec("lac_plan", {"targets_T": [0.1]},
                             fieldmap={"file": "rising_map.json"}),
+    "t1_solenoid": _spec("t1_field_map", {"fields_T": [0.02, 0.3, 2.0, 5.0],
+                                          "n_waits": 12, "noise_sigma": 0.01},
+                         fieldmap={"file": "solenoid_map.json"}),
+    "t1_steep_knee": _spec("t1_field_map", {"relaxation": {
+        "exponent": 50, "B_knee_T": 0.3}}),
 }
 
 # (name, arguments); input file names resolve against the input directory
@@ -189,7 +200,7 @@ COMMANDS = [(f"run-{name}", ["run", "--spec", f"{name}.json", "--out", "res"])
 ] + [(f"plan-lac-{name}", ["plan-lac", "--target", target, "--map",
                           f"{name}.json"])
      for name, target in (("overshoot_map", "2.5"), ("short_knots_map", "0.5"),
-                          ("below_zero_map", "2.5"))]
+                          ("below_zero_map", "2.5"), ("nan_knot_map", "3.0"))]
 
 
 def _write_inputs(folder: Path):
@@ -199,6 +210,7 @@ def _write_inputs(folder: Path):
     (folder / "solenoid_map.json").write_text(json.dumps(SOLENOID_MAP))
     (folder / "centre_5T.csv").write_text(CENTRE_5T_ANCHORS)
     (folder / "rising_map.json").write_text(json.dumps(RISING_MAP))
+    (folder / "nan_knot_map.json").write_text(json.dumps(NAN_KNOT_MAP))
     for name, doc in NOT_DECREASING_MAPS.items():
         (folder / f"{name}.json").write_text(json.dumps(doc))
     for name, doc in SPECS.items():

@@ -195,13 +195,12 @@ def _pchip_slopes(z, b):
 
 
 def _check_monotone_slopes(z, b, m):
+    """Every slope within 3x its segment's secant: the knot table is
+    strictly decreasing and the slopes are <= 0 by construction."""
     sec = np.diff(b) / np.diff(z)
     for i in range(len(sec)):
-        s = sec[i]
-        if s >= 0:
-            raise NonMonotonicModel(f"knot fields not strictly decreasing near z={z[i]:.4f}")
         for mm in (m[i], m[i + 1]):
-            if mm > 0 or abs(mm) > 3 * abs(s):
+            if abs(mm) > 3 * abs(sec[i]):
                 raise NonMonotonicModel(
                     f"prescribed slope {mm:.4g} at z~{z[i]:.4f} breaks monotonicity"
                 )
@@ -243,31 +242,7 @@ class _HermiteSpline:
 
     def __call__(self, x):
         i, h, t = self._segment(x)
-        # _hermite line for line, in place: the same operations in the same
-        # order (a product's operands commute exactly), in three buffers
-        t = np.asarray(t)  # a float's t as a 0-d array, also updated in place
-        uu = np.subtract(1, t, out=np.empty_like(t))
-        uu *= uu  # u * u
-        acc = np.multiply(2, t, out=np.empty_like(t))
-        acc += 1
-        acc *= uu
-        acc *= self.b[i]  # h00 * b0
-        uu *= t
-        uu *= h
-        uu *= self.m[i]
-        acc += uu  # + h10 * h * m0
-        tt = np.multiply(t, t, out=uu)
-        w = np.multiply(2, t, out=np.empty_like(t))
-        np.subtract(3, w, out=w)
-        w *= tt
-        w *= self.b[i + 1]
-        acc += w  # + h01 * b1
-        t -= 1
-        t *= tt
-        t *= h
-        t *= self.m[i + 1]
-        acc += t  # + h11 * h * m1
-        return acc[()]
+        return _hermite(t, h, self.b[i], self.b[i + 1], self.m[i], self.m[i + 1])
 
     def value(self, x: float) -> float:
         """``float(self(x))`` for one float, without numpy: the knot index
@@ -663,11 +638,8 @@ def _spline_from_anchors(anchors, backbone: FieldMap):
     # exponential continuation beyond the last anchor (shield interior)
     z_end = backbone.domain_m[1]
     if z_last < z_end:
-        if len(placed) >= 2:
-            z_prev, b_prev, _ = placed[-2]
-            lam = (z_last - z_prev) / math.log(b_prev / b_last)
-        else:
-            lam = -b_last / float(backbone._model.derivative(z_last))
+        z_prev, b_prev, _ = placed[-2]
+        lam = (z_last - z_prev) / math.log(b_prev / b_last)
         z_floor = z_last + lam * math.log(b_last / backbone.floor_T)
         z_stop = min(z_end, z_floor)
         for zq in np.linspace(z_last, z_stop, 12)[1:]:
@@ -733,6 +705,9 @@ def calibrate(anchors: Sequence[FieldAnchor],
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"unknown model_kind {model_kind!r}")
     b0 = _center_anchor(anchors).field_T
+    if model_kind == "monotone_spline" and len(anchors) < 2:
+        raise ValueError("a monotone_spline calibration needs an anchor "
+                         "besides the centre")
     lo, hi = FieldMap.domain_m
     if not all(lo <= a.position_m <= hi for a in anchors if a.position_m is not None):
         raise ValueError(f"anchor positions must lie in the map domain [{lo}, {hi}] m")

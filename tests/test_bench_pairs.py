@@ -14,7 +14,8 @@ def _bench_pairs():
 
 def test_summarize_splits_the_pair_ratio_by_run_order():
     # both trees are equally fast, but a pair's second run takes 25% longer
-    # and runs 20% fewer ops: the split shows it, the medians cancel it
+    # and runs 20% fewer ops: the split shows it, the medians and the
+    # quartets cancel it
     tool = _bench_pairs()
     runs = {"parent": [], "change": []}
     for pair in range(10):
@@ -32,6 +33,7 @@ def test_summarize_splits_the_pair_ratio_by_run_order():
     assert latency["ratio_parent_first"] == 1.25
     assert latency["ratio_change_first"] == 0.8
     assert ops["change_over_parent"] == latency["change_over_parent"] == 1.0
+    assert ops["ratio_quartet"] == latency["ratio_quartet"] == 1.0
     assert ops["pairs_change_better"] == "5/10"
     assert unresolved == []
 
@@ -44,3 +46,4 @@ def test_summarize_leaves_an_empty_order_group_unset():
         runs, [{"name": "ops_per_s", "better": "higher", "bound": 0.25}])
     assert summary["ops_per_s"]["ratio_parent_first"] == pytest.approx(1.1)
     assert summary["ops_per_s"]["ratio_change_first"] is None
+    assert summary["ops_per_s"]["ratio_quartet"] is None

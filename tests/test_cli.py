@@ -478,6 +478,36 @@ def test_a_map_with_a_nan_interior_knot_is_a_spec_error(tmp_path, capsys):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("verb", ["calibrate-field", "run"])
+def test_a_spline_on_the_centre_anchor_alone_is_a_spec_error(
+        tmp_path, monkeypatch, capsys, verb):
+    # its shield continuation divided by dB/dz at the centre, which is
+    # exactly 0: both verbs ended in a ZeroDivisionError traceback, exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "anchors.csv").write_text(
+        ANCHOR_HEADER + "field_value,0.0,7.0,,1e-06\n")
+    if verb == "run":
+        spec = write_spec(tmp_path, {
+            "schema_version": 1, "kind": "lac_plan", "seed": 1,
+            "fieldmap": {"anchors_file": "anchors.csv",
+                         "model_kind": "monotone_spline"}})
+        argv, key = ["run", "--spec", spec, "--out", "o"], "$.fieldmap.anchors_file"
+    else:
+        argv = ["calibrate-field", "--anchors", "anchors.csv", "--model",
+                "monotone_spline", "--out", "map.json"]
+        key = "--anchors"
+    assert main(["--quiet"] + argv) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"spec error: {key}: ")
+    assert line.endswith("(ValueError: a monotone_spline calibration needs "
+                         "an anchor besides the centre)")
+    assert not (tmp_path / "map.json").exists()
+    if verb == "run":
+        record = json.loads((tmp_path / "o" / "runrecord.json").read_text())
+        assert record["status"] == "failed" and key in record["error"]
+        assert not (tmp_path / "o" / "lac_plan.csv").exists()
+
+
 @pytest.mark.parametrize("t1, cap, error", [
     ({"relaxation": {"exponent": 50, "B_knee_T": 0.3}}, 0,
      "shuttle loss quadrature needs more than 0 bisections per move"),

@@ -22,7 +22,10 @@ both trees, ``pairs_change_better`` and ``change_over_parent``, and the
 median change/parent ratio of the pairs where the parent ran first
 (``ratio_parent_first``) and of those where the change ran first
 (``ratio_change_first``): a gap between the two shows that a pair's second
-run reads differently from its first.
+run reads differently from its first.  ``ratio_quartet`` is the median, over
+the couples of consecutive pairs (1 and 2, 3 and 4, ...), of the geometric
+mean of a couple's two change/parent ratios: one ratio has the parent
+first and the other the change, so a constant second-run penalty cancels.
 ``unresolved`` lists every metric whose quartile spread, (q3 - q1) / median,
 reaches its bound in BENCHMARK.json on either tree: such a metric cannot be
 told apart from noise.  BENCHMARK.json is only read.
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import signal
 import statistics
@@ -89,22 +93,26 @@ def parent_first(pair):
 
 def summarize(runs, end_to_end):
     """Per metric: medians, quartiles, pairs the change wins, the ratio of
-    medians, the median pair ratio by run order; and the metrics whose
-    spread reaches their bound."""
+    medians, the median pair ratio by run order and over pair couples; and
+    the metrics whose spread reaches their bound."""
     summary, unresolved = {}, []
     for metric in end_to_end:
         name, higher = metric["name"], metric["better"] == "higher"
         values = {tree: [r[name] for r in runs[tree] if name in r]
                   for tree in ("parent", "change")}
-        pairs = [(p[name], c[name], parent_first(p["pair"]))
+        pairs = [(p[name], c[name], p["pair"])
                  for p, c in zip(runs["parent"], runs["change"])
                  if name in p and name in c]
         wins = sum((c > p) if higher else (c < p) for p, c, _ in pairs)
+        ratio = {pair: c / p for p, c, pair in pairs if p}
         entry = {}
         for key, first in (("ratio_parent_first", True),
                            ("ratio_change_first", False)):
-            ratios = [c / p for p, c, f in pairs if f == first and p]
+            ratios = [r for pair, r in ratio.items() if parent_first(pair) == first]
             entry[key] = statistics.median(ratios) if ratios else None
+        quartets = [math.sqrt(r * ratio[pair + 1]) for pair, r in ratio.items()
+                    if pair % 2 == 0 and pair + 1 in ratio]
+        entry["ratio_quartet"] = statistics.median(quartets) if quartets else None
         for tree, vals in values.items():
             med = statistics.median(vals) if vals else None
             q = _quartiles(vals)

@@ -27,7 +27,8 @@ on a solenoid map file and with a steep T1 knee (exponent 50 at 0.3 T), a
 spline map file whose knot fields rise, one with a NaN interior knot
 field, and three map files whose field does not decrease over the domain
 (exit 3 each): spline slopes that overshoot, a spline domain past the last
-knot and a solenoid domain below z = 0.
+knot and a solenoid domain below z = 0; and a spline calibration on the
+centre anchor alone (exit 3).
 It uses only the standard library.
 """
 
@@ -68,6 +69,11 @@ CENTRE_5T_ANCHORS = """\
 kind,position_m,field_T,gradient_T_per_m,tolerance_rel
 field_value,0.0,5.0,,1e-06
 field_value,1.1627,0.008,,0.1
+"""
+# the centre anchor alone: a spline has no anchor pair to continue from
+CENTRE_ONLY_ANCHORS = """\
+kind,position_m,field_T,gradient_T_per_m,tolerance_rel
+field_value,0.0,7.0,,1e-06
 """
 # knot fields rise from 0.05 T to 0.2 T: not a map, so a spec error
 RISING_MAP = {
@@ -197,6 +203,10 @@ COMMANDS = [(f"run-{name}", ["run", "--spec", f"{name}.json", "--out", "res"])
     ("calibrate-field-spline", ["calibrate-field", "--anchors", "solenoid.csv",
                                 "--model", "monotone_spline",
                                 "--out", "res/map.json"]),
+    ("calibrate-field-centre_only", ["calibrate-field", "--anchors",
+                                     "centre_only.csv", "--model",
+                                     "monotone_spline",
+                                     "--out", "res/map.json"]),
 ] + [(f"plan-lac-{name}", ["plan-lac", "--target", target, "--map",
                           f"{name}.json"])
      for name, target in (("overshoot_map", "2.5"), ("short_knots_map", "0.5"),
@@ -209,6 +219,7 @@ def _write_inputs(folder: Path):
     (folder / "solenoid.csv").write_text(SOLENOID_ANCHORS)
     (folder / "solenoid_map.json").write_text(json.dumps(SOLENOID_MAP))
     (folder / "centre_5T.csv").write_text(CENTRE_5T_ANCHORS)
+    (folder / "centre_only.csv").write_text(CENTRE_ONLY_ANCHORS)
     (folder / "rising_map.json").write_text(json.dumps(RISING_MAP))
     (folder / "nan_knot_map.json").write_text(json.dumps(NAN_KNOT_MAP))
     for name, doc in NOT_DECREASING_MAPS.items():

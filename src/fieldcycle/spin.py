@@ -74,10 +74,13 @@ _WIDTHS = np.array([b - a for a, b in _SEGMENTS])
 _RAMP = np.array([1.0, 0.0, 1.0])  # segments under the sin^2 ramps
 # Chebyshev interpolation of a frame's exponentials (see _Chirp)
 _DEGREE = 14  # even: the frame centre is a node
-_FRAME_STEPS = 256  # a frame's (256, 16) by (16, 64) interpolation product
-                    # runs on one OpenBLAS thread, and _weights caches at
-                    # most 256 tables; longer frames cost more to weigh than
-                    # they save
+_FRAME_STEPS = 256  # the longest ramp frame and exact frame, and the rows of
+                    # one interpolation product: a (256, 16) by (16, 64)
+                    # product runs on one OpenBLAS thread, while a longer
+                    # one can take milliseconds as the build threads it
+_COUPLINGS = np.zeros((2, 16))  # the detuning's and the drive's 4x4 patterns
+_COUPLINGS[0, [10, 15]] = 1.0  # (2, 2) and (3, 3)
+_COUPLINGS[1, [2, 7, 8, 13]] = 1.0  # (0, 2), (1, 3), (2, 0) and (3, 1)
 _TRUNC_TOL = 1e-16  # bound on the interpolation error in exact arithmetic
 _MATCH_TOL = 2e-15  # an interpolant further than this from the exact step
                     # at a check point is not used; the largest rounding
@@ -195,18 +198,36 @@ class Crossing:
     coupling_Hz: float       # off-diagonal element (half the minimum gap)
 
 
+def _eigh2(h):
+    """``np.linalg.eigh`` of a real symmetric traceless 2x2 block
+    [[c, d], [d, -c]] in closed form: the eigenvalues -r and r, r =
+    hypot(c, d), ascending, and as columns the eigenvectors (-sin a, cos a)
+    and (cos a, sin a), where 2a is the angle of (c, d); the zero block
+    gives I.  Python floats: a NaN or infinite block gives NaNs, and no
+    warning."""
+    c, d = float(h[0, 0]), float(h[0, 1])
+    r = math.hypot(c, d)
+    if r == 0.0:
+        return (0.0, 0.0), ((1.0, 0.0), (0.0, 1.0))
+    if c >= 0.0:  # the half-angle cosine and sine, each from its stable side
+        cos = math.sqrt(0.5 + 0.5 * (c / r))
+        sin = 0.5 * (d / r) / cos
+    else:
+        sin = math.copysign(math.sqrt(0.5 - 0.5 * (c / r)), d)
+        cos = 0.5 * (d / r) / sin
+    return (-r, r), ((-sin, cos), (cos, sin))
+
+
 def crossing_table(sys: SpinSystem, sweep: SweepParams) -> list[Crossing]:
     """The four ladder crossings, ordered as the upward sweep meets them
     (decreasing detuning)."""
-    h_g, h_e = manifold_blocks(sys)
-    wg, qg = np.linalg.eigh(h_g)
-    we, qe = np.linalg.eigh(h_e)
+    (wg, qg), (we, qe) = map(_eigh2, manifold_blocks(sys))
     out = []
     for i in range(2):
         for j in range(2):
-            coupling = sweep.mw_rabi_Hz / 2 * abs(np.vdot(qe[:, j], qg[:, i]))
-            det = float(wg[i] - we[j])
-            out.append(Crossing(det, i, j, float(coupling)))
+            overlap = qe[0][j] * qg[0][i] + qe[1][j] * qg[1][i]
+            out.append(Crossing(wg[i] - we[j], i, j,
+                                sweep.mw_rabi_Hz / 2 * abs(overlap)))
     out.sort(key=lambda x: -x.detuning_Hz)
     return out
 
@@ -255,18 +276,22 @@ class _Chirp:
 
     Within a segment each CF4 row's exponent x = 2 pi dt H is an entire
     function of the step position, and so is a step's propagator E1 E0,
-    E_r = exp(-i x_r).  A pass splits each segment into frames of at most
-    ``_FRAME_STEPS`` steps and interpolates E1 E0 on each frame from its
-    exact value, ``_cos_sin`` and one product, at ``_DEGREE`` + 1 Chebyshev
-    points.  The interpolant is the exact centre value plus the
-    interpolated deviation from it, and comes out as the real 8x8 form
-    [[C, S], [-S, C]] of C - i S, which multiplies as the complex 4x4 does.
-    A frame's length is the longest one the Bernstein-ellipse bound keeps
-    within ``_TRUNC_TOL`` (``_frame_tables``); a frame is checked at two more
-    points against the exact step and taken exactly, step by step, where
-    the check misses ``_MATCH_TOL`` or the frame is too short to gain.
-    ``frames`` holds each pass's frame table, filled on first use or for a
-    whole powder at once."""
+    E_r = exp(-i x_r).  A pass splits each segment into frames and
+    interpolates E1 E0 on each frame from its exact value, ``_cos_sin`` and
+    one product, at ``_DEGREE`` + 1 Chebyshev points.  The interpolant is
+    the exact centre value plus the interpolated deviation from it, and
+    comes out as the real 8x8 form [[C, S], [-S, C]] of C - i S, which
+    multiplies as the complex 4x4 does.  A frame's length is the longest
+    one the Bernstein-ellipse bound keeps within ``_TRUNC_TOL``
+    (``_frame_tables``), up to ``_FRAME_STEPS`` steps on a ramp.  On the
+    flat top it is a power of two, up to ``_CHUNK_STEPS``, and the
+    segment's last frame takes the first rows of the same table: its nodes
+    run past the segment's end, where the flat top's own formula still
+    holds (``_envelope``).  A frame is checked at two more points against
+    the exact step and taken exactly, step by step, where the check misses
+    ``_MATCH_TOL`` or the frame is too short to gain.  ``frames`` holds
+    each pass's frame table, filled on first use or for a whole powder at
+    once; ``exponentials`` and ``exact_frames`` count the work done."""
 
     def __init__(self, sys, sweep):
         with np.errstate(invalid="ignore"):  # a NaN fails the check below
@@ -282,8 +307,7 @@ class _Chirp:
         self.base_norm = float(np.abs(0.5 * self.h_base).sum(axis=0).max())
         hmax_t = self.total_t * (  # |H| dt summed over the chirp
             max(abs(self.d_hi), abs(d_lo)) + self.omega
-            + float(abs(np.linalg.eigvalsh(h_g)).max())
-            + float(abs(np.linalg.eigvalsh(h_e)).max()))
+            + _eigh2(h_g)[0][1] + _eigh2(h_e)[0][1])
         if not math.isfinite(hmax_t):
             raise NonFiniteHamiltonian(
                 f"|H| T summed over the chirp is {hmax_t}: the spin system or "
@@ -299,34 +323,32 @@ class _Chirp:
         # no overflow)
         self.max_steps = max(math.ceil(hmax_t / CAP_HDT) // 2, 3 * sum(self.n0))
         self.frames = {}  # level -> _frame_tables columns
+        self.exponentials = self.exact_frames = 0
 
-    def exponents(self, lo, width, phase, t):
-        """CF4 exponents at the continuous step positions ``t``, each in a
-        segment that starts at ``lo`` and whose steps take ``width`` of the
-        chirp and a 2 pi dt of ``phase`` (all four per position): (hb, norm)
-        with hb the (2m, 4, 4) batch x = 2 pi dt H, rows 0 and 1 of position
-        j at 2j and 2j + 1, and norm a bound on its largest 1-norm."""
-        x = lo[:, None] + width[:, None] * (t[:, None] + _CF4_C)
+    def exponents(self, seg, width, phase, t):
+        """CF4 exponents at the continuous step positions ``t``, each in
+        segment ``seg``, whose steps take ``width`` of the chirp and a 2 pi
+        dt of ``phase`` (all four per position): (hb, bound) with hb the
+        (2m, 4, 4) batch x = 2 pi dt H, rows 0 and 1 of position j at 2j and
+        2j + 1, and bound[i] a bound on the 1-norm of hb[i]."""
+        x = _LO[seg][:, None] + width[:, None] * (t[:, None] + _CF4_C)
         # x[j] holds the Gauss nodes of position j.  H is affine in the
         # detuning and the envelope, so exponents 2j and 2j + 1 take them
         # weighted by rows 0 and 1 of _CF4_W; each row sums to 1/2, the
         # weight of h_base
         det = ((self.d_hi - self.span * x) @ _CF4_W.T).ravel()
-        env = (_envelope(x) @ _CF4_W.T).ravel()
-        dt2pi = np.repeat(phase, 2)
-        hb = np.empty((len(det), 4, 4))
-        hb[:] = 0.5 * self.h_base
-        hb[:, 2, 2] += det
-        hb[:, 3, 3] += det
-        drive = 0.5 * self.omega * env
-        hb[:, 0, 2] = hb[:, 1, 3] = hb[:, 2, 0] = hb[:, 3, 1] = drive
-        hb *= dt2pi[:, None, None]
+        env = (_envelope(x, seg[:, None]) @ _CF4_W.T).ravel()
+        # hb = 2 pi dt (h_base / 2 + det P_e + drive X): one product
+        coef = np.empty((len(det), 3))
+        coef[:, 0] = np.repeat(phase, 2)
+        np.multiply(coef[:, 0], det, out=coef[:, 1])
+        np.multiply(coef[:, 0], 0.5 * self.omega * env, out=coef[:, 2])
+        hb = coef @ np.concatenate([0.5 * self.h_base.reshape(1, 16), _COUPLINGS])
         # each column of hb sums to at most this in absolute value (|env|,
         # since a CF4 weight is negative), up to the rounding of the sums,
         # which the factor covers
-        norm = float((dt2pi * (self.base_norm + np.abs(det) + np.abs(drive))).max()
-                     * (1.0 + 1e-12))
-        return hb, norm
+        bound = np.abs(coef) @ np.array([self.base_norm, 1.0, 1.0]) * (1.0 + 1e-12)
+        return hb.reshape(-1, 4, 4), bound
 
     def unitary(self, levels):
         """Total unitary and step count of each pass in ``levels``, the pass
@@ -349,7 +371,8 @@ class _Chirp:
                + (np.cumsum(points) - points) // _CHUNK_POINTS)
         u_total = np.eye(8)[None].repeat(len(levels), axis=0)
         for lo, hi in _runs(key):
-            e = self._batch(*(a[lo:hi] for a in frames)).reshape(-1, 8, 8)
+            e = self._batch(*(a[lo:hi] for a in frames),
+                            passes=which[lo:hi]).reshape(-1, 8, 8)
             row = 0
             for a, b in _runs(which[lo:hi]):  # one product per pass
                 k, n = which[lo + a], int(size[lo + a:lo + b].sum())
@@ -359,22 +382,28 @@ class _Chirp:
         u = u_total[:, :4, :4] - 1j * u_total[:, :4, 4:]
         return [(u[k], sum(self.n0) << level) for k, level in enumerate(levels)]
 
-    def _batch(self, seg, first, size, interp, width, phase):
+    def _batch(self, seg, first, size, interp, width, phase, table, passes):
         """The step propagators E1 E0 of consecutive frames (columns of
-        ``_frame_tables``), in time order as (steps, 64) 8x8 forms."""
+        ``_frame_tables``), in time order as (steps, 64) 8x8 forms.  The
+        exponentials of each run of frames of one pass in ``passes`` are
+        scaled by that run's own bound."""
         degree = _DEGREE
         idx, exact = np.flatnonzero(interp), np.flatnonzero(~interp)
-        half = 0.5 * (size - 1)[idx, None]
+        half = 0.5 * (table - 1)[idx, None]
         # the nodes and then the two check points of each interpolated
         # frame, followed by the steps of each exact frame
         at = [(first[idx, None] + half + half * _points(degree)).ravel()]
         at += [first[j] + np.arange(size[j]) for j in exact]
         order = np.concatenate([idx, exact])
         counts = np.where(interp, degree + 3, size)[order]
-        hb, norm = self.exponents(
-            *(np.repeat(a[order], counts) for a in (_LO[seg], width, phase)),
+        hb, bound = self.exponents(
+            *(np.repeat(a[order], counts) for a in (seg, width, phase)),
             np.concatenate(at))
-        e = _step_forms(_cos_sin(hb, norm))
+        starts = (2 * (np.cumsum(counts) - counts))[
+            [lo for lo, _ in _runs(passes[order])]]
+        e = _step_forms(_cos_sin(hb, np.maximum.reduceat(bound, starts), starts))
+        self.exponentials += len(hb)
+        self.exact_frames += len(exact)
         out = np.empty((int(size.sum()), 64))
         ends = np.cumsum(size)
         rows = e[:len(idx) * (degree + 3)].reshape(len(idx), degree + 3, 64)
@@ -387,22 +416,28 @@ class _Chirp:
         # weights are one table's last two rows: one product checks them all
         check = _weights(_FRAME_STEPS, degree)[_FRAME_STEPS:]
         miss = np.abs(check @ dev - rows[:, degree + 1:]).max(axis=(1, 2))
-        # frames of one length that no exact frame parts: one product
+        # frames of one length and table that no exact frame parts: one
+        # product per piece of at most _FRAME_STEPS rows
         parted = idx - np.arange(len(idx))  # exact frames before each
-        for lo, hi in _runs(size[idx] * (len(size) + 1) + parted):
-            n = int(size[idx[lo]])
-            view = out[ends[idx[lo]] - n:ends[idx[hi - 1]]]
-            np.matmul(_weights(n, degree)[:n], dev[lo:hi],
-                      out=view.reshape(hi - lo, n, 64))
+        key = size[idx] * (len(size) + 1) + parted
+        key = key * (_CHUNK_STEPS + 1) + table[idx]
+        for lo, hi in _runs(key):
+            n, w = int(size[idx[lo]]), _weights(int(table[idx[lo]]), degree)
+            view = out[ends[idx[lo]] - n:ends[idx[hi - 1]]].reshape(hi - lo, n, 64)
+            for r in range(0, n, _FRAME_STEPS):
+                np.matmul(w[r:min(r + _FRAME_STEPS, n)], dev[lo:hi],
+                          out=view[:, r:r + _FRAME_STEPS])
         row = len(idx) * (degree + 3)
         for j in exact:
             out[ends[j] - size[j]:ends[j]] = e[row:row + size[j]]
             row += size[j]
         for j in idx[miss > _MATCH_TOL]:  # take the frame exactly
-            hb, norm = self.exponents(
-                *(np.full(size[j], a[j]) for a in (_LO[seg], width, phase)),
+            hb, bound = self.exponents(
+                *(np.full(size[j], a[j]) for a in (seg, width, phase)),
                 first[j] + np.arange(size[j]))
-            out[ends[j] - size[j]:ends[j]] = _step_forms(_cos_sin(hb, norm))
+            out[ends[j] - size[j]:ends[j]] = _step_forms(_cos_sin(hb, bound.max()))
+            self.exponentials += len(hb)
+            self.exact_frames += 1
         return out
 
 
@@ -410,8 +445,8 @@ def _frame_tables(chirps, levels):
     """Fill ``frames[level]`` of each chirp with steps, for each of
     ``levels``: the frames of that pass in time order as the columns
     segment, first step, steps, whether the frame is interpolated, the
-    normalized time per step and 2 pi dt.  One vectorized pass over chirps
-    x levels x segments.
+    normalized time per step, 2 pi dt and the steps of its ``_weights``
+    table.  One vectorized pass over chirps x levels x segments.
 
     A frame's steps are the most on which the degree ``_DEGREE`` interpolant
     is within ``_TRUNC_TOL`` of the step propagator E1 E0.  Trefethen,
@@ -423,7 +458,15 @@ def _frame_tables(chirps, levels):
     a ramp, b sinh(c tau) from sin^2 of the envelope (a CF4 row's weights
     sum to 1/sqrt(3) in absolute value).  Each term of the two rows gets
     half of its share of the allowed ln M, ``_LOG_M``: a half off the
-    ramps, a quarter on them."""
+    ramps, a quarter on them.
+
+    A ramp splits into equal frames (to one step) of at most
+    ``_FRAME_STEPS``, each its own table.  The flat top's frames take F
+    steps, the largest power of two within the bound and ``_CHUNK_STEPS``
+    but no larger than the one that holds the segment, and start at
+    multiples of F: the last one is short and takes the first rows of the
+    F-step table.  So ``_weights`` holds the ramp lengths (at most
+    ``_FRAME_STEPS``) and a few powers of two."""
     chirps = [chirp for chirp in chirps if sum(chirp.n0)]
     if not chirps:
         return
@@ -445,21 +488,33 @@ def _frame_tables(chirps, levels):
     tau *= 4.0
     tau /= _RHO - 1.0 / _RHO
     most = 1.0 + np.floor(tau, out=tau).max(axis=-1)
-    most = np.clip(most, 1, _FRAME_STEPS).astype(int)
+    flat = np.minimum(_floor_pow2(np.minimum(most, _CHUNK_STEPS)),
+                      _floor_pow2(2 * n - 1))
+    ramp = np.broadcast_to(_RAMP > 0, n.shape)
+    most = np.where(ramp, np.clip(most, 1, _FRAME_STEPS), flat).astype(int)
     interp = most > _DEGREE + 3  # a shorter frame costs more than it saves
     most[~interp] = _FRAME_STEPS
     # the frames of every (chirp, level, segment) cell, in that order
-    count = (-(-n // most)).ravel()
-    size, extra = np.divmod(n.ravel(), np.maximum(count, 1))
+    n, most, ramp = n.ravel(), most.ravel(), ramp.ravel()
+    count = -(-n // most)
+    size, extra = np.divmod(n, np.maximum(count, 1))
+    size, extra = np.where(ramp, size, most), np.where(ramp, extra, 0)
     cell = np.repeat(np.arange(len(count)), count)
     k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
-    columns = (cell % len(_SEGMENTS), k * size[cell] + np.minimum(k, extra[cell]),
-               size[cell] + (k < extra[cell]), interp.ravel()[cell],
-               width.ravel()[cell], phase.ravel()[cell])
+    first = k * size[cell] + np.minimum(k, extra[cell])
+    steps = np.minimum(size[cell] + (k < extra[cell]), n[cell] - first)
+    columns = (cell % len(_SEGMENTS), first, steps, interp.ravel()[cell],
+               width.ravel()[cell], phase.ravel()[cell],
+               np.where(ramp[cell], steps, size[cell]))
     cuts = np.cumsum(count.reshape(-1, len(_SEGMENTS)).sum(axis=1)).tolist()
     for i, (lo, hi) in enumerate(zip([0] + cuts, cuts)):
         frames = chirps[i // len(levels)].frames
         frames[levels[i % len(levels)]] = tuple(a[lo:hi] for a in columns)
+
+
+def _floor_pow2(v):
+    """The largest power of two at most ``v`` (>= 1), exactly."""
+    return np.ldexp(1.0, np.frexp(v)[1] - 1)
 
 
 def _runs(keys):
@@ -478,7 +533,8 @@ def _points(degree):
     return np.sin(np.pi * (2 * j - degree) / (2 * degree))
 
 
-@functools.lru_cache(maxsize=None)  # steps <= _FRAME_STEPS: a few hundred
+@functools.lru_cache(maxsize=None)  # ramp lengths <= _FRAME_STEPS and a few
+                                    # powers of two (_frame_tables)
 def _weights(steps, degree):
     """(steps + 2, degree + 2) weights of the interpolant in the nodes at
     a frame's equispaced steps and then at its two check points
@@ -524,61 +580,76 @@ def _product(e):
 
 # cos x = sum_k (-1)^k y^k / (2k)! and sin x = x sum_k (-1)^k y^k / (2k+1)!
 # in y = x^2, through x^16 and x^17, grouped for Paterson-Stockmeyer in
-# y^3: _PS[f, j, i] multiplies y^i in block j of function f (0 cos, 1 sin)
-_PS = np.array([[[(-1) ** k / math.factorial(2 * k + f) for k in range(j, j + 3)]
-                 for j in (0, 3, 6)] for f in (0, 1)])
+# y^4: _PS[f, j, i] multiplies y^i in block j of function f (0 cos, 1 sin),
+# and _PS_TOP[f] multiplies y^8
+_PS = np.array([[[(-1) ** k / math.factorial(2 * k + f) for k in range(j, j + 4)]
+                 for j in (0, 4)] for f in (0, 1)])
+_PS_TOP = np.array([1.0 / math.factorial(16 + f) for f in (0, 1)])[:, None, None, None]
 
 
-def _cos_sin(x, norm):
+def _cos_sin(x, norm, starts=(0,)):
     """cos x and sin x, stacked on a new first axis, of a batch of real
-    symmetric 4x4 matrices whose largest 1-norm is at most ``norm``:
-    exp(-i x) = cos x - i sin x.
+    symmetric 4x4 matrices: exp(-i x) = cos x - i sin x.  ``norm[i]``
+    bounds the largest 1-norm of the rows from ``starts[i]`` up to the next
+    start (a float: of every row).
 
-    Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003)): x is
-    scaled by 2**-s so that ``norm`` is at most 1, where the Taylor series
-    above are within 1/18! of cos and sin.  Each series is
-    B_0 + y^3 (B_1 + y^3 B_2) with B_j a combination of I, y and y^2
-    (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)).  s double-angle
+    Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3 (2003)): each
+    run of rows is scaled by 2**-s so that its bound is at most 1, where the
+    Taylor series above are within 1/18! of cos and sin.  Each series is
+    B_0 + y^4 (B_1 + c y^4) with B_j a combination of I, y, y^2 and y^3
+    (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)): seven 4x4
+    products for both.  s double-angle
     steps, cos 2x = 2 cos^2 x - I and sin 2x = 2 sin x cos x, undo the
-    scaling.  A NaN or infinite ``norm`` raises NonFiniteHamiltonian.
+    scaling.  A NaN or infinite bound raises NonFiniteHamiltonian.
     """
-    if not math.isfinite(norm):
-        raise NonFiniteHamiltonian(f"sweep exponent 1-norm is {norm}")
-    s = math.ceil(math.log2(norm)) if norm > 1.0 else 0
+    norm = np.atleast_1d(norm).tolist()
+    for bound in norm:
+        if not math.isfinite(bound):
+            raise NonFiniteHamiltonian(f"sweep exponent 1-norm is {bound}")
     n = len(x)
-    y = np.empty((2, n, 4, 4))  # y, y^2 of the scaled 2**-s x
+    runs = [(a, b, math.ceil(math.log2(v)) if v > 1.0 else 0)
+            for a, b, v in zip(starts, [*starts[1:], n], norm)]
+    y = np.empty((3, n, 4, 4))  # y, y^2, y^3 of the scaled 2**-s x
     np.matmul(x, x, out=y[0])
-    y[0] *= 4.0 ** -s  # a power of two scales exactly: no scaled copy of x
+    for a, b, s in runs:  # a power of two scales exactly: no scaled copy of x
+        if s:
+            y[0, a:b] *= 4.0 ** -s
     np.matmul(y[0], y[0], out=y[1])
-    y3 = y[1] @ y[0]
+    np.matmul(y[1], y[0], out=y[2])
+    y4 = y[1] @ y[1]
 
     def block(j):
-        """B_j of cos and sin: one BLAS product for the y, y^2 terms."""
-        b = (_PS[:, j, 1:] @ y.reshape(2, -1)).reshape(2, n, 4, 4)
+        """B_j of cos and sin: one BLAS product for the y, y^2, y^3 terms."""
+        b = (_PS[:, j, 1:] @ y.reshape(3, -1)).reshape(2, n, 4, 4)
         b.reshape(2, n, 16)[..., ::5] += _PS[:, j, :1, None]  # the I term
         return b
 
-    cs = block(2)
-    for j in (1, 0):
-        cs = y3 @ cs
-        cs += block(j)
+    cs = block(1)
+    cs += _PS_TOP * y4
+    cs = y4 @ cs
+    cs += block(0)
     cs[1] = x @ cs[1]
-    cs[1] *= 2.0 ** -s
-    for _ in range(s):  # cos and sin commute: one product gives C^2 and SC
-        cs = cs @ cs[0]
-        cs *= 2.0
-        cs[0].reshape(n, 16)[:, ::5] -= 1.0
+    for a, b, s in runs:
+        if not s:
+            continue
+        cs[1, a:b] *= 2.0 ** -s
+        for _ in range(s):  # cos and sin commute: one product gives C^2 and SC
+            if b - a < n:
+                cs[:, a:b] = cs[:, a:b] @ cs[0, a:b]
+            else:
+                cs = cs @ cs[0]
+            cs[:, a:b] *= 2.0
+            cs[0, a:b].reshape(b - a, 16)[:, ::5] -= 1.0
     return cs
 
 
-def _envelope(x):
-    """cos^2 drive apodization over ``EDGE_FRACTION`` at both window ends."""
-    env = np.ones_like(x)
-    lo = x < EDGE_FRACTION
-    hi = x > 1.0 - EDGE_FRACTION
-    env[lo] = np.sin(0.5 * np.pi * x[lo] / EDGE_FRACTION) ** 2
-    env[hi] = np.sin(0.5 * np.pi * (1.0 - x[hi]) / EDGE_FRACTION) ** 2
-    return env
+def _envelope(x, seg):
+    """cos^2 drive apodization over ``EDGE_FRACTION`` at both window ends,
+    at positions ``x`` in segments ``seg`` (broadcast against ``x``), each
+    by its segment's own formula: the flat top is 1 also past its end."""
+    edge = np.where(seg == 0, x, 1.0 - x)  # the distance from the window end
+    return np.where(_RAMP[seg] > 0,
+                    np.sin(0.5 * np.pi * edge / EDGE_FRACTION) ** 2, 1.0)
 
 
 def _sweeps(u, n):
@@ -610,6 +681,8 @@ class SweepResult:
     norm_drift: float      # diagnostic: max |U^H U - I| of the accepted pass
     n_steps: int           # integrator steps of every pass, coarse ones included
     error_estimate: float  # step-doubling estimate of the polarization error
+    exponentials: int      # 4x4 exponentials of every pass, by _cos_sin
+    exact_frames: int      # frames taken step by step: too short, or missed
 
 
 def _within_run_cap(chirps):
@@ -639,6 +712,7 @@ def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
     if chirp is None:
         chirp = _Chirp(sys, sweep)
         _within_run_cap([chirp])
+    work = chirp.exponentials, chirp.exact_frames
     (u0, steps), (u, n) = chirp.unitary((0, 1))
     level, steps = 1, steps + n
     pol = _sweeps(u, sweep.n_sweeps)
@@ -656,7 +730,9 @@ def propagate_sweep(sys: SpinSystem, sweep: SweepParams,
         estimate = abs(pol - coarse) / 15.0
     if details:
         drift = float(np.abs(u.conj().T @ u - np.eye(4)).max())
-        return SweepResult(pol, drift, steps, estimate)
+        return SweepResult(pol, drift, steps, estimate,
+                           chirp.exponentials - work[0],
+                           chirp.exact_frames - work[1])
     return pol
 
 
@@ -693,6 +769,7 @@ class PowderResult:
     mean_polarization: float
     table: tuple[tuple[float, float, float], ...]  # (theta, weight, polarization)
     diagnostics: tuple[tuple[int, float], ...]  # (n_steps, error_estimate)
+    work: tuple[tuple[int, int], ...]  # (exponentials, exact_frames)
 
     def signs_uniform(self) -> bool:
         signs = {p > 0 for _, _, p in self.table}
@@ -712,7 +789,8 @@ def powder_average(sys_template: SpinSystem, sweep: SweepParams,
     mean = float(sum(w * p for w, p in zip(ensemble.weights, pols)))
     table = tuple((t, w, p) for t, w, p in zip(ensemble.thetas, ensemble.weights, pols))
     return PowderResult(mean, table,
-                        tuple((r.n_steps, r.error_estimate) for r in results))
+                        tuple((r.n_steps, r.error_estimate) for r in results),
+                        tuple((r.exponentials, r.exact_frames) for r in results))
 
 
 # ---------------------------------------------------------------------------

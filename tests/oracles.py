@@ -23,6 +23,19 @@ def ladder_band(sys, sweep):
     return 0.5 * (f_lo + f_hi), f_hi - f_lo
 
 
+def eigh_crossings(sys, sweep):
+    """The four ladder crossings as (detuning, g_level, e_level, coupling),
+    read off ``np.linalg.eigh`` of the manifold blocks, in the order the
+    upward sweep meets them."""
+    h_g, h_e = manifold_blocks(sys)
+    wg, qg = np.linalg.eigh(h_g)
+    we, qe = np.linalg.eigh(h_e)
+    out = [(wg[i] - we[j], i, j,
+            sweep.mw_rabi_Hz / 2 * abs(np.vdot(qe[:, j], qg[:, i])))
+           for i in range(2) for j in range(2)]
+    return sorted(out, key=lambda x: -x[0])
+
+
 def lz_composition(sys, sweep):
     """Ordered two-level crossings composed with the LZ formula, then
     incoherent projection of leftover driven-manifold population."""

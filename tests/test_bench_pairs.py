@@ -47,3 +47,52 @@ def test_summarize_leaves_an_empty_order_group_unset():
     assert summary["ops_per_s"]["ratio_parent_first"] == pytest.approx(1.1)
     assert summary["ops_per_s"]["ratio_change_first"] is None
     assert summary["ops_per_s"]["ratio_quartet"] is None
+
+
+SYNTHETIC_PROBE = """import json, os, sys
+from pathlib import Path
+tree = Path.cwd().name
+assert Path(sys.argv[2]).is_dir() and sys.argv[1] == "powder_dnp"
+assert os.environ["PYTHONPATH"].split(os.pathsep)[0] == str(Path.cwd() / "src")
+with open(os.environ["PROBE_LOG"], "a") as log:
+    log.write(tree + "\\n")
+print("# a line before the result")
+print(json.dumps({"import_s": 0.2 if tree == "parent" else 0.15,
+                  "map_s": 0.01, "warmup_s": 0.05, "modules": 234,
+                  "scipy_optimize": 0}))
+"""
+
+
+def test_probes_alternate_between_the_trees(tmp_path, monkeypatch):
+    # a synthetic probe whose change imports 50 ms faster: each tree is
+    # probed in the pairs' order, with its own src first on PYTHONPATH
+    tool = _bench_pairs()
+    trees = {}
+    for tree in ("parent", "change"):
+        (tmp_path / tree / "fcbench").mkdir(parents=True)
+        (tmp_path / tree / "fcbench" / "probe.py").write_text(SYNTHETIC_PROBE)
+        trees[tree] = tmp_path / tree
+    monkeypatch.setenv("PROBE_LOG", str(tmp_path / "log"))
+    runs = tool.probe_pairs(trees, "powder_dnp", 4, tmp_path)
+    order = (tmp_path / "log").read_text().split()
+    assert order == ["parent", "change", "change", "parent"] * 2
+    assert [r["pair"] for r in runs["parent"]] == [0, 1, 2, 3]
+    assert runs["change"][0]["setup_s"] == pytest.approx(0.21)
+    metrics = [{"name": name, "better": "lower", "bound": 0.25}
+               for name in (*tool.PROBE_METRICS, "setup_s")]
+    summary, unresolved = tool.summarize(runs, metrics)
+    assert summary["import_s"]["pairs_change_better"] == "4/4"
+    assert summary["import_s"]["change_over_parent"] == pytest.approx(0.75)
+    assert summary["map_s"]["pairs_change_better"] == "0/4"
+    assert summary["setup_s"]["parent_median"] == pytest.approx(0.26)
+    assert unresolved == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["change", "log",
+                                                          "parent"]
+
+
+def test_a_failed_probe_is_an_error(tmp_path):
+    tool = _bench_pairs()
+    (tmp_path / "fcbench").mkdir()
+    (tmp_path / "fcbench" / "probe.py").write_text("raise SystemExit(3)\n")
+    result = tool.probe(tmp_path, "powder_dnp", tmp_path)
+    assert list(result) == ["error"] and result["error"].startswith("exit 3")

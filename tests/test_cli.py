@@ -102,7 +102,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
 def test_a_non_finite_sweep_hamiltonian_is_a_numerical_failure(
         tmp_path, monkeypatch, capsys):
     from fieldcycle import spin
-    monkeypatch.setattr(spin, "_envelope", lambda x: np.full_like(x, np.nan))
+    monkeypatch.setattr(spin, "_envelope",
+                        lambda x, seg: np.full_like(x, np.nan))
     spec = write_spec(tmp_path, {"schema_version": 1, "kind": "dnp_sweep",
                                  "seed": 1, "dnp": {"nodes": 8}})
     assert main(["run", "--spec", spec, "--out", str(tmp_path / "o"),

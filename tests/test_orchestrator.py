@@ -358,3 +358,16 @@ def test_dnp_run_records_per_node_diagnostics(tmp_path):
     assert sum(d["n_steps"] for d in nodes) == summary["integrator_steps"]
     assert max(d["error_estimate"] for d in nodes) == \
         summary["max_error_estimate"]
+
+
+def test_dnp_run_records_its_work(tmp_path):
+    # the work of an 8-node default powder, in counts no machine changes:
+    # a change that moves one says so (before the flat-top frame tables, the
+    # same 18,829 steps took 5,814 exponentials)
+    spec = parse_spec(minimal("dnp_sweep", dnp={"nodes": 8}))
+    assert run(spec, out_dir=tmp_path, quiet=True).status == "ok"
+    nodes = json.loads((tmp_path / "runrecord.json").read_text())[
+        "diagnostics"]["dnp_nodes"]
+    assert sum(d["n_steps"] for d in nodes) == 18829
+    assert sum(d["exponentials"] for d in nodes) == 4386
+    assert sum(d["exact_frames"] for d in nodes) == 0

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy import constants as const
 
-from oracles import ladder_band, lz_composition, repumped_sweeps
+from oracles import (eigh_crossings, ladder_band, lz_composition,
+                     repumped_sweeps)
 
 from fieldcycle import spin
 from fieldcycle.errors import (NearDivergence, NonFiniteHamiltonian,
@@ -80,6 +81,40 @@ def test_static_hamiltonian_is_hermitian_and_gapped():
 def test_low_field_flag():
     assert SpinSystem(1e6, 0.0, 0.010).low_field()       # 107 kHz <= 1 MHz
     assert not SpinSystem(1e4, 0.0, 0.010).low_field()   # 107 kHz > 10 kHz
+
+
+def test_closed_form_eigensystems_match_eigh():
+    # traceless real symmetric blocks: random ones, diagonal ones of both
+    # signs (h_g), a near-diagonal one and the zero block
+    rng = np.random.default_rng(20261020)
+    blocks = [np.array([[c, d], [d, -c]]) for c, d in rng.normal(size=(40, 2))]
+    blocks += [np.diag([c, -c]) for c in (3.0, -3.0, 1e-300)]
+    blocks += [np.array([[-2.0, 1e-9], [1e-9, 2.0]]), np.zeros((2, 2))]
+    for h in blocks:
+        w, q = spin._eigh2(h)
+        w_ref, q_ref = np.linalg.eigh(h)
+        scale = max(abs(w_ref).max(), 1e-300)
+        assert np.abs(np.array(w) - w_ref).max() <= 1e-15 * scale
+        assert w[0] <= w[1]  # eigh's ascending order
+        q = np.array(q)
+        assert np.abs(abs(q.T @ q_ref) - np.eye(2)).max() <= 1e-15  # up to sign
+        assert np.abs(h @ q - q * w).max() <= 4e-16 * scale
+
+
+def test_crossing_table_matches_the_eigh_crossings():
+    sweep = SweepParams()
+    for a in (-2e6, 0.1e6, 1e6, 5e6):
+        for deg in (0, 10, 45, 90, 135, 180):
+            for b in (1e-3, 0.010, 0.050):
+                s = SpinSystem(a, math.radians(deg), b)
+                got = spin.crossing_table(s, sweep)
+                want = eigh_crossings(s, sweep)
+                assert [(x.g_level, x.e_level) for x in got] == \
+                    [(g, e) for _, g, e, _ in want]
+                scale = max(abs(w[0]) for w in want)
+                for x, (det, _, _, coupling) in zip(got, want):
+                    assert x.detuning_Hz == pytest.approx(det, abs=1e-14 * scale)
+                    assert x.coupling_Hz == pytest.approx(coupling, abs=1e-15 * 60e3)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +335,25 @@ def test_step_count_includes_coarse_passes(monkeypatch):
     assert propagate_sweep(s, SweepParams(), details=True).n_steps == 3 * n
 
 
+def test_sweep_result_counts_exponentials_and_exact_frames(monkeypatch):
+    rows, cos_sin = [], spin._cos_sin
+    monkeypatch.setattr(spin, "_cos_sin",
+                        lambda x, *args: rows.append(len(x)) or cos_sin(x, *args))
+    s = SpinSystem(1e6, math.radians(45), 0.010)
+    res = propagate_sweep(s, SweepParams(), details=True)
+    assert res.exponentials == sum(rows) < 2 * res.n_steps
+    assert res.exact_frames == 0
+    # every check missed: each frame of each pass is taken step by step too
+    rows.clear()
+    monkeypatch.setattr(spin, "_MATCH_TOL", -1.0)
+    chirp = spin._Chirp(s, SweepParams())
+    res = propagate_sweep(s, SweepParams(), details=True, chirp=chirp)
+    frames = sum(len(f[0]) for f in chirp.frames.values())
+    assert res.exact_frames == chirp.exact_frames == frames
+    assert res.exponentials == sum(rows) == \
+        2 * (res.n_steps + frames * (spin._DEGREE + 3))
+
+
 def test_sweep_params_validation():
     with pytest.raises(ValueError):
         SweepParams(sweep_rate_Hz_per_s=0.0)
@@ -349,6 +403,21 @@ def test_cos_sin_matches_eigh_and_is_unitary(max_norm):
     assert np.abs(u @ u.conj().transpose(0, 2, 1) - np.eye(4)).max() <= 1e-14
 
 
+def test_cos_sin_scales_each_run_of_rows_by_its_own_bound():
+    # two runs, two and zero halvings: each as if on its own
+    big, small = kernel_batch(4.0), kernel_batch(1.0)
+    x = np.concatenate([big, small])
+    norms = [np.abs(a).sum(axis=1).max() for a in (big, small)]
+    c, s = spin._cos_sin(x, norms, [0, len(big)])
+    for rows, a, norm in ((slice(0, len(big)), big, norms[0]),
+                          (slice(len(big), None), small, norms[1])):
+        c_own, s_own = spin._cos_sin(a, norm)
+        assert np.abs(c[rows] - c_own).max() <= 1e-15
+        assert np.abs(s[rows] - s_own).max() <= 1e-15
+    c_ref, s_ref = eigh_cos_sin(x)
+    assert np.abs(c - c_ref).max() <= 1e-14 and np.abs(s - s_ref).max() <= 1e-14
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cos_sin_rejects_a_non_finite_exponent(bad):
     x = kernel_batch(1.0)
@@ -368,34 +437,41 @@ def chirps():
 @pytest.mark.parametrize("chirp", chirps(), ids=["default", "slow", "band"])
 def test_chunk_norm_bound_holds_on_every_chunk(monkeypatch, chirp):
     # every batch that reaches _cos_sin: the frames' nodes and check points,
-    # and with every check missed, every step of every frame
-    cos_sin, exponents = spin._cos_sin, []
+    # and with every check missed, every step of every frame; each run of
+    # rows within its own bound, one run per pass
+    cos_sin, exponents, runs = spin._cos_sin, [], []
 
-    def checked(x, norm):
-        assert norm >= np.abs(x).sum(axis=1).max()
+    def checked(x, norm, starts=(0,)):
+        bounds = np.atleast_1d(norm)
+        assert len(bounds) == len(starts) and starts[0] == 0
+        for a, b, bound in zip(starts, [*starts[1:], len(x)], bounds):
+            assert a < b and bound >= np.abs(x[a:b]).sum(axis=1).max()
         exponents.append(len(x))
-        return cos_sin(x, norm)
+        runs.append(len(bounds))
+        return cos_sin(x, norm, starts)
 
     monkeypatch.setattr(spin, "_cos_sin", checked)
     for tol in (spin._MATCH_TOL, -1.0):
         monkeypatch.setattr(spin, "_MATCH_TOL", tol)
         for levels in ((0,), (1,), (2,), (0, 1)):
             exponents.clear()
+            runs.clear()
             chirp.unitary(levels)
             steps = sum(sum(chirp.n0) << level for level in levels)
             assert (sum(exponents) > 2 * steps) == (tol < 0)
+            assert max(runs) == len(levels)
 
 
 def segment_unitary(chirp, level):
     """Oracle: each envelope segment's CF4 exponentials on their own, from
     ``_cos_sin`` at the exact norm, multiplied one by one in time order."""
     u = np.eye(4, dtype=complex)
-    for (a, b), n0 in zip(spin._SEGMENTS, chirp.n0):
+    for seg, ((a, b), n0) in enumerate(zip(spin._SEGMENTS, chirp.n0)):
         n = n0 << level
         h = (b - a) / n
         x = a + h * (np.arange(n)[:, None] + spin._CF4_C)
         det = ((chirp.d_hi - chirp.span * x) @ spin._CF4_W.T).ravel()
-        env = (spin._envelope(x) @ spin._CF4_W.T).ravel()
+        env = (spin._envelope(x, seg) @ spin._CF4_W.T).ravel()
         hb = np.zeros((2 * n, 4, 4))
         hb[:] = 0.5 * chirp.h_base
         hb[:, 2, 2] += det
@@ -430,8 +506,8 @@ def exact_steps(chirp, level, seg, first, size):
     steps = np.concatenate([f + np.arange(n) for f, n in zip(first, size)])
     seg = np.repeat(seg, size)
     width = spin._WIDTHS[seg] / (np.array(chirp.n0)[seg] << level)
-    x, _ = chirp.exponents(spin._LO[seg], width,
-                           2.0 * np.pi * chirp.total_t * width, steps)
+    x, _ = chirp.exponents(seg, width, 2.0 * np.pi * chirp.total_t * width,
+                           steps)
     c, s = spin._cos_sin(x, np.abs(x).sum(axis=1).max())
     u = (c[1::2] - 1j * s[1::2]) @ (c[::2] - 1j * s[::2])
     return np.block([[u.real, -u.imag], [u.imag, u.real]])
@@ -448,23 +524,26 @@ def test_interpolated_exponentials_match_cos_sin_on_every_frame(monkeypatch,
         frames = chirp.frames[level]
         seg, first, size, interp = frames[:4]
         assert interp.any() and size.sum() == sum(chirp.n0) << level
-        got = chirp._batch(*frames).reshape(-1, 8, 8)
+        got = chirp._batch(*frames, np.zeros_like(seg)).reshape(-1, 8, 8)
         want = exact_steps(chirp, level, seg, first, size)
         assert np.abs(got - want).max() <= tol
 
 
 def test_an_exact_frame_parts_runs_of_equal_frames():
     # interpolated frames of one length on both sides of an exact frame:
-    # each side is its own product
-    chirp = chirps()[0]
-    spin._frame_tables([chirp], (1,))
-    seg, first, size, interp, width, phase = chirp.frames[1]
-    j = np.flatnonzero(seg == 1)[:3]
-    assert interp[j].all() and len(set(size[j])) == 1
-    seg, first, size, width, phase = seg[j], first[j], size[j], width[j], phase[j]
-    interp = np.array([True, False, True])
-    got = chirp._batch(seg, first, size, interp, width, phase)
-    want = exact_steps(chirp, 1, seg, first, size)
+    # each side is its own product; the flat top's short last frame, on
+    # the same table, is one more
+    chirp = chirps()[2]
+    spin._frame_tables([chirp], (0,))
+    j = np.flatnonzero(chirp.frames[0][0] == 1)
+    seg, first, size, interp, width, phase, table = (a[j] for a in
+                                                     chirp.frames[0])
+    assert interp.all() and len(set(size[:3])) == 1 and size[3] < size[0]
+    assert len(j) == 4 and len(set(table)) == 1
+    interp = np.array([True, False, True, True])
+    got = chirp._batch(seg, first, size, interp, width, phase, table,
+                       np.zeros_like(seg))
+    want = exact_steps(chirp, 0, seg, first, size)
     assert np.abs(got.reshape(-1, 8, 8) - want).max() <= spin._MATCH_TOL
 
 
@@ -498,10 +577,67 @@ def test_frame_tables_built_together_equal_each_built_alone():
 
 
 def test_check_weights_are_the_same_for_every_frame_length():
+    # every ramp length and every power-of-two flat-top table
+    powers = [2 ** k for k in range(spin._CHUNK_STEPS.bit_length())]
     for degree in (6, spin._DEGREE):
         check = spin._weights(spin._FRAME_STEPS, degree)[-2:]
-        for n in range(1, spin._FRAME_STEPS):
+        for n in sorted({*range(1, spin._FRAME_STEPS), *powers}):
             assert np.array_equal(spin._weights(n, degree)[n:], check)
+
+
+def test_a_flat_top_cell_is_tiled_by_power_of_two_frames():
+    # F steps per frame from step 0, only the last frame short, all on the
+    # F-step table; ramp frames on their own length's table
+    chirp_list, levels = fuzz_chirps(), (0, 1, 2, 3)
+    spin._frame_tables(chirp_list, levels)
+    for chirp in chirp_list:
+        for level in levels:
+            seg, first, size, interp, _, _, table = chirp.frames[level]
+            ramp = seg != 1
+            assert np.array_equal(table[ramp], size[ramp])
+            assert size[ramp].max() <= spin._FRAME_STEPS
+            n = chirp.n0[1] << level
+            flat = np.flatnonzero(~ramp)
+            f = int(table[flat[0]])
+            assert (table[flat] == f).all() and f & (f - 1) == 0
+            if interp[flat].all():  # at most twice the segment
+                assert f <= spin._CHUNK_STEPS and f < 2 * n
+            else:  # exact frames
+                assert not interp[flat].any() and f == spin._FRAME_STEPS
+            assert np.array_equal(first[flat], f * np.arange(len(flat)))
+            assert (size[flat[:-1]] == f).all()
+            assert 0 < size[flat[-1]] <= f and size[flat].sum() == n
+
+
+def test_no_interpolation_product_takes_more_than_frame_steps_rows(
+        monkeypatch):
+    # flat-top frames longer than _FRAME_STEPS are interpolated in pieces
+    # of at most _FRAME_STEPS rows each
+    chirp, rows, matmul = chirps()[0], [], np.matmul
+
+    def recorded(a, b, **kw):
+        if np.ndim(a) == 2 and np.ndim(b) == 3:  # weights @ deviations
+            rows.append(len(a))
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    for level in (0, 1, 2):
+        chirp.unitary((level,))
+    assert max(chirp.frames[2][2]) > spin._FRAME_STEPS
+    assert rows and max(rows) <= spin._FRAME_STEPS
+
+
+def test_the_weights_cache_stays_bounded_over_the_benchmark_powders():
+    # the 45 (grid point, regime) powders of fcbench: ramp lengths up to
+    # _FRAME_STEPS and the powers of two above it up to _CHUNK_STEPS
+    regimes = {"default16": (16, {}), "default32": (32, {}), "slow16": (16, SLOW)}
+    spin._weights.cache_clear()
+    for e in json.loads(REFERENCE.read_text()):
+        nodes, sweep = regimes[e["regime"]]
+        powder_average(SpinSystem(e["hyperfine_Hz"], 0.0, e["B_pol_T"]),
+                       SweepParams(**sweep), PowderEnsemble.gauss_legendre(nodes))
+    longer = (spin._CHUNK_STEPS // spin._FRAME_STEPS).bit_length() - 1
+    assert spin._weights.cache_info().currsize <= spin._FRAME_STEPS + longer
 
 
 def frame_gaps(chirp, frames):
@@ -510,17 +646,17 @@ def frame_gaps(chirp, frames):
     checked by the check rows of its own length's table."""
     degree = spin._DEGREE
     gaps = {}
-    for seg, first, size, interp, width, phase in zip(*frames):
+    for seg, first, size, interp, width, phase, table in zip(*frames):
         if not interp:
             continue
-        half = 0.5 * (size - 1)
+        half = 0.5 * (table - 1)
         at = first + half + half * spin._points(degree)
-        x, norm = chirp.exponents(*(np.full(len(at), v)
-                                    for v in (spin._LO[seg], width, phase)), at)
-        rows = spin._step_forms(spin._cos_sin(x, norm))
+        x, bound = chirp.exponents(*(np.full(len(at), v)
+                                     for v in (seg, width, phase)), at)
+        rows = spin._step_forms(spin._cos_sin(x, bound.max()))
         dev = np.vstack([rows[:degree + 1] - rows[degree // 2],
                          rows[degree // 2]])
-        w = spin._weights(int(size), degree)[size:]
+        w = spin._weights(int(table), degree)[table:]
         gaps[int(first), int(seg)] = np.abs(w @ dev - rows[degree + 1:]).max()
     return gaps
 
@@ -541,15 +677,14 @@ def test_the_batch_check_flags_the_frames_each_frame_check_flags(monkeypatch,
     monkeypatch.setattr(spin, "_MATCH_TOL", math.sqrt(low * high))
     calls, exponents = [], chirp.exponents
 
-    def recorded(lo, width, phase, t):
-        calls.append((int(t[0]), float(lo[0])))
-        return exponents(lo, width, phase, t)
+    def recorded(seg, width, phase, t):
+        calls.append((int(t[0]), int(seg[0])))
+        return exponents(seg, width, phase, t)
 
     monkeypatch.setattr(chirp, "exponents", recorded)
-    chirp._batch(*frames)
+    chirp._batch(*frames, np.zeros_like(frames[0]))
     # the first call is the batch's nodes; each later one takes a frame
-    taken = {(first, float(spin._LO[seg]))
-             for (first, seg), gap in gaps.items() if gap >= high}
+    taken = {(first, seg) for (first, seg), gap in gaps.items() if gap >= high}
     assert 0 < len(taken) < len(gaps)
     assert sorted(calls[1:]) == sorted(taken)
 

@@ -3,7 +3,7 @@ as one BENCH_<PR>.json file.
 
 Usage: python3 tools/bench_pairs.py --parent <rev> --out <file>
            [--change <rev>] [--pairs 10] [--seconds 30] [--seed 1]
-           [--workloads <name> ...] [--scratch <dir>]
+           [--probes 15] [--workloads <name> ...] [--scratch <dir>]
 
 The parent is checked out with ``git worktree add --detach`` under
 <scratch> (by default a new temporary directory), and the worktree is
@@ -13,7 +13,10 @@ or a second worktree when ``--change`` names a revision.  For each workload
 --trace 0`` runs ``--pairs`` times on each tree, the two alternating: the
 parent runs first in odd pairs (1, 3, ...) and second in even ones.  Then
 ``--trace 1`` runs once on each tree for the per-layer figures.  Each run's
-last line of standard output is its JSON result.
+last line of standard output is its JSON result.  fcbench's ``setup_s`` is
+the median of only a few fresh-process probes, so ``fcbench/probe.py``
+also runs ``--probes`` times on each tree, alternating in the same way,
+with PYTHONPATH=<tree>/src as fcbench sets it.
 
 The file holds the commands, the machine block of the first run, the runs
 themselves (``untraced``, ``traced_<workload>``), and per workload and
@@ -28,7 +31,11 @@ mean of a couple's two change/parent ratios: one ratio has the parent
 first and the other the change, so a constant second-run penalty cancels.
 ``unresolved`` lists every metric whose quartile spread, (q3 - q1) / median,
 reaches its bound in BENCHMARK.json on either tree: such a metric cannot be
-told apart from noise.  BENCHMARK.json is only read.
+told apart from noise.  ``probes`` holds the probe runs and
+``probe_summary`` the same summary of their ``import_s``, ``map_s`` and
+``warmup_s`` and of their sum ``setup_s``, lower being better, each with
+the bound of ``setup_s``; their unresolved entries carry ``"probe": true``.
+BENCHMARK.json is only read; so is ``fcbench/``, which is only run.
 
 A smoke run, HEAD against HEAD:
 
@@ -43,6 +50,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import shutil
 import signal
 import statistics
@@ -53,6 +61,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ["python3", "fcbench/run.py"]
+PROBE = ["python3", "fcbench/probe.py"]
+PROBE_METRICS = ("import_s", "map_s", "warmup_s")  # they sum to setup_s
 
 
 def _git(*args):
@@ -79,6 +89,36 @@ def fcbench(tree, workload, seed, seconds, trace):
     return result, machine, " ".join(cmd)
 
 
+def probe(tree, workload, scratch):
+    """One fresh-process set-up probe's JSON result, with its ``setup_s``
+    (the sum of PROBE_METRICS); a probe that fails is an error."""
+    work = tempfile.mkdtemp(prefix="probe-", dir=scratch)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(tree) / "src"), os.environ.get("PYTHONPATH")) if p)}
+    try:
+        proc = subprocess.run(PROBE + [workload, work], cwd=tree, env=env,
+                              capture_output=True, text=True, timeout=600)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+        result["setup_s"] = sum(result[k] for k in PROBE_METRICS)
+    except (IndexError, KeyError, ValueError):
+        result = {"error": f"exit {proc.returncode}: {proc.stderr[-300:]}"}
+    return result
+
+
+def probe_pairs(trees, workload, count, scratch):
+    """``count`` probes of ``workload`` on each tree, alternating as the
+    pairs do: the runs of each tree."""
+    runs = {"parent": [], "change": []}
+    for pair in range(count):
+        for tree in run_order(pair):
+            runs[tree].append({"pair": pair,
+                               **probe(trees[tree], workload, scratch)})
+    return runs
+
+
 def _quartiles(values):
     if len(values) < 2:
         return [values[0], values[0]] if values else [None, None]
@@ -89,6 +129,11 @@ def _quartiles(values):
 def parent_first(pair):
     """Whether the parent runs first in pair ``pair`` (0-based)."""
     return pair % 2 == 0
+
+
+def run_order(pair):
+    """The trees in the order they run in pair ``pair``."""
+    return ("parent", "change") if parent_first(pair) else ("change", "parent")
 
 
 def summarize(runs, end_to_end):
@@ -139,6 +184,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--probes", type=int, default=15)
     ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--scratch", type=Path, default=None)
     args = ap.parse_args(argv)
@@ -164,9 +210,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             runs = {"parent": [], "change": []}
             for pair in range(args.pairs):
-                order = ("parent", "change") if parent_first(pair) \
-                    else ("change", "parent")
-                for tree in order:
+                for tree in run_order(pair):
                     result, machine, cmd = fcbench(
                         trees[tree], workload, args.seed, args.seconds, 0)
                     runs[tree].append({"pair": pair, **result})
@@ -181,6 +225,16 @@ def main(argv=None) -> int:
                 runs, bench["end_to_end"])
             out.setdefault("unresolved", []).extend(
                 {"workload": workload, **u} for u in unresolved)
+            probes = probe_pairs(trees, workload, args.probes, scratch)
+            out.setdefault("probes", {})[workload] = probes
+            bound = next(m["bound"] for m in bench["end_to_end"]
+                         if m["name"] == "setup_s")
+            out.setdefault("probe_summary", {})[workload], unresolved = summarize(
+                probes, [{"name": name, "better": "lower", "bound": bound}
+                         for name in (*PROBE_METRICS, "setup_s")])
+            out["unresolved"].extend({"workload": workload, "probe": True, **u}
+                                     for u in unresolved)
+            out["commands"].append(" ".join(PROBE) + " <w> <dir>")
             traced = {}
             for tree in ("parent", "change"):
                 result, _, cmd = fcbench(trees[tree], workload, args.seed,

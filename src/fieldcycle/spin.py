@@ -466,7 +466,9 @@ def _frame_tables(chirps, levels):
     but no larger than the one that holds the segment, and start at
     multiples of F: the last one is short and takes the first rows of the
     F-step table.  So ``_weights`` holds the ramp lengths (at most
-    ``_FRAME_STEPS``) and a few powers of two."""
+    ``_FRAME_STEPS``) and a few powers of two.  A frame of at most
+    ``_DEGREE`` + 3 steps is taken exactly, and where the bound allows no
+    more, so is every frame of the cell, at ``_FRAME_STEPS`` each."""
     chirps = [chirp for chirp in chirps if sum(chirp.n0)]
     if not chirps:
         return
@@ -492,8 +494,8 @@ def _frame_tables(chirps, levels):
                       _floor_pow2(2 * n - 1))
     ramp = np.broadcast_to(_RAMP > 0, n.shape)
     most = np.where(ramp, np.clip(most, 1, _FRAME_STEPS), flat).astype(int)
-    interp = most > _DEGREE + 3  # a shorter frame costs more than it saves
-    most[~interp] = _FRAME_STEPS
+    fine = most > _DEGREE + 3  # else every frame is exact
+    most[~fine] = _FRAME_STEPS
     # the frames of every (chirp, level, segment) cell, in that order
     n, most, ramp = n.ravel(), most.ravel(), ramp.ravel()
     count = -(-n // most)
@@ -503,7 +505,10 @@ def _frame_tables(chirps, levels):
     k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
     first = k * size[cell] + np.minimum(k, extra[cell])
     steps = np.minimum(size[cell] + (k < extra[cell]), n[cell] - first)
-    columns = (cell % len(_SEGMENTS), first, steps, interp.ravel()[cell],
+    # _DEGREE + 3 exponentials interpolate a frame: a shorter one, such as
+    # the last of a flat top, costs more than it saves
+    interp = fine.ravel()[cell] & (steps > _DEGREE + 3)
+    columns = (cell % len(_SEGMENTS), first, steps, interp,
                width.ravel()[cell], phase.ravel()[cell],
                np.where(ramp[cell], steps, size[cell]))
     cuts = np.cumsum(count.reshape(-1, len(_SEGMENTS)).sum(axis=1)).tolist()
@@ -634,10 +639,7 @@ def _cos_sin(x, norm, starts=(0,)):
             continue
         cs[1, a:b] *= 2.0 ** -s
         for _ in range(s):  # cos and sin commute: one product gives C^2 and SC
-            if b - a < n:
-                cs[:, a:b] = cs[:, a:b] @ cs[0, a:b]
-            else:
-                cs = cs @ cs[0]
+            cs[:, a:b] = cs[:, a:b] @ cs[0, a:b]
             cs[:, a:b] *= 2.0
             cs[0, a:b].reshape(b - a, 16)[:, ::5] -= 1.0
     return cs

@@ -3,7 +3,7 @@ as one BENCH_<PR>.json file.
 
 Usage: python3 tools/bench_pairs.py --parent <rev> --out <file>
            [--change <rev>] [--pairs 10] [--seconds 30] [--seed 1]
-           [--probes 15] [--workloads <name> ...] [--scratch <dir>]
+           [--workloads <name> ...] [--scratch <dir>]
 
 The parent is checked out with ``git worktree add --detach`` under
 <scratch> (by default a new temporary directory), and the worktree is
@@ -15,7 +15,7 @@ parent runs first in odd pairs (1, 3, ...) and second in even ones.  Then
 ``--trace 1`` runs once on each tree for the per-layer figures.  Each run's
 last line of standard output is its JSON result.  fcbench's ``setup_s`` is
 the median of only a few fresh-process probes, so ``fcbench/probe.py``
-also runs ``--probes`` times on each tree, alternating in the same way,
+also runs ``PROBES`` times on each tree, alternating in the same way,
 with PYTHONPATH=<tree>/src as fcbench sets it.
 
 The file holds the commands, the machine block of the first run, the runs
@@ -63,6 +63,7 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = ["python3", "fcbench/run.py"]
 PROBE = ["python3", "fcbench/probe.py"]
 PROBE_METRICS = ("import_s", "map_s", "warmup_s")  # they sum to setup_s
+PROBES = 15  # probe runs per tree and workload
 
 
 def _git(*args):
@@ -184,7 +185,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--probes", type=int, default=15)
     ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--scratch", type=Path, default=None)
     args = ap.parse_args(argv)
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
                 runs, bench["end_to_end"])
             out.setdefault("unresolved", []).extend(
                 {"workload": workload, **u} for u in unresolved)
-            probes = probe_pairs(trees, workload, args.probes, scratch)
+            probes = probe_pairs(trees, workload, PROBES, scratch)
             out.setdefault("probes", {})[workload] = probes
             bound = next(m["bound"] for m in bench["end_to_end"]
                          if m["name"] == "setup_s")

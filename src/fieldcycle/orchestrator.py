@@ -257,7 +257,7 @@ def parse_spec(document, base_dir=".") -> ExperimentSpec:
 
     This is the spec schema: every key is type- and range-checked here and
     every absent key takes its default, so runners read resolved values.
-    Keys the schema does not know are ignored.
+    Keys the schema does not know are ignored; NaN or inf in one is an error.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -276,7 +276,7 @@ def parse_spec(document, base_dir=".") -> ExperimentSpec:
         raise UnknownKind(f"kind {kind!r}; known kinds: {', '.join(_KINDS)}")
     limits = _layer(mo.MotionLimits(), _get(doc, "motion", "$", {}), "$.motion")
     block, resolve, _ = _KINDS[kind]
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         kind=kind,
         seed=_get(doc, "seed", "$", 0),
         output_dir=_get(doc, "output_dir", "$", None, types=(str,)),
@@ -286,6 +286,8 @@ def parse_spec(document, base_dir=".") -> ExperimentSpec:
         params=resolve(_get(doc, block, "$", {}), f"$.{block}", limits),
         map_source=_map_source(doc),
     )
+    _call(json.dumps, "$", doc, allow_nan=False)  # after the keys it reads
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +319,10 @@ class _Workspace:
     """Atomic result writing; only fully written files reach the manifest.
     Stage wall times add up in ``record.metrics``, never in a result file."""
 
-    def __init__(self, out_dir: Path, record: RunRecord):
+    def __init__(self, out_dir: Path, record: RunRecord, quiet: bool):
         self.out_dir = out_dir
         self.record = record
+        self.quiet = quiet
         record.metrics.update(fieldmap_s=0.0, write_s=0.0)
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -343,8 +346,13 @@ class _Workspace:
         self.timed("write_s", write_atomic, self.out_dir / name, text)
         self.record.manifest.append(name)
 
+    def say(self, line: str):
+        """Print a progress line to stdout, unless the run is quiet."""
+        if not self.quiet:
+            print(line)
 
-def _run_shuttle(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
+
+def _run_shuttle(spec: ExperimentSpec, ws: _Workspace):
     p = spec.params
     jm = replace(p["jitter"], seed=derive_seed(spec.seed, "motion"))
     rows = []
@@ -359,12 +367,11 @@ def _run_shuttle(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
             rows.append([float(v), nominal, nominal, 0.0])
     header = ["v_mps", "duration_s", "mean_realized_s", "std_realized_s"]
     ws.write("shuttle_durations.csv", csv_text(header, zip(*rows)))
-    if not quiet:
-        for r in rows:
-            print(f"v={r[0]:.3g} m/s  duration={r[1]:.6f} s")
+    for r in rows:
+        ws.say(f"v={r[0]:.3g} m/s  duration={r[1]:.6f} s")
 
 
-def _run_lac(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
+def _run_lac(spec: ExperimentSpec, ws: _Workspace):
     fmap = ws.fieldmap(spec)
     limits = spec.params["limits"]
     rows = []
@@ -373,16 +380,15 @@ def _run_lac(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
                                  v_max=limits.v_max)
         rows.append([p.target_field_T, p.position_m, p.gradient_T_per_m,
                      p.resolution_T, p.max_sweep_rate_T_per_s])
-        if not quiet:
-            print(f"B={p.target_field_T:.4g} T  z={p.position_m:.4f} m  "
-                  f"res={p.resolution_T * 1e4:.4f} G  "
-                  f"rate={p.max_sweep_rate_T_per_s:.4f} T/s")
+        ws.say(f"B={p.target_field_T:.4g} T  z={p.position_m:.4f} m  "
+               f"res={p.resolution_T * 1e4:.4f} G  "
+               f"rate={p.max_sweep_rate_T_per_s:.4f} T/s")
     header = ["target_T", "position_m", "gradient_T_per_m", "resolution_T",
               "max_sweep_rate_T_per_s"]
     ws.write("lac_plan.csv", csv_text(header, zip(*rows)))
 
 
-def _run_dnp(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
+def _run_dnp(spec: ExperimentSpec, ws: _Workspace):
     p = spec.params
     ensemble = sp.PowderEnsemble.gauss_legendre(p["nodes"])
     result = sp.powder_average(p["system"], p["sweep"], ensemble)
@@ -392,18 +398,16 @@ def _run_dnp(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
         "mean_polarization": result.mean_polarization,
         "signs_uniform": result.signs_uniform(),
         "nodes": len(result.table),
-        "integrator_steps": sum(n for n, _ in result.diagnostics),
-        "max_error_estimate": max(e for _, e in result.diagnostics),
+        "integrator_steps": sum(r.n_steps for r in result.nodes),
+        "max_error_estimate": max(r.error_estimate for r in result.nodes),
     }
     ws.write("dnp_summary.json", json.dumps(summary, indent=2, sort_keys=True))
-    ws.record.diagnostics["dnp_nodes"] = [
-        {"theta_rad": t, "n_steps": n, "error_estimate": e,
-         "exponentials": x, "exact_frames": f}
-        for (t, _, _), (n, e), (x, f) in zip(result.table, result.diagnostics,
-                                             result.work)]
-    if not quiet:
-        print(f"powder mean polarization {result.mean_polarization:+.6f} "
-              f"({len(result.table)} nodes)")
+    ws.record.diagnostics["dnp_nodes"] = [dict(
+        theta_rad=t, n_steps=r.n_steps, error_estimate=r.error_estimate,
+        exponentials=r.exponentials, exact_frames=r.exact_frames)
+        for t, r in zip(ensemble.thetas, result.nodes)]
+    ws.say(f"powder mean polarization {result.mean_polarization:+.6f} "
+           f"({len(result.table)} nodes)")
 
 
 def _finite(x: float) -> Optional[float]:
@@ -411,7 +415,7 @@ def _finite(x: float) -> Optional[float]:
     return x if math.isfinite(x) else None
 
 
-def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
+def _run_t1(spec: ExperimentSpec, ws: _Workspace):
     p = spec.params
     fmap = ws.fieldmap(spec)
     protocols = p["protocols"]
@@ -430,9 +434,8 @@ def _run_t1(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
     fits += [{"B_T": b, "error": err} for b, err in t1map.failures]
     ws.record.diagnostics["t1_fits"] = sorted(fits, key=lambda d: d["B_T"])
     ws.write("t1_map.csv", t1map.to_csv())
-    if not quiet:
-        for b, f in t1map.entries:
-            print(f"B={b:.4g} T  T1={f.T1_s:.4g} s")
+    for b, f in t1map.entries:
+        ws.say(f"B={b:.4g} T  T1={f.T1_s:.4g} s")
     if t1map.failures:
         ws.write("t1_failures.csv", csv_text(["B_T", "error"],
                                              zip(*t1map.failures)))
@@ -458,16 +461,15 @@ def _sequence_parts(spec: ExperimentSpec, ws: _Workspace):
     return sq.build_timeline(seq), prof, fmap
 
 
-def _run_sequence(spec: ExperimentSpec, ws: _Workspace, quiet: bool):
+def _run_sequence(spec: ExperimentSpec, ws: _Workspace):
     timeline, prof, fmap = _sequence_parts(spec, ws)
     report = sq.validate(timeline, prof, fmap)
     ws.write("validation_report.csv", report.to_csv())
-    if not quiet:
-        if report.ok:
-            print("timeline valid")
-        for v in report.violations:
-            print(f"violation {v.code}: {v.detail}")
-    return len(report.violations)
+    ws.record.violations = len(report.violations)
+    if report.ok:
+        ws.say("timeline valid")
+    for v in report.violations:
+        ws.say(f"violation {v.code}: {v.detail}")
 
 
 # kind -> (spec block, resolver of that block, runner)
@@ -484,9 +486,9 @@ def _now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat()
 
 
-def _execute(spec: ExperimentSpec, out_dir, body) -> RunRecord:
-    """Run ``body(workspace)`` and write the RunRecord atomically, also
-    when ``body`` raises; ``body`` returns the violation count."""
+def _execute(spec: ExperimentSpec, out_dir, quiet, runner) -> RunRecord:
+    """Run ``runner(spec, workspace)`` and write the RunRecord atomically,
+    also when ``runner`` raises; ``runner`` sets the violation count."""
     start = time.perf_counter()
     record = RunRecord(
         spec_hash=spec_hash(spec.doc),
@@ -496,10 +498,11 @@ def _execute(spec: ExperimentSpec, out_dir, body) -> RunRecord:
         started_at=_now(),
         config={k: v for k, v in spec.doc.items() if k != "schema_version"},
     )
-    ws = _Workspace(Path(out_dir or spec.output_dir or "fieldcycle-out"), record)
-    body_start = time.perf_counter()
+    ws = _Workspace(Path(out_dir or spec.output_dir or "fieldcycle-out"),
+                    record, quiet)
+    run_start = time.perf_counter()
     try:
-        record.violations = body(ws) or 0
+        runner(spec, ws)
         record.status = "ok" if record.violations == 0 else "violations"
     except BaseException as exc:  # recorded, then re-raised
         record.status = "failed"
@@ -508,8 +511,8 @@ def _execute(spec: ExperimentSpec, out_dir, body) -> RunRecord:
     finally:
         record.finished_at = _now()
         end = time.perf_counter()
-        m = record.metrics  # kernel_s: the body outside map loads and writes
-        m["kernel_s"] = end - body_start - m["fieldmap_s"] - m["write_s"]
+        m = record.metrics  # kernel_s: the runner outside map loads and writes
+        m["kernel_s"] = end - run_start - m["fieldmap_s"] - m["write_s"]
         m["total_s"] = end - start
         write_atomic(ws.out_dir / "runrecord.json", record.to_json())
     return record
@@ -517,8 +520,7 @@ def _execute(spec: ExperimentSpec, out_dir, body) -> RunRecord:
 
 def run(spec: ExperimentSpec, out_dir=None, quiet: bool = False) -> RunRecord:
     """Execute the experiment; writes result files and a RunRecord JSON."""
-    return _execute(spec, out_dir,
-                    lambda ws: _KINDS[spec.kind][2](spec, ws, quiet))
+    return _execute(spec, out_dir, quiet, _KINDS[spec.kind][2])
 
 
 def simulate_sequence(spec: ExperimentSpec, runs: int, out_dir,
@@ -529,7 +531,7 @@ def simulate_sequence(spec: ExperimentSpec, runs: int, out_dir,
             f"expected kind 'sequence_validation', got {spec.kind!r}", "$.kind")
     _expect(runs >= 0, "must be non-negative", "--runs")
 
-    def body(ws):
+    def body(spec, ws):
         timeline, _, _ = _sequence_parts(spec, ws)
         jm = replace(spec.params["jitter"],
                      seed=derive_seed(spec.seed, "sequencer"))
@@ -543,7 +545,6 @@ def simulate_sequence(spec: ExperimentSpec, runs: int, out_dir,
             "max_s": float(np.max(j)) if runs else None,
         }
         ws.write("event_log.csv", log.to_csv())
-        if not quiet:
-            print(f"simulated {runs} runs, {runs * len(timeline.events)} events")
+        ws.say(f"simulated {runs} runs, {runs * len(timeline.events)} events")
 
-    return _execute(spec, out_dir, body)
+    return _execute(spec, out_dir, quiet, body)

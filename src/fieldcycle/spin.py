@@ -770,8 +770,7 @@ class PowderEnsemble:
 class PowderResult:
     mean_polarization: float
     table: tuple[tuple[float, float, float], ...]  # (theta, weight, polarization)
-    diagnostics: tuple[tuple[int, float], ...]  # (n_steps, error_estimate)
-    work: tuple[tuple[int, int], ...]  # (exponentials, exact_frames)
+    nodes: tuple[SweepResult, ...]  # each node's sweep, in table order
 
     def signs_uniform(self) -> bool:
         signs = {p > 0 for _, _, p in self.table}
@@ -790,9 +789,7 @@ def powder_average(sys_template: SpinSystem, sweep: SweepParams,
     pols = [r.polarization for r in results]
     mean = float(sum(w * p for w, p in zip(ensemble.weights, pols)))
     table = tuple((t, w, p) for t, w, p in zip(ensemble.thetas, ensemble.weights, pols))
-    return PowderResult(mean, table,
-                        tuple((r.n_steps, r.error_estimate) for r in results),
-                        tuple((r.exponentials, r.exact_frames) for r in results))
+    return PowderResult(mean, table, tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,16 @@ def write_spec(tmp_path, doc, name="spec.json"):
     return str(p)
 
 
+def fresh_python(*args):
+    """``python *args`` in a fresh process, this package first on
+    PYTHONPATH."""
+    src = str(Path(fieldcycle.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_plan_motion_prints_duration(capsys):
     assert main(["plan-motion", "--distance", "1.1627"]) == 0
     out = capsys.readouterr().out
@@ -119,13 +129,8 @@ def test_extreme_dnp_values_are_numerical_failures(tmp_path, key, value):
     # finite values whose |H| T sum over the chirp overflows to inf or NaN
     spec = write_spec(tmp_path, {"schema_version": 1, "kind": "dnp_sweep",
                                  "seed": 1, "dnp": {"nodes": 8, key: value}})
-    src = str(Path(fieldcycle.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run(
-        [sys.executable, "-m", "fieldcycle.cli", "run", "--quiet", "--spec",
-         spec, "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=300)
+    out = fresh_python("-m", "fieldcycle.cli", "run", "--quiet", "--spec",
+                       spec, "--out", str(tmp_path / "o"))
     assert out.returncode == 4
     assert "Traceback" not in out.stderr
     [line] = out.stderr.splitlines()  # no numpy warning either
@@ -382,13 +387,9 @@ def test_an_overflowing_calibration_cost_prints_no_warning(tmp_path):
     anchors = tmp_path / "anchors.csv"
     anchors.write_text(ANCHOR_HEADER + "field_value,0.0,7.0,,1e-06\n"
                        "field_value,0.5,0.1,,1e-300\n")
-    src = str(Path(fieldcycle.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run(
-        [sys.executable, "-m", "fieldcycle.cli", "calibrate-field", "--quiet",
-         "--anchors", str(anchors), "--out", str(tmp_path / "map.json")],
-        env=env, capture_output=True, text=True, timeout=300)
+    out = fresh_python("-m", "fieldcycle.cli", "calibrate-field", "--quiet",
+                       "--anchors", str(anchors), "--out",
+                       str(tmp_path / "map.json"))
     assert (out.returncode, out.stderr) == (0, "")
     from fieldcycle.fieldmap import FieldMap
     fmap = FieldMap.from_json((tmp_path / "map.json").read_text())
@@ -403,13 +404,8 @@ def test_a_degenerate_solenoid_map_is_rejected_without_a_warning(tmp_path):
         "domain_m": [0.0, 1.6], "floor_T": 0.001}))
     spec = write_spec(tmp_path, {"schema_version": 1, "kind": "lac_plan",
                                  "seed": 1, "fieldmap": {"file": "map.json"}})
-    src = str(Path(fieldcycle.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run(
-        [sys.executable, "-m", "fieldcycle.cli", "run", "--quiet", "--spec",
-         spec, "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=300)
+    out = fresh_python("-m", "fieldcycle.cli", "run", "--quiet", "--spec",
+                       spec, "--out", str(tmp_path / "o"))
     assert out.returncode == 3
     assert out.stderr.splitlines() == [
         "spec error: $.fieldmap.file: cannot load map.json (ValueError: "
@@ -624,10 +620,17 @@ def test_only_fits_import_scipy_optimize(tmp_path):
     assert sites == set()
     # a fresh process: no verb loads any scipy module, T1 maps,
     # calibrate-field and an anchors-file spec included
-    src = str(package.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=300)
+    out = fresh_python("-c", _SCIPY_PROBE, str(tmp_path))
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False"] * 4
+
+
+def test_importing_the_cli_loads_at_most_234_modules():
+    # a pin on import work, the count fcbench reads as cli.modules_loaded:
+    # a change that moves it gives the count before and after
+    out = fresh_python("-c", "import sys, fieldcycle.cli; print(len("
+                       "sys.modules), any(m.split('.')[0] == 'scipy' "
+                       "for m in sys.modules))")
+    assert out.returncode == 0, out.stderr
+    count, scipy = out.stdout.split()
+    assert int(count) <= 234 and scipy == "False"

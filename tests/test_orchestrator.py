@@ -259,6 +259,31 @@ def test_stage_times_fit_in_the_total(tmp_path, kind, block):
     assert m["fieldmap_s"] + m["kernel_s"] + m["write_s"] <= m["total_s"]
 
 
+@pytest.mark.parametrize("kind, block, runs, count, first", [
+    ("shuttle_characterization", {}, None, 4, "v=0.5 m/s  duration="),
+    ("lac_plan", {}, None, 2, "B=0.051 T  z=0.6731 m  res="),
+    ("dnp_sweep", {"dnp": {"nodes": 8, "sweep_rate_Hz_per_s": 3e10}}, None, 1,
+     "powder mean polarization "),
+    ("t1_field_map", {}, None, 5, "B=0.008 T  T1="),
+    ("sequence_validation", {}, None, 1, "timeline valid"),
+    ("sequence_validation", {}, 3, 1, "simulated 3 runs, ")],
+    ids=["shuttle", "lac", "dnp", "t1", "sequence", "simulate"])
+def test_every_runner_honours_quiet(tmp_path, capsys, kind, block, runs, count,
+                                    first):
+    spec = parse_spec(minimal(kind, **block))
+    for quiet in (True, False):
+        out_dir = tmp_path / str(quiet)
+        if runs is None:
+            run(spec, out_dir=out_dir, quiet=quiet)
+        else:
+            simulate_sequence(spec, runs=runs, out_dir=out_dir, quiet=quiet)
+        lines = capsys.readouterr().out.splitlines()
+        if quiet:
+            assert lines == []
+        else:
+            assert len(lines) == count and lines[0].startswith(first)
+
+
 def test_fieldmap_block_from_files(tmp_path):
     from fieldcycle.fieldmap import anchors_to_csv, reference_anchors, reference_map
     (tmp_path / "anchors.csv").write_text(anchors_to_csv(reference_anchors()))

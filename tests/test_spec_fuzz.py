@@ -74,6 +74,12 @@ FIXED = [
      "$.sequence.shuttle_distance_m"),
     ({"kind": "sequence_validation", "motion": {"travel_range_m": 1.0}},
      "$.sequence.shuttle_distance_m"),  # null: 1.1627 m between the fields
+    # keys the schema does not read, which runrecord.json would copy as
+    # non-standard JSON (json.dumps writes NaN and Infinity)
+    ({"kind": "lac_plan", "note": float("nan"), "lac": {"targets_T": [0.051]}},
+     "$"),
+    ({"kind": "lac_plan", "lac": {"targets_T": [0.051], "note": float("inf")}},
+     "$"),
 ]
 # field-map files that cannot be loaded: exit 3 after a run record is opened
 MAP_FIELDS = {"schema": 1, "domain_m": [0.0, 1.6], "travel_range_m": 1.6,

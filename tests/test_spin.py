@@ -802,8 +802,9 @@ def test_powder_matches_benchmark_reference(regime, nodes, sweep):
     res = powder_average(SpinSystem(1.0e6, 0.0, 0.010), SweepParams(**sweep),
                          PowderEnsemble.gauss_legendre(nodes))
     assert res.mean_polarization == pytest.approx(expect, rel=1e-6)
-    assert len(res.diagnostics) == nodes
-    assert all(n > 0 and 0 <= e <= spin.POL_TOL for n, e in res.diagnostics)
+    assert len(res.nodes) == nodes
+    assert all(r.n_steps > 0 and 0 <= r.error_estimate <= spin.POL_TOL
+               for r in res.nodes)
 
 
 def test_powder_ensemble_validation():

@@ -4,10 +4,12 @@ Usage: python3 tools/result_hashes.py <src-dir>
 
 Runs every command below as ``python3 -m fieldcycle.cli`` with <src-dir> (the
 directory that holds the ``fieldcycle`` package) first on PYTHONPATH, each in
-its own directory under a fresh temporary directory.  Prints one ``exit``
-line per command, then one sha256 line per result file.  ``runrecord.json``
-is skipped: it carries timestamps.  Run it on two source trees and diff the
-outputs to check that a change keeps result bytes:
+its own directory under a fresh temporary directory, without ``--quiet``.
+Prints one ``exit`` line per command, with the line count and sha256 of the
+command's stdout (its progress lines; stderr names temporary paths and is
+left out), then one sha256 line per result file.  ``runrecord.json`` is
+skipped: it carries timestamps.  Run it on two source trees and diff the
+outputs to check that a change keeps result bytes and progress output:
 
     python3 tools/result_hashes.py old/src > old.txt
     python3 tools/result_hashes.py src > new.txt
@@ -27,8 +29,9 @@ on a solenoid map file and with a steep T1 knee (exponent 50 at 0.3 T), a
 spline map file whose knot fields rise, one with a NaN interior knot
 field, and three map files whose field does not decrease over the domain
 (exit 3 each): spline slopes that overshoot, a spline domain past the last
-knot and a solenoid domain below z = 0; and a spline calibration on the
-centre anchor alone (exit 3).
+knot and a solenoid domain below z = 0; a spline calibration on the
+centre anchor alone (exit 3); and a spec whose unread key holds NaN (exit 3:
+``runrecord.json`` could not hold it as strict JSON).
 It uses only the standard library.
 """
 
@@ -162,6 +165,8 @@ SPECS = {
                          fieldmap={"file": "solenoid_map.json"}),
     "t1_steep_knee": _spec("t1_field_map", {"relaxation": {
         "exponent": 50, "B_knee_T": 0.3}}),
+    "lac_nan_note": _spec("lac_plan", {"targets_T": [0.051]},
+                          note=float("nan")),
 }
 
 # (name, arguments); input file names resolve against the input directory
@@ -244,9 +249,11 @@ def main(argv) -> int:
             args = [str(inputs / a) if (inputs / a).is_file() else a
                     for a in args]
             proc = subprocess.run(
-                [sys.executable, "-m", "fieldcycle.cli", "--quiet"] + args,
-                cwd=cwd, env=env, capture_output=True, text=True)
-            print(f"exit {proc.returncode}  {name}")
+                [sys.executable, "-m", "fieldcycle.cli"] + args,
+                cwd=cwd, env=env, capture_output=True)
+            lines = proc.stdout.count(b"\n")
+            digest = hashlib.sha256(proc.stdout).hexdigest()
+            print(f"exit {proc.returncode}  stdout {lines} {digest}  {name}")
         out = Path(tmp) / "out"
         for path in sorted(out.rglob("*")):
             if path.is_file() and path.name != "runrecord.json":

@@ -3,8 +3,7 @@ instrument: fringe-field map, shuttle kinematics, trigger sequencing,
 NV-13C hyperpolarization sweeps, and field-dependent relaxometry."""
 
 from . import errors, fieldmap, motion, orchestrator, relaxometry, sequencer, spin
-
-__version__ = "0.1.0"
+from .orchestrator import TOOL_VERSION as __version__
 
 __all__ = [
     "errors",

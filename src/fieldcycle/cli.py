@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 validation violations, 3 spec/schema error,
-4 numerical failure.
+Exit codes: 0 success, 2 validation violations, 3 spec/schema or
+command-line usage error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -104,8 +104,18 @@ def _cmd_calibrate_field(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit with EXIT_SPEC_ERROR,
+    not argparse's 2, which here means validation violations; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_SPEC_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fieldcycle",
         description="Field-cycling NMR instrument digital twin",
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,8 +81,7 @@ class FieldAnchor:
             raise ValueError("tolerance_rel must be positive")
 
 
-@dataclass(frozen=True)
-class LacPlan:
+class LacPlan(NamedTuple):
     """Access plan for one level anti-crossing target field."""
 
     target_field_T: float

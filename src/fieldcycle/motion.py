@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -49,16 +49,14 @@ class MotionLimits:
             raise ValueError("precision_m must be smaller than travel_range_m")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     duration_s: float
     accel_m_s2: float
     v_start_m_s: float
     z_start_m: float
 
 
-@dataclass(frozen=True)
-class MotionProfile:
+class MotionProfile(NamedTuple):
     segments: tuple[Segment, ...]
     z_start_m: float = 0.0
 
@@ -164,8 +162,7 @@ def duration(profile: MotionProfile) -> float:
     return profile.boundary_times()[-1]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled (t, z, v, a); segment boundaries appear twice, once with the
     left-limit and once with the right-limit acceleration, so integrating
     the samples reproduces v and z exactly."""

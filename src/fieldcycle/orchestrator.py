@@ -17,7 +17,7 @@ import time
 import zlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -222,8 +222,7 @@ def _map_source(doc):
                 f"expected one of {', '.join(fm.MODEL_KINDS)}")))
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(NamedTuple):
     """A parsed spec: ``limits`` and ``params`` (the kind block) hold every
     value resolved, defaults included."""
 
@@ -252,20 +251,14 @@ class ExperimentSpec:
                                   f"{exc})", f"$.fieldmap.{key}") from None
 
 
-def parse_spec(document, base_dir=".") -> ExperimentSpec:
-    """Validate a spec document (JSON text or dict) into an ExperimentSpec.
+def parse_spec(doc, base_dir=".") -> ExperimentSpec:
+    """Validate a spec document, the object its JSON decodes to, into an
+    ExperimentSpec.
 
     This is the spec schema: every key is type- and range-checked here and
     every absent key takes its default, so runners read resolved values.
     Keys the schema does not know are ignored; NaN or inf in one is an error.
     """
-    if isinstance(document, (str, bytes)):
-        try:
-            doc = json.loads(document)
-        except ValueError as exc:
-            raise SchemaViolation(f"not valid JSON: {exc}", "$") from None
-    else:
-        doc = document
     _expect(isinstance(doc, dict), "top level must be an object", "$")
     version = _get(doc, "schema_version", "$", types=(int,))
     if version != SCHEMA_VERSION:

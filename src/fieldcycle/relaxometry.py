@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -116,8 +116,7 @@ class RelaxometryProtocol:
             raise ValueError("wait times must be non-negative")
 
 
-@dataclass(frozen=True)
-class DecayCurve:
+class DecayCurve(NamedTuple):
     points: tuple[tuple[float, float], ...]  # (T_relax_s, signal a.u.)
 
     @property
@@ -231,16 +230,11 @@ def synthetic_decay(T1_s: float, waits: Sequence[float],
     return DecayCurve(tuple(pts))
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     T1_s: float
     amplitude: float
     param_stderr: tuple[float, ...]
     residual_rms: float
-
-    def __post_init__(self):
-        if self.T1_s <= 0:
-            raise FitDiverged(f"non-physical T1 {self.T1_s}")
 
 
 def _log_linear_init(t, y):
@@ -346,8 +340,7 @@ def fit_decay(curve: DecayCurve) -> FitResult:
     )
 
 
-@dataclass(frozen=True)
-class T1Map:
+class T1Map(NamedTuple):
     entries: tuple[tuple[float, FitResult], ...]  # sorted by B
     failures: tuple[tuple[float, str], ...] = ()
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -93,8 +93,7 @@ class SequenceSpec:
     low_field_max_T: float = 0.030
 
 
-@dataclass(frozen=True)
-class Timeline:
+class Timeline(NamedTuple):
     """Events ordered by nominal start; t=0 is the first pulse-generator edge."""
 
     events: tuple[Event, ...]
@@ -159,23 +158,18 @@ def build_timeline(spec: SequenceSpec) -> Timeline:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     event_ids: tuple[str, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def codes(self):
-        return [v.code for v in self.violations]
 
     def to_csv(self) -> str:
         return csv_text(["code", "event_ids", "detail"],
@@ -245,18 +239,7 @@ def validate(timeline: Timeline, motion_profile: MotionProfile,
 # ---------------------------------------------------------------------------
 # simulation
 
-@dataclass(frozen=True)
-class LogRow:
-    run_id: int
-    channel: str
-    event: str
-    t_nominal_s: float
-    t_realized_s: float
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class EventLog:
+class EventLog(NamedTuple):
     """Realized runs of one timeline, stored per event: entry k of
     ``t_realized_s`` and ``duration_s`` is event k's value, either an array
     over the runs or one value that every run shares."""
@@ -288,14 +271,6 @@ class EventLog:
             rows[j::k] = map(",".join, zip(*cols))
         header = "run_id,channel,event,t_nominal_s,t_realized_s,duration_s"
         return "\n".join([header, *rows, ""])
-
-    def realized(self, event_id) -> LogRow:
-        """Event ``event_id``'s row in the first run."""
-        for ev, s, d in zip(self.events, self.t_realized_s, self.duration_s):
-            if ev.id == event_id and self.runs:
-                first = [np.broadcast_to(x, self.runs)[0].item() for x in (s, d)]
-                return LogRow(0, ev.channel, ev.id, ev.t_start_s, *first)
-        raise KeyError(event_id)
 
 
 def simulate(timeline: Timeline, jitter: JitterModel, runs: int = 1) -> EventLog:

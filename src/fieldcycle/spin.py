@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -62,11 +62,12 @@ MAX_RUN_STEPS = 10_000_000  # summed max_steps of a run's sweeps, checked
                             # heaviest run, 20.8x fcbench's
 MAX_NODES = 1024  # powder nodes: 32x the acceptance suite's and fcbench's
 
-_CHUNK_STEPS = 4096  # steps per batch of frames (2 MB of 8x8 forms)
-_CHUNK_POINTS = 2048  # evaluation points per batch, about: _cos_sin's
-                      # (2, 2) by (2, 64n) product for n = 4096 exponentials
-                      # runs on one OpenBLAS thread (the bundled SkylakeX
-                      # build threads it from about n = 10,000)
+_CHUNK_STEPS = 4096  # steps per batch of frames (2 MB of 8x8 forms).  A
+                     # frame evaluates at most one point per step and
+                     # _FRAME_STEPS points, 2 exponentials each, so a batch's
+                     # _cos_sin product takes at most 8,702: below the about
+                     # 10,000 from which the bundled SkylakeX OpenBLAS build
+                     # threads it
 _SEGMENTS = ((0.0, EDGE_FRACTION), (EDGE_FRACTION, 1.0 - EDGE_FRACTION),
              (1.0 - EDGE_FRACTION, 1.0))
 _LO = np.array([a for a, _ in _SEGMENTS])
@@ -188,8 +189,7 @@ def static_hamiltonian(sys: SpinSystem) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One avoided crossing of the swept ladder."""
 
     detuning_Hz: float       # rotating-frame detuning where the levels meet
@@ -364,11 +364,8 @@ class _Chirp:
         which = np.repeat(np.arange(len(levels)), [len(f[0]) for f in frames])
         frames = [np.concatenate(a) for a in zip(*frames)]
         size, interp = frames[2], frames[3]
-        points = np.where(interp, _DEGREE + 3, size)  # where x is evaluated
         # a batch starts at the frame that crosses a multiple of _CHUNK_STEPS
-        # steps or of _CHUNK_POINTS evaluation points
-        key = ((np.cumsum(size) - size) // _CHUNK_STEPS * (points.sum() + 1)
-               + (np.cumsum(points) - points) // _CHUNK_POINTS)
+        key = (np.cumsum(size) - size) // _CHUNK_STEPS
         u_total = np.eye(8)[None].repeat(len(levels), axis=0)
         for lo, hi in _runs(key):
             e = self._batch(*(a[lo:hi] for a in frames),
@@ -677,8 +674,7 @@ def _sweeps(u, n):
     return (b - a) / s * -math.expm1(-nx)
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     polarization: float
     norm_drift: float      # diagnostic: max |U^H U - I| of the accepted pass
     n_steps: int           # integrator steps of every pass, coarse ones included
@@ -766,8 +762,7 @@ class PowderEnsemble:
                    tuple(float(x) for x in 0.5 * w))
 
 
-@dataclass(frozen=True)
-class PowderResult:
+class PowderResult(NamedTuple):
     mean_polarization: float
     table: tuple[tuple[float, float, float], ...]  # (theta, weight, polarization)
     nodes: tuple[SweepResult, ...]  # each node's sweep, in table order

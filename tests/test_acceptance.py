@@ -225,13 +225,15 @@ def test_criterion_09_sequencer(ref_map, limits):
                 timeline.latencies, timeline.low_field_max_T),
         }
         for code, bad in cases.items():
-            assert code in sq.validate(bad, prof, ref_map).codes()
+            assert code in [v.code for v in
+                            sq.validate(bad, prof, ref_map).violations]
 
         cryo_tl = sq.build_timeline(sq.SequenceSpec(
             t_pol_s=10.0, shuttle_profile=prof, cryo=sq.CryoSpec()))
         assert cryo_tl.find("eject").duration_s == pytest.approx(1.0)
         log = sq.simulate(cryo_tl, mo.JitterModel(sigma_s=0.0, seed=0))
-        delay = log.metadata["sample_cold_s"] - log.realized("eject").t_realized_s
+        eject = [ev.id for ev in log.events].index("eject")
+        delay = log.metadata["sample_cold_s"] - log.t_realized_s[eject]
         assert 3.0 <= delay <= 4.0
 
 

@@ -101,6 +101,19 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert main(["run", "--spec", str(tmp_path / "missing.json")]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--spec", "spec.json", "--bogus"],
+    ["simulate-sequence", "--spec", "spec.json", "--runs", "abc"],
+], ids=["no-spec", "unknown-option", "runs-not-an-int"])
+def test_a_usage_error_is_a_spec_error_not_violations(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage: fieldcycle") and "error: " in err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     spec = write_spec(tmp_path, {"schema_version": 1, "kind": "t1_field_map",
                                  "seed": 1, "t1": {"fields_T": [1e-9]}})

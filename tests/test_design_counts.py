@@ -11,11 +11,12 @@ def _design_counts():
     return tool
 
 
-# 3 fields (x, y, u; Z is not annotated and C is no dataclass), 3 public
-# defaults (b, c and __init__'s k) and 3 private ones (_g's a, b and _h's q)
-# in 32 lines
+# 5 fields (x, y, u, and N's p and r; Z is not annotated and C is neither
+# a dataclass nor a NamedTuple), 3 public defaults (b, c and __init__'s k)
+# and 3 private ones (_g's a, b and _h's q) in 38 lines
 MODULE = textwrap.dedent('''\
     import dataclasses
+    import typing
     from dataclasses import dataclass
 
 
@@ -29,6 +30,11 @@ MODULE = textwrap.dedent('''\
     @dataclasses.dataclass(frozen=True)
     class B:
         u: int
+
+
+    class N(typing.NamedTuple):
+        p: int
+        r: str = ""
 
 
     class C:
@@ -59,10 +65,10 @@ def test_counts_lines_fields_and_defaults_of_a_tree(tmp_path, capsys):
                                                   "    return z\n")
     (tmp_path / "pkg" / "notes.txt").write_text("not python\n" * 50)
     assert tool.main(["design_counts.py", str(tmp_path)]) == 0
-    assert len(MODULE.splitlines()) == 32
+    assert len(MODULE.splitlines()) == 38
     assert capsys.readouterr().out.splitlines() == [
-        "lines 37",
-        "settable 10 (fields 3, public 4, private 3)"]
+        "lines 43",
+        "settable 12 (fields 5, public 4, private 3)"]
 
 
 def test_rejects_a_path_that_is_not_a_directory(tmp_path, capsys):

@@ -123,15 +123,19 @@ def test_every_defaulted_parameter_has_a_caller():
     assert unused == []
 
 
-def _is_frozen_dataclass(node):
+def _is_frozen_record(node):
+    """A frozen dataclass or a NamedTuple."""
     return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
                and any(k.arg == "frozen" and getattr(k.value, "value", False)
                        for k in d.keywords)
-               for d in node.decorator_list)
+               for d in node.decorator_list) or any(
+        getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+        for b in node.bases)
 
 
 def _init_fields(cls):
-    """(name, has a default) of the init fields of a dataclass body."""
+    """(name, has a default) of the init fields of a dataclass or
+    NamedTuple body."""
     for item in cls.body:
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
             value = item.value
@@ -169,11 +173,11 @@ def _field_setters(tree, cls_name, names):
 
 
 def test_every_defaulted_field_has_a_setter():
-    """Each defaulted init field of an exported frozen dataclass is set in
-    the package, the acceptance suite or the oracles: by keyword or position
-    to the class or to ``dataclasses.replace``, as a string key, or through
-    ``orchestrator._layer`` reading every field from the spec.  A field only
-    other tests set is a setting no user reaches."""
+    """Each defaulted init field of an exported frozen dataclass or
+    NamedTuple is set in the package, the acceptance suite or the oracles:
+    by keyword or position to the class or to ``dataclasses.replace``, as a
+    string key, or through ``orchestrator._layer`` reading every field from
+    the spec.  A field only other tests set is a setting no user reaches."""
     trees = {p: _tree(p) for p in MODULES}
     callers = list(trees.values())
     callers += [_tree(TESTS / n) for n in ("test_acceptance.py", "oracles.py")]
@@ -182,7 +186,7 @@ def test_every_defaulted_field_has_a_setter():
         exported = set(_exports(tree))
         for cls in tree.body:
             if not (isinstance(cls, ast.ClassDef) and cls.name in exported
-                    and _is_frozen_dataclass(cls)):
+                    and _is_frozen_record(cls)):
                 continue
             fields = list(_init_fields(cls))
             names = [n for n, _ in fields]

@@ -69,7 +69,7 @@ def test_cryo_cold_flag_3_to_4_seconds(shuttle_profile):
     tl = build_timeline(SequenceSpec(t_pol_s=10.0, shuttle_profile=shuttle_profile,
                                      cryo=CryoSpec()))
     log = simulate(tl, JitterModel(sigma_s=0.0, seed=0))
-    eject_start = log.realized("eject").t_realized_s
+    eject_start = _per_run(log, "t_realized_s")["eject"][0]
     assert 3.0 <= log.metadata["sample_cold_s"] - eject_start <= 4.0
 
 
@@ -94,7 +94,7 @@ def test_violation_acquire_during_motion(dnp_timeline, shuttle_profile, ref_map)
         dnp_timeline.events + (Event("acquire2", "nmr_acquire",
                                      shuttle.t_start_s + 0.1, 0.5),),
         dnp_timeline.latencies, dnp_timeline.low_field_max_T)
-    codes = validate(bad, shuttle_profile, ref_map).codes()
+    codes = [v.code for v in validate(bad, shuttle_profile, ref_map).violations]
     assert "acquire_during_motion" in codes
 
 
@@ -104,7 +104,7 @@ def test_violation_acquire_before_completion(dnp_timeline, shuttle_profile, ref_
         tuple(e for e in dnp_timeline.events if e.id != "acquire")
         + (Event("acquire", "nmr_acquire", done.t_end_s, 1.0),),
         dnp_timeline.latencies, dnp_timeline.low_field_max_T)
-    codes = validate(bad, shuttle_profile, ref_map).codes()
+    codes = [v.code for v in validate(bad, shuttle_profile, ref_map).violations]
     assert "acquire_before_completion" in codes
 
 
@@ -114,7 +114,7 @@ def test_violation_optical_outside_shield(dnp_timeline, shuttle_profile, ref_map
         dnp_timeline.events + (Event("pump2", "laser",
                                      shuttle.t_start_s + 0.3, 0.3),),
         dnp_timeline.latencies, dnp_timeline.low_field_max_T)
-    codes = validate(bad, shuttle_profile, ref_map).codes()
+    codes = [v.code for v in validate(bad, shuttle_profile, ref_map).violations]
     assert "optical_outside_shield" in codes
 
 
@@ -125,7 +125,7 @@ def test_optical_events_without_a_move_see_the_start_position(
         tuple(e for e in dnp_timeline.events if e.id != "shuttle")
         + (Event("pump2", "laser", 45.0, 1.0),),
         dnp_timeline.latencies, dnp_timeline.low_field_max_T)
-    codes = validate(still, shuttle_profile, ref_map).codes()
+    codes = [v.code for v in validate(still, shuttle_profile, ref_map).violations]
     assert codes == ["missing_dependency"]  # "done" depends on the shuttle
 
 
@@ -143,14 +143,13 @@ def test_simulate_jitter_shifts_downstream(dnp_timeline):
     log = simulate(dnp_timeline, jm)
     (j,) = log.metadata["shuttle_jitter_s"]  # one entry per run
     assert j != 0.0
-    shuttle = log.realized("shuttle")
-    assert shuttle.duration_s == pytest.approx(
+    starts, durations = _per_run(log, "t_realized_s"), _per_run(log, "duration_s")
+    assert durations["shuttle"][0] == pytest.approx(
         dnp_timeline.find("shuttle").duration_s + j)
-    acq = log.realized("acquire")
-    assert acq.t_realized_s == pytest.approx(
+    assert starts["acquire"][0] == pytest.approx(
         dnp_timeline.find("acquire").t_start_s + j, abs=1e-12)
     # upstream events unmoved
-    assert log.realized("trigger").t_realized_s == pytest.approx(
+    assert starts["trigger"][0] == pytest.approx(
         dnp_timeline.find("trigger").t_start_s, abs=1e-12)
 
 

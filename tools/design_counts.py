@@ -12,7 +12,7 @@ and prints two lines:
 values a caller can set, by AST:
 
 - fields: annotated names in the body of a class decorated ``@dataclass``
-  (bare or called);
+  (bare or called) or derived from ``NamedTuple``;
 - public: defaulted parameters (positional or keyword-only) of functions
   and methods whose name does not start with ``_``, dunders included;
 - private: defaulted parameters of the other functions (``_name``).
@@ -28,12 +28,15 @@ import sys
 from pathlib import Path
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-            return True
-    return False
+def _name(node) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple: its annotated names are fields."""
+    return (any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list)
+            or any(_name(b) == "NamedTuple" for b in node.bases))
 
 
 def counts(src: Path) -> dict:
@@ -42,7 +45,7 @@ def counts(src: Path) -> dict:
         text = path.read_text()
         lines += len(text.splitlines())
         for node in ast.walk(ast.parse(text, filename=str(path))):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef) and _is_record(node):
                 fields += sum(isinstance(s, ast.AnnAssign)
                               and isinstance(s.target, ast.Name)
                               for s in node.body)
